@@ -1,27 +1,64 @@
 """Classical simulated annealing with deterministic seeded shots.
 
-One shot is sequential single-spin-flip Metropolis: every sweep visits
-all spins in index order and flips spin i with probability
-min(1, exp(-dE/T)).  dE is maintained incrementally from local fields;
-the final energy is recomputed exactly and checked against the tracked
-value.  Shot k derives its RNG seed from (master_seed, k) via
-:func:`qafactor.seeds.shot_seed`, so results are identical for any
-worker count.
+One shot is sequential single-spin-flip Metropolis in colour-major order.
+The interaction graph is coloured greedily in spin-index order, so no two
+coupled spins share a colour.  Every sweep visits colour class 0, then
+class 1, and so on, each class in index order.  Spins of one class are not
+coupled to each other, so flipping a whole class at once is the same as
+visiting its spins one by one.
+
+:func:`run_shots` is batched: all shots of a batch advance together, one
+colour class per NumPy step, and local fields follow each step through a
+sparse (CSR) product over the class's couplings.  Batches are sized so
+that their spins, fields and uniforms fit :data:`BATCH_BYTES`.
+:func:`anneal_shot` is the scalar reference loop over the same order, and
+the faster path for a single shot.
+
+A proposed flip with energy change dE is accepted when dE <= -T ln u,
+which is the Metropolis rule u <= exp(-dE/T).  Both paths compute the
+limit -T ln u with the same NumPy call, and both accumulate field changes
+in the same order, so they agree bit for bit.
+
+Seeding contract: shot k draws from its own
+``PCG64(shot_seed(master_seed, k))`` stream (:mod:`qafactor.seeds`):
+first ``integers(0, 2, n)`` for the start state (bit 1 is spin +1), then
+one uniform per (sweep, spin index), sweep-major and in spin-index order
+whatever the visiting order.  The uniforms are drawn
+:data:`SWEEP_BLOCK` sweeps at a time.  A shot's result therefore depends
+only on the model, the schedule and its seed:
+``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
+shot_seed(master_seed, k), k)`` for any batch size or worker count.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+# SciPy's own CSR kernel (private): y += A @ x in place, adding each row's
+# entries into y one by one in column order.  That is the order in which
+# the scalar loop applies flips, so the two paths round alike; the public
+# ``A @ x`` would sum a row first and add the total.
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .ising import GROUND_TOL, IsingModel, energy, spins_to_bits
 from .seeds import shot_seed
 
 GEOMETRIC = "geometric"
 LINEAR = "linear"
+
+#: Sweeps of uniforms drawn from a shot's stream at a time.
+SWEEP_BLOCK = 8
+
+#: Working-memory budget of one :func:`run_shots` batch: per shot, its
+#: spins, its fields and one block of uniforms in two layouts.
+BATCH_BYTES = 16 << 20
+
+#: Largest allowed gap between incrementally tracked and recomputed values.
+DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,60 +127,171 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def metropolis_accept(delta_e: float, temperature: float, u: float) -> bool:
-    """Accept rule for one proposed flip: always for dE <= 0, else u < exp(-dE/T)."""
-    return delta_e <= 0.0 or u < math.exp(-delta_e / temperature)
+@dataclass(frozen=True)
+class _SweepPlan:
+    """A model laid out in colour-major visiting order.
+
+    Position p holds spin ``order[p]``; colour class c occupies positions
+    ``classes[c][0]:classes[c][1]`` and ``classes[c][2]`` holds the
+    couplings from that class to every position.
+    """
+
+    order: np.ndarray
+    bias: np.ndarray
+    couplings: csr_array
+    classes: tuple[tuple[int, int, csr_array], ...]
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> csr_array:
+    """CSR matrix whose rows list their entries in ascending column order."""
+    key = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[key], np.arange(shape[0] + 1))
+    return csr_array((vals[key], cols[key], indptr), shape=shape)
+
+
+def _sweep_plan(model: IsingModel) -> _SweepPlan:
+    n = model.n
+    if n < 1:
+        raise ValueError("annealing needs at least one spin")
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for i, j in model.couplings:
+        earlier[j].append(i)
+    colour: list[int] = []
+    for i in range(n):
+        taken = {colour[j] for j in earlier[i]}
+        colour.append(min(set(range(len(taken) + 1)) - taken))
+    order = np.array(sorted(range(n), key=lambda i: (colour[i], i)), dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+
+    pairs = np.array(list(model.couplings), dtype=np.intp).reshape(-1, 2)
+    values = np.array(list(model.couplings.values()), dtype=float)
+    rows = position[np.concatenate([pairs[:, 0], pairs[:, 1]])]
+    cols = position[np.concatenate([pairs[:, 1], pairs[:, 0]])]
+    vals = np.concatenate([values, values])
+    bounds = np.cumsum([0, *np.bincount(colour)]).tolist()
+    classes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        keep = (cols >= lo) & (cols < hi)
+        classes.append((lo, hi, _csr(rows[keep], cols[keep] - lo, vals[keep], (n, hi - lo))))
+    return _SweepPlan(order, np.asarray(model.h, dtype=float)[order],
+                      _csr(rows, cols, vals, (n, n)), tuple(classes))
+
+
+def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
+    """Local fields h + J s of a (positions, shots) spin array."""
+    return plan.bias[:, None] + plan.couplings @ spins
+
+
+def _flip_limits(rngs, order: np.ndarray, temps: np.ndarray):
+    """Yield, sweep by sweep, the limits -T ln u of every stream.
+
+    Each limit array has shape (positions, shots), and a flip at that
+    position is accepted when its dE is at most the limit.  The arrays are
+    reused: each is valid until the next one is taken.
+    """
+    n = len(order)
+    uniforms = np.empty((len(rngs), SWEEP_BLOCK * n))
+    limits = np.empty((SWEEP_BLOCK, n, len(rngs)))
+    for t0 in range(0, len(temps), SWEEP_BLOCK):
+        block = temps[t0:t0 + SWEEP_BLOCK]
+        drawn = uniforms[:, :len(block) * n]
+        for row, rng in zip(drawn, rngs):
+            rng.random(out=row)
+        with np.errstate(divide="ignore"):
+            np.log(drawn, out=drawn)
+        by_sweep = drawn.reshape(len(rngs), len(block), n).transpose(1, 2, 0)
+        for logs, t, out in zip(by_sweep, block, limits):
+            np.multiply(logs[order], -t, out=out)
+            yield out
 
 
 def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0) -> ShotResult:
     """Run one shot from a random +-1 start drawn from ``seed``.
 
-    One uniform variate is consumed per flip attempt whether or not the
-    dE <= 0 shortcut fires, which keeps the stream position independent
-    of the trajectory.
+    The scalar reference for :func:`run_shots`.  One uniform is consumed
+    per flip attempt whatever the outcome, which keeps the stream position
+    independent of the trajectory.
     """
+    plan = _sweep_plan(model)
     n = model.n
-    if n < 1:
-        raise ValueError("annealing needs at least one spin")
     rng = np.random.Generator(np.random.PCG64(seed))
     state = [1 if b else -1 for b in rng.integers(0, 2, n)]
-    uniforms = rng.random(schedule.sweeps * n).tolist()
-
-    h = list(model.h)
+    at_position = _fields(plan, np.array(state, dtype=float)[plan.order, None])[:, 0]
+    fields = at_position[np.argsort(plan.order)].tolist()
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (i, j), v in model.couplings.items():
         nbrs[i].append((j, v))
         nbrs[j].append((i, v))
-    fields = [h[i] + sum(v * state[j] for j, v in nbrs[i]) for i in range(n)]
     tracked = energy(model, state)
 
-    exp = math.exp
-    u_at = 0
-    for t in schedule.temperatures():
-        inv_t = 1.0 / t
-        for i in range(n):
+    visit = plan.order.tolist()
+    temps = np.array(schedule.temperatures())
+    for limits in _flip_limits([rng], plan.order, temps):
+        for i, limit in zip(visit, limits[:, 0].tolist()):
             si = state[i]
             de = -2.0 * si * fields[i]
-            if de <= 0.0 or uniforms[u_at] < exp(-de * inv_t):
+            if de <= limit:
                 state[i] = -si
                 tracked += de
                 shift = -2.0 * si
                 for j, v in nbrs[i]:
                     fields[j] += v * shift
-            u_at += 1
 
     final = tuple(state)
     exact = energy(model, final)
-    if abs(exact - tracked) > 1e-6:
+    if abs(exact - tracked) > DRIFT_TOL:
         raise ArithmeticError(
             f"incremental energy drifted: tracked {tracked!r} vs exact {exact!r}"
         )
     return ShotResult(final, exact, index, seed)
 
 
-def _shot_chunk(args) -> list[ShotResult]:
-    model, schedule, master_seed, indices = args
-    return [anneal_shot(model, schedule, shot_seed(master_seed, k), k) for k in indices]
+def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
+                  master_seed: int, indices: range) -> list[ShotResult]:
+    """Shots ``indices`` advanced together; see the module docstring."""
+    n, shots = model.n, len(indices)
+    seeds = [shot_seed(master_seed, k) for k in indices]
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    bits = np.array([rng.integers(0, 2, n) for rng in rngs])
+    # delta = -2 s: the change a flip makes to each spin.
+    delta = 2.0 - 4.0 * bits.T[plan.order]
+    fields = _fields(plan, -0.5 * delta)
+    flat_fields = fields.reshape(-1)
+
+    temps = np.array(schedule.temperatures())
+    for limits in _flip_limits(rngs, plan.order, temps):
+        for lo, hi, couplings in plan.classes:
+            d = delta[lo:hi]
+            accept = d * fields[lo:hi] <= limits[lo:hi]
+            moved = accept * d
+            np.negative(d, out=d, where=accept)
+            csr_matvecs(n, hi - lo, shots, couplings.indptr, couplings.indices,
+                        couplings.data, moved.reshape(-1), flat_fields)
+
+    spins = -0.5 * delta
+    drift = float(np.max(np.abs(fields - _fields(plan, spins))))
+    if drift > DRIFT_TOL:
+        raise ArithmeticError(f"incremental local fields drifted by {drift!r}")
+    final = np.empty((n, shots), dtype=np.int64)
+    final[plan.order] = spins
+    results = []
+    for k, seed, state in zip(indices, seeds, final.T.tolist()):
+        state = tuple(state)
+        results.append(ShotResult(state, energy(model, state), k, seed))
+    return results
+
+
+def _shot_range(args) -> list[ShotResult]:
+    model, schedule, master_seed, lo, hi = args
+    plan = _sweep_plan(model)
+    per_shot = 8 * model.n * (2 + 2 * SWEEP_BLOCK)
+    size = max(1, BATCH_BYTES // per_shot)
+    results: list[ShotResult] = []
+    for start in range(lo, hi, size):
+        results += _anneal_batch(model, plan, schedule, master_seed,
+                                 range(start, min(start + size, hi)))
+    return results
 
 
 def run_shots(
@@ -159,21 +307,19 @@ def run_shots(
 
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
     ``keep_shots`` is set.  Histogram keys are the final states' bit
-    strings (spin 0 first).
+    strings (spin 0 first).  Each worker takes a contiguous range of
+    shot indices.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    if workers <= 1:
-        results = _shot_chunk((model, schedule, master_seed, range(n_shots)))
+    workers = max(1, min(workers, n_shots))
+    cuts = [n_shots * w // workers for w in range(workers + 1)]
+    chunks = [(model, schedule, master_seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        results = _shot_range(chunks[0])
     else:
-        chunks = [
-            (model, schedule, master_seed, range(lo, n_shots, workers))
-            for lo in range(min(workers, n_shots))
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            gathered = [r for chunk in pool.map(_shot_chunk, chunks) for r in chunk]
-        gathered.sort(key=lambda r: r.index)
-        results = gathered
+            results = [r for chunk in pool.map(_shot_range, chunks) for r in chunk]
 
     histogram: dict[str, int] = {}
     best = math.inf
@@ -194,15 +340,6 @@ def run_shots(
     if keep_shots:
         return summary, results
     return summary
-
-
-def rekey_histogram(histogram: dict[str, int], relabel: Callable[[str], str]) -> dict[str, int]:
-    """Re-key a bit-string histogram (e.g. into decoded (M, N) labels)."""
-    out: dict[str, int] = {}
-    for key, count in histogram.items():
-        new = relabel(key)
-        out[new] = out.get(new, 0) + count
-    return out
 
 
 def format_counts_table(

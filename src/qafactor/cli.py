@@ -164,6 +164,16 @@ def cmd_anneal(args) -> int:
     return 0
 
 
+def _write_decoded_csv(path: str, shots, reference: float, outcome) -> None:
+    """``--csv`` of factor and multiply: the shot log with M,N,P per shot."""
+    def decoder(state):
+        out = outcome(state)
+        return out.m, out.n, out.p
+    with open(path, "w", encoding="utf-8") as fh:
+        annealing.write_shot_csv(fh, shots, reference_e0=reference, decoder=decoder)
+    print(f"wrote {path}")
+
+
 def _default_widths(p: int, balanced: bool) -> tuple[int, int]:
     bits = max(1, p.bit_length())
     if balanced:
@@ -199,10 +209,10 @@ def cmd_factor(args) -> int:
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
 
-    def full_state(state):
-        return merge_spins(net.model.n, clamps, state) if clamps else state
+    def outcome(state):
+        return decode(net, merge_spins(net.model.n, clamps, state) if clamps else state)
 
-    outcomes = [decode(net, full_state(r.state)) for r in shots]
+    outcomes = [outcome(r.state) for r in shots]
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
     for out in outcomes:
@@ -217,12 +227,7 @@ def cmd_factor(args) -> int:
     for key in sorted(hist, key=lambda k: (-hist[k], k)):
         print(f"count {key} {hist[key]} ground {hits.get(key, 0)}")
     if args.csv:
-        def decoder(state):
-            out = decode(net, full_state(state))
-            return out.m, out.n, out.p
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            annealing.write_shot_csv(fh, shots, reference_e0=reference, decoder=decoder)
-        print(f"wrote {args.csv}")
+        _write_decoded_csv(args.csv, shots, reference, outcome)
     return 0
 
 
@@ -244,11 +249,17 @@ def cmd_multiply(args) -> int:
         clamped, _schedule_from(args), args.shots, args.seed,
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
+
+    def outcome(state):
+        return decode(net, merge_spins(net.model.n, clamps, state))
+
     best = min(shots, key=lambda r: (r.energy, r.index))
-    out = decode(net, merge_spins(net.model.n, clamps, best.state))
+    out = outcome(best.state)
     print(f"product {out.p}")
     print(f"ground_reached {out.is_ground}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
+    if args.csv:
+        _write_decoded_csv(args.csv, shots, reference, outcome)
     return 0
 
 
@@ -343,13 +354,8 @@ def cmd_circuit_nor_inverse(args) -> int:
                                        decimate=args.decimate)
             rows.append(tr)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            n = rows[0].iq.shape[1]
-            fh.write("t," + ",".join(f"Iq_{k + 1}" for k in range(n)) + "\n")
             for k, tr in enumerate(rows):
-                offset = k * ramp.total_s
-                for row_t, row_iq in zip(tr.t, tr.iq):
-                    fh.write(f"{row_t + offset!r},"
-                             + ",".join(repr(float(x)) for x in row_iq) + "\n")
+                fluxsim.write_trace_csv(fh, tr, offset=k * ramp.total_s, header=k == 0)
         print(f"wrote {args.trace}")
     return 0
 

@@ -538,9 +538,11 @@ def static_potential(
     return PotentialScan(phi=phi, u=u, minima_phi=minima)
 
 
-def write_trace_csv(fh, trace: TraceSet) -> None:
-    """Plot-ready CSV: t,Iq_1..Iq_n."""
-    n = trace.iq.shape[1]
-    fh.write("t," + ",".join(f"Iq_{k + 1}" for k in range(n)) + "\n")
+def write_trace_csv(fh, trace: TraceSet, offset: float = 0.0, header: bool = True) -> None:
+    """Plot-ready CSV: t,Iq_1..Iq_n, with ``offset`` added to every time."""
+    if header:
+        n = trace.iq.shape[1]
+        fh.write("t," + ",".join(f"Iq_{k + 1}" for k in range(n)) + "\n")
     for row_t, row_iq in zip(trace.t, trace.iq):
-        fh.write(f"{row_t!r}," + ",".join(repr(float(x)) for x in row_iq) + "\n")
+        fh.write(f"{float(row_t + offset)!r},"
+                 + ",".join(repr(float(x)) for x in row_iq) + "\n")

@@ -1,8 +1,12 @@
 import io
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from qafactor import anneal
 from qafactor.anneal import (
     GEOMETRIC,
     LINEAR,
@@ -10,16 +14,28 @@ from qafactor.anneal import (
     Schedule,
     anneal_shot,
     format_counts_table,
-    metropolis_accept,
-    rekey_histogram,
     run_shots,
     write_shot_csv,
 )
-from qafactor.gates import nor_gate
+from qafactor.gates import half_adder_template, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
+from qafactor.multiplier import FOLD, build_multiplier, clamp_product
 from qafactor.seeds import shot_seed, splitmix64
 
 NOR = nor_gate().model
+
+
+def factor_model(bits: int, p: int) -> IsingModel:
+    return clamp_product(build_multiplier(bits, bits), p, method=FOLD)[0]
+
+
+def random_model(n: int, seed: int) -> IsingModel:
+    """Dense-ish model with non-dyadic coefficients, so field sums round."""
+    rng = random.Random(seed)
+    h = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+    couplings = {(i, j): rng.uniform(-1.0, 1.0)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    return IsingModel(n, h, couplings)
 
 
 class TestSchedule:
@@ -47,16 +63,32 @@ class TestSchedule:
             Schedule(GEOMETRIC, 3.0, 0.05, 0)
 
 
-class TestMetropolisAccept:
-    def test_downhill_always_accepted(self):
-        assert metropolis_accept(-0.5, 0.01, 0.999999)
-        assert metropolis_accept(0.0, 0.01, 0.999999)
+class TestAcceptanceRule:
+    """One spin, one sweep: the flip is decided by the shot's first uniform."""
 
-    @pytest.mark.parametrize("delta_e,temperature", [(1.0, 1.0), (2.0, 1.0), (0.5, 2.0)])
-    def test_uphill_threshold_is_boltzmann(self, delta_e, temperature):
-        p = math.exp(-delta_e / temperature)
-        assert metropolis_accept(delta_e, temperature, p - 1e-12)
-        assert not metropolis_accept(delta_e, temperature, p + 1e-12)
+    @pytest.mark.parametrize("h,temperature", [(0.5, 1.0), (1.0, 1.0), (0.25, 2.0)])
+    def test_flip_follows_first_uniform(self, h, temperature):
+        model = IsingModel(1, (h,), {})
+        schedule = Schedule(GEOMETRIC, temperature, temperature, 1)
+        shots = 300
+        _, batched = run_shots(model, schedule, shots, master_seed=4, keep_shots=True)
+        uphill = {True: 0, False: 0}
+        for k in range(shots):
+            rng = np.random.Generator(np.random.PCG64(shot_seed(4, k)))
+            start = 1 if rng.integers(0, 2, 1)[0] else -1
+            u = float(rng.random())
+            delta_e = -2.0 * start * h
+            p = math.exp(-delta_e / temperature)
+            if abs(u - p) < 1e-12:
+                continue
+            flips = delta_e <= 0.0 or u < p
+            if delta_e > 0.0:
+                uphill[flips] += 1
+            expected = (-start if flips else start,)
+            assert anneal_shot(model, schedule, shot_seed(4, k), k).state == expected
+            assert batched[k].state == expected
+        # Both uphill outcomes occur, so the threshold itself was exercised.
+        assert uphill[True] > 0 and uphill[False] > 0
 
 
 class TestAnnealShot:
@@ -139,6 +171,89 @@ class TestRunShots:
         with pytest.raises(ValueError):
             run_shots(NOR, Schedule(), 0, master_seed=1)
 
+    def test_empty_model_rejected(self):
+        with pytest.raises(ValueError):
+            run_shots(IsingModel(0, (), {}), Schedule(), 1, master_seed=1)
+
+
+class TestBatchedOracle:
+    """``run_shots`` against the scalar reference loop, shot for shot."""
+
+    @pytest.mark.parametrize("name", ["nor", "half-adder", "mult-unit", "factor-4-2x2",
+                                      "factor-15-4x4"])
+    def test_equals_anneal_shot(self, name, mult_unit):
+        model = {
+            "nor": lambda: NOR,
+            "half-adder": lambda: half_adder_template().model,
+            "mult-unit": lambda: mult_unit.model,
+            "factor-4-2x2": lambda: factor_model(2, 4),
+            "factor-15-4x4": lambda: factor_model(4, 15),
+        }[name]()
+        shots = 20
+        _, batched = run_shots(model, Schedule(), shots, master_seed=17, keep_shots=True)
+        for k in range(shots):
+            assert batched[k] == anneal_shot(model, Schedule(), shot_seed(17, k), k)
+
+    def test_non_dyadic_model_equals_anneal_shot(self):
+        model = random_model(14, seed=3)
+        schedule = Schedule(sweeps=300)
+        _, batched = run_shots(model, schedule, 10, master_seed=8, keep_shots=True)
+        for k in range(10):
+            assert batched[k] == anneal_shot(model, schedule, shot_seed(8, k), k)
+
+    def test_batch_and_worker_independence(self, monkeypatch):
+        model = random_model(14, seed=5)
+        schedule = Schedule(sweeps=300)
+        _, few = run_shots(model, schedule, 7, master_seed=2, keep_shots=True)
+        _, many = run_shots(model, schedule, 50, master_seed=2, keep_shots=True)
+        _, three = run_shots(model, schedule, 50, master_seed=2, workers=3, keep_shots=True)
+        assert few == many[:7]
+        assert three == many
+        # A budget of a few shots per batch: still the same shots.
+        monkeypatch.setattr(anneal, "BATCH_BYTES", 3 * 8 * model.n * (2 + 2 * anneal.SWEEP_BLOCK))
+        _, small = run_shots(model, schedule, 50, master_seed=2, keep_shots=True)
+        assert small == many
+
+    def test_sweeps_not_a_multiple_of_the_block(self):
+        schedule = Schedule(sweeps=anneal.SWEEP_BLOCK * 3 + 5)
+        _, batched = run_shots(NOR, schedule, 5, master_seed=6, keep_shots=True)
+        for k in range(5):
+            assert batched[k] == anneal_shot(NOR, schedule, shot_seed(6, k), k)
+
+    def test_colour_classes_are_independent_sets(self):
+        for bits, p in ((4, 15), (6, 35), (8, 143)):
+            model = factor_model(bits, p)
+            plan = anneal._sweep_plan(model)
+            assert len(plan.classes) == 6
+            assert sorted(plan.order.tolist()) == list(range(model.n))
+            colour = {}
+            for c, (lo, hi, _) in enumerate(plan.classes):
+                members = plan.order[lo:hi].tolist()
+                assert members == sorted(members)
+                colour.update(dict.fromkeys(members, c))
+            assert all(colour[i] != colour[j] for i, j in model.couplings)
+
+    def test_working_memory_does_not_grow_with_shots(self, monkeypatch):
+        """Beyond the results it returns, run_shots holds one batch at a time."""
+        model = factor_model(4, 15)
+        schedule = Schedule(sweeps=16)
+        monkeypatch.setattr(anneal, "BATCH_BYTES", 1 << 18)
+        run_shots(model, schedule, 2, master_seed=1)
+
+        def transient_peak(n_shots):
+            tracemalloc.start()
+            try:
+                kept = run_shots(model, schedule, n_shots, master_seed=1, keep_shots=True)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del kept
+            return peak - current
+
+        one_batch = transient_peak(20)
+        ten_batches = transient_peak(200)
+        assert ten_batches < 1.25 * one_batch + (32 << 10)
+
 
 class TestSeeds:
     def test_splitmix_is_64_bit_and_deterministic(self):
@@ -170,11 +285,6 @@ class TestReporting:
             "count 01 2",
             "count 10 1",
         ]
-
-    def test_rekey_histogram_merges(self):
-        hist = {"01": 2, "10": 3, "11": 5}
-        merged = rekey_histogram(hist, lambda k: "one" if "1" in k else "zero")
-        assert merged == {"one": 10}
 
     def test_counts_table_layout(self):
         text = format_counts_table(

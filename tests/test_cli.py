@@ -123,6 +123,21 @@ class TestMultiply:
         code, _, err = run(capsys, "multiply", "9", "1", "--bits-a", "2")
         assert code == 1
 
+    def test_csv_decodes_each_shot(self, capsys):
+        code, out, _ = run(capsys, "multiply", "3", "5", "--shots", "10",
+                           "--csv", "mul.csv")
+        assert code == 0
+        assert "wrote mul.csv" in out
+        lines = open("mul.csv").read().splitlines()
+        assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
+        assert len(lines) == 11
+        for line in lines[1:]:
+            shot, _, hit, _, m, n, p = line.split(",")
+            assert (int(m), int(n)) == (3, 5)
+            if hit == "1":
+                assert int(p) == 15
+        assert "ground_hit,state_bits" not in out
+
 
 class TestFactor:
     def test_factor_four_on_2x2(self, capsys):
@@ -164,6 +179,8 @@ class TestCircuit:
         lines = open("waves.csv").read().splitlines()
         assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
         assert len(lines) > 10
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert all(len(row) == 5 for row in rows)
 
     def test_noiseless_repeatable(self, capsys):
         args = ("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
