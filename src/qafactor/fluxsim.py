@@ -113,12 +113,17 @@ def _well_current(p: QubitCircuitParams) -> float:
     return x * PHI0 / l_total
 
 
-#: Bias current realizing |h| = 1 on the reference qubit.  At read-out a
-#: bias adds m_x I_x I* to a qubit's well energy and a mutual adds |M| I*^2
-#: to a pair's, so one unit of h equals one unit of J (|M| = 8 pH) when
-#: I_x = |M| I* / m_x: 6.84 uA at I* = 3.42 uA (x = 0.430 Phi0).
-IX_PER_UNIT_H = (abs(MUTUAL_PER_UNIT_J) * _well_current(QubitCircuitParams())
-                 / QubitCircuitParams().m_x)
+def _ix_per_unit_h(p: QubitCircuitParams) -> float:
+    """Bias current realizing |h| = 1 on qubits with params ``p``.  At
+    read-out a bias adds m_x I_x I* to a qubit's well energy and a mutual
+    adds |M| I*^2 to a pair's, so one unit of h equals one unit of J
+    (|M| = 8 pH) when I_x = |M| I* / m_x."""
+    return abs(MUTUAL_PER_UNIT_J) * _well_current(p) / p.m_x
+
+
+#: Bias current realizing |h| = 1 on the reference qubit: 6.84 uA at
+#: I* = 3.42 uA (x = 0.430 Phi0).
+IX_PER_UNIT_H = _ix_per_unit_h(QubitCircuitParams())
 
 
 @dataclass(frozen=True)
@@ -174,11 +179,11 @@ class RampSpec:
     def total_s(self) -> float:
         return self.ramp_s + self.hold_s
 
-    def phi_t(self, t: float) -> float:
-        if t >= self.ramp_s:
-            return self.phi_t_end
-        frac = t / self.ramp_s
-        return self.phi_t_start + (self.phi_t_end - self.phi_t_start) * frac
+    def phi_t(self, t):
+        """Transverse flux at time ``t``: a float or an array of times."""
+        t = np.asarray(t, dtype=float)
+        ramped = self.phi_t_start + (self.phi_t_end - self.phi_t_start) * (t / self.ramp_s)
+        return np.where(t >= self.ramp_s, self.phi_t_end, ramped)
 
 
 @dataclass(frozen=True)
@@ -235,20 +240,24 @@ class TraceSet:
 
 
 def logical_to_physical(
-    h: Sequence[float], couplings: dict[tuple[int, int], float]
+    h: Sequence[float],
+    couplings: dict[tuple[int, int], float],
+    params: QubitCircuitParams | None = None,
 ) -> tuple[tuple[float, ...], dict[tuple[int, int], float]]:
     """Map dimensionless (h, J) onto bias currents and mutual inductances.
 
     M_ij = MUTUAL_PER_UNIT_J * J_ij, and the bias lines are sized so that
-    the read-out Hamiltonian of reference qubits (260 pH loops) has h : J
-    as given.  A qubit's field is set by its loop's bias current
-    A^-1 phi_bias, A = diag(L) + M, so each bias flux also drives current
-    through the coupler mutuals into its neighbours.  The bias currents
-    are therefore I_x = IX_PER_UNIT_H * (A / L) h, i.e.
+    the read-out Hamiltonian of identical qubits with ``params`` (default:
+    the reference qubit, 260 pH loops) has h : J as given.  A qubit's
+    field is set by its loop's bias current A^-1 phi_bias,
+    A = diag(L) + M, so each bias flux also drives current through the
+    coupler mutuals into its neighbours.  With I_h the bias current per
+    unit of h for these qubits (``IX_PER_UNIT_H`` for the reference one),
+    the bias currents are therefore I_x = I_h (A / L) h, i.e.
 
-        I_x,i = IX_PER_UNIT_H * (h_i + sum_j M_ij h_j / L),
+        I_x,i = I_h * (h_i + sum_j M_ij h_j / L),
 
-    which leaves each loop's bias current at h_i * IX_PER_UNIT_H m_x / L.
+    which leaves each loop's bias current at h_i * I_h m_x / L.
     Valid for the shipped gate range |h| <= 2, |J| <= 1.
     """
     for i, hv in enumerate(h):
@@ -262,12 +271,14 @@ def logical_to_physical(
         for (i, j), v in couplings.items()
         if v != 0.0
     }
-    l_loop = QubitCircuitParams().main_loop_inductance
+    params = params or QubitCircuitParams()
+    l_loop = params.main_loop_inductance
+    ix_unit = _ix_per_unit_h(params)
     drive = [float(hv) for hv in h]
     for (i, j), m in mutuals.items():
         drive[i] += m * h[j] / l_loop
         drive[j] += m * h[i] / l_loop
-    return tuple(d * IX_PER_UNIT_H for d in drive), mutuals
+    return tuple(d * ix_unit for d in drive), mutuals
 
 
 def layout_from_ising(
@@ -277,7 +288,7 @@ def layout_from_ising(
 ) -> NetworkLayout:
     """Physical layout realizing an Ising model with identical qubits."""
     params = params or QubitCircuitParams()
-    i_x, mutuals = logical_to_physical(model.h, model.couplings)
+    i_x, mutuals = logical_to_physical(model.h, model.couplings, params)
     return NetworkLayout(
         params=(params,) * model.n, i_x=i_x, mutuals=mutuals,
         ramp=ramp or RampSpec(),
@@ -344,6 +355,17 @@ def _integrate_batch(
     independent of how shots are grouped into batches.  Returns
     (final_iq[batch, n], bits list, traces), traces being recorded for
     single-shot batches only.
+
+    State is qubit-major: ``phi``, ``vel``, ``iq`` and each step's noise
+    row are (n, batch) arrays, so a qubit's row is contiguous, and every
+    step updates them in place through preallocated buffers.  Per-shot
+    arithmetic must be bit-identical for every batch size, so the
+    loop-current mat-vec is an elementwise product (j, i, batch) summed
+    over its leading axis, j = 0..n-1 in order.  It must not go through
+    ``@``, ``matmul``, ``einsum`` or ``dot``, whose BLAS kernels may
+    reorder or fuse the sums and round differently at batch 1 and batch
+    200.  Summing over a non-leading axis is no safer: at batch 1 NumPy
+    turns it into a pairwise sum, which reorders from 9 qubits up.
     """
     n = layout.n
     batch = len(seeds)
@@ -359,32 +381,41 @@ def _integrate_batch(
     a_inv = np.linalg.inv(a)
     phi_b = layout.bias_flux()
     iq_bias = a_inv @ phi_b
-    inv_c = np.array([1.0 / (2.0 * p.c) for p in layout.params])
-    g_eff = np.array([2.0 / p.r for p in layout.params])
+    # Per-qubit constants as full (n, batch) operands: NumPy's contiguous
+    # loops are faster than broadcasting a column across the batch.
+    inv_c = np.repeat([[1.0 / (2.0 * p.c)] for p in layout.params], batch, axis=1)
+    g_eff = np.repeat([[2.0 / p.r] for p in layout.params], batch, axis=1)
     ic2 = np.array([2.0 * p.ic for p in layout.params])
     w = 2.0 * math.pi / PHI0
 
-    times = np.arange(n_steps) * dt
-    cos_steps = np.cos(np.pi * np.array([ramp.phi_t(t) for t in times]) / PHI0)
+    times = np.arange(n_steps + 1) * dt
+    phi_t = ramp.phi_t(times)
+    cos_steps = np.cos(np.pi * phi_t[:n_steps] / PHI0)
     bias_scale = _bias_waveform(layout, cos_steps)
-    sample_of_step = np.minimum((times / hold).astype(np.int64), n_samples - 1)
-    g_end = float(bias_scale[-1]) if n_steps else 1.0
+    sample_of_step = np.minimum((times[:n_steps] / hold).astype(np.int64),
+                                n_samples - 1).tolist()
+    g_end = bias_scale[-1] if n_steps else 1.0
+    # Per-step tables: the barrier drive Ic_eff(t) and the bias share of the
+    # loop currents; row n_steps holds the read-out bias.
+    drive = (ic2 * cos_steps[:, None])[:, :, None]
+    bias_iq = (np.append(bias_scale, g_end)[:, None] * iq_bias)[:, :, None]
 
-    phi = np.zeros((batch, n))
-    vel = np.zeros((batch, n))
-    # Unrolled mat-vec coefficients: fixed evaluation order keeps per-shot
-    # arithmetic identical for every batch size.
-    ainv_rows = [[float(a_inv[i, j]) for j in range(n)] for i in range(n)]
+    phi = np.zeros((n, batch))
+    vel = np.zeros((n, batch))
+    iq = np.empty((n, batch))
+    accel = np.empty((n, batch))
+    tmp = np.empty((n, batch))
+    ainv_t = np.repeat(a_inv.T[:, :, None], batch, axis=2)
+    phi_j = phi[:, None, :]
+    prod = np.empty((n, n, batch))
+    block = np.empty((min(_NOISE_BLOCK, n_samples), n, batch))
 
-    def current_iq(scale: float) -> np.ndarray:
-        iq = np.empty_like(phi)
-        for i in range(n):
-            row = ainv_rows[i]
-            acc = row[0] * phi[:, 0]
-            for j in range(1, n):
-                acc = acc + row[j] * phi[:, j]
-            iq[:, i] = acc - scale * iq_bias[i]
-        return iq
+    mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
+
+    def current_iq(k: int) -> np.ndarray:
+        mul(ainv_t, phi_j, out=prod)
+        add_reduce(prod, axis=0, out=iq)
+        return sub(iq, bias_iq[k], out=iq)
 
     traces = None
     record = record_every > 0 and batch == 1
@@ -395,35 +426,42 @@ def _integrate_batch(
         rec_ph = np.empty((n_rec, 2 * n))
         rec_at = 0
 
-    def snapshot(k: int, t: float):
+    def snapshot(k: int):
+        """Record step k; ``iq`` must hold that step's loop currents."""
         nonlocal rec_at
-        rec_t[rec_at] = t
-        rec_iq[rec_at] = current_iq(float(bias_scale[min(k, n_steps - 1)]) if n_steps else 1.0)[0]
-        phi_c = math.pi + w * phi[0]
-        phi_d = -math.pi * ramp.phi_t(t) / PHI0
+        rec_t[rec_at] = k * dt
+        rec_iq[rec_at] = iq[:, 0]
+        phi_c = math.pi + w * phi[:, 0]
+        phi_d = -math.pi * phi_t[k] / PHI0
         rec_ph[rec_at, 0::2] = phi_c + phi_d
         rec_ph[rec_at, 1::2] = phi_c - phi_d
         rec_at += 1
 
     barrier_limit = 10.0 * PHI0
     block_start = -1
-    common = None
-    for k in range(n_steps):
+    for k, s in enumerate(sample_of_step):
+        current_iq(k)
         if record and k % record_every == 0:
-            snapshot(k, k * dt)
-        s = int(sample_of_step[k])
+            snapshot(k)
         if block_start < 0 or s >= block_start + _NOISE_BLOCK:
             block_start = (s // _NOISE_BLOCK) * _NOISE_BLOCK
             take = min(_NOISE_BLOCK, n_samples - block_start)
-            drawn = np.stack(
-                [g.normal(0.0, noise.sigma, size=(take, 2 * n)) for g in gens]
-            )
-            common = drawn[:, :, 0::2] + drawn[:, :, 1::2]
-        cn = common[:, s - block_start, :]
-        iq = current_iq(float(bias_scale[k]))
-        accel = (ic2 * cos_steps[k] * np.sin(w * phi) - iq - g_eff * vel + cn) * inv_c
-        vel += dt * accel
-        phi += dt * vel
+            for b, g in enumerate(gens):
+                drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
+                np.add(drawn[:, 0::2], drawn[:, 1::2], out=block[:take, :, b])
+        # accel = ((drive sin(w phi) - iq) - g_eff vel + noise) * inv_c
+        mul(w, phi, out=tmp)
+        np.sin(tmp, out=tmp)
+        mul(drive[k], tmp, out=accel)
+        sub(accel, iq, out=accel)
+        mul(g_eff, vel, out=tmp)
+        sub(accel, tmp, out=accel)
+        add(accel, block[s - block_start], out=accel)
+        mul(accel, inv_c, out=accel)
+        mul(dt, accel, out=accel)
+        add(vel, accel, out=vel)
+        mul(dt, vel, out=tmp)
+        add(phi, tmp, out=phi)
         if k % 2000 == 1999:
             if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
                 raise ShotError(
@@ -431,13 +469,13 @@ def _integrate_batch(
                     f"{float(np.max(np.abs(phi))):.3e}"
                 )
     if not np.all(np.isfinite(phi)) or (n_steps and np.max(np.abs(phi)) > barrier_limit):
-        raise ShotError(f"integration diverged at end: phi={phi.tolist()}")
+        raise ShotError(f"integration diverged at end: phi={phi.T.tolist()}")
 
+    final_iq = current_iq(n_steps).T.copy()
     if record:
-        snapshot(n_steps, n_steps * dt)
+        snapshot(n_steps)
         traces = (rec_t[:rec_at].copy(), rec_iq[:rec_at].copy(), rec_ph[:rec_at].copy())
 
-    final_iq = current_iq(g_end)
     orient = np.array(layout.readout_orientation)
     bits = [tuple(1 if x > 0 else 0 for x in row * orient) for row in final_iq]
     return final_iq, bits, traces
@@ -478,12 +516,11 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
-def _ensemble_chunk(args) -> list[tuple[int, tuple[int, ...]]]:
-    layout, noise, ramp, dt, master_seed, indices = args
-    indices = list(indices)
-    seeds = [shot_seed(master_seed, k) for k in indices]
+def _ensemble_chunk(args) -> list[tuple[int, ...]]:
+    layout, noise, ramp, dt, master_seed, lo, hi = args
+    seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
     _, bits, _ = _integrate_batch(layout, noise, ramp, dt, seeds)
-    return list(zip(indices, bits))
+    return bits
 
 
 def run_ensemble(
@@ -496,23 +533,23 @@ def run_ensemble(
     workers: int = 1,
 ) -> EnsembleResult:
     """Independent shots with derived per-shot noise seeds; deterministic
-    counts regardless of worker count (shots in a chunk are integrated as
-    one batch, each driving its own noise stream)."""
+    counts regardless of worker count.  Each worker takes a contiguous
+    range of shot indices and integrates it as one batch, each shot
+    driving its own noise stream."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     ramp = ramp or layout.ramp
-    if workers <= 1:
-        pairs = _ensemble_chunk((layout, noise, ramp, dt, master_seed, range(n_shots)))
+    workers = max(1, min(workers, n_shots))
+    cuts = [n_shots * w // workers for w in range(workers + 1)]
+    chunks = [(layout, noise, ramp, dt, master_seed, lo, hi)
+              for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        states = _ensemble_chunk(chunks[0])
     else:
-        chunks = [
-            (layout, noise, ramp, dt, master_seed, range(lo, n_shots, workers))
-            for lo in range(min(workers, n_shots))
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = [p for chunk in pool.map(_ensemble_chunk, chunks) for p in chunk]
-        pairs.sort(key=lambda kv: kv[0])
+            states = [b for chunk in pool.map(_ensemble_chunk, chunks) for b in chunk]
     counts: dict[tuple[int, ...], int] = {}
-    for _, bits in pairs:
+    for bits in states:
         counts[bits] = counts.get(bits, 0) + 1
     return EnsembleResult(shots=n_shots, counts=counts, master_seed=master_seed)
 

@@ -85,6 +85,17 @@ class TestLogicalToPhysical:
         assert max(ground) - min(ground) <= 0.05 * j_unit
         assert wells[(1, 1)] - max(ground) >= 2 * j_unit
 
+    def test_frustrated_pair_realises_h_to_j_with_stronger_junctions(self):
+        # The bias unit and the cross-talk term follow the qubit params, not
+        # the reference qubit's: Ic = 6 uA deepens the wells and raises I*.
+        params = QubitCircuitParams(ic=6e-6)
+        model = IsingModel(2, (1.0, 1.0), {(0, 1): 1.0})
+        wells = readout_wells(layout_from_ising(model, params=params))
+        j_unit = j_unit_kt(params)
+        ground = [wells[b] for b in ((0, 0), (0, 1), (1, 0))]
+        assert max(ground) - min(ground) <= 0.05 * j_unit
+        assert wells[(1, 1)] - max(ground) >= 2 * j_unit
+
     def test_ferromagnetic_sign_convention(self):
         _, mutuals = logical_to_physical((0.0, 0.0), {(0, 1): -1.0})
         assert mutuals[(0, 1)] == pytest.approx(+8e-12)
@@ -273,17 +284,48 @@ class TestEnsemble:
                              master_seed=6, workers=3)
         assert serial.to_text() == split.to_text()
 
-    def test_batching_matches_per_shot_integration(self):
-        layout = inverse_nor_layout(0)
-        seeds = [shot_seed(11, k) for k in range(4)]
-        _, batched, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp,
-                                         DT_DEFAULT, seeds)
-        singles = []
+    @staticmethod
+    def assert_batch_equals_singles(layout, seeds):
+        batched_iq, batched, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp,
+                                                  DT_DEFAULT, seeds)
+        singles, singles_iq = [], []
         for s in seeds:
-            _, bits, _ = _integrate_batch(layout, NoiseSpec(seed=0), layout.ramp,
-                                          DT_DEFAULT, [s])
+            final_iq, bits, _ = _integrate_batch(layout, NoiseSpec(seed=0), layout.ramp,
+                                                 DT_DEFAULT, [s])
             singles.append(bits[0])
+            singles_iq.append(final_iq[0])
         assert batched == singles
+        assert np.array_equal(batched_iq, np.array(singles_iq))
+
+    def test_batching_matches_per_shot_integration(self):
+        self.assert_batch_equals_singles(inverse_nor_layout(0),
+                                         [shot_seed(11, k) for k in range(4)])
+
+    def test_batching_is_bit_exact_past_eight_qubits(self):
+        # From 9 qubits up NumPy may sum a short reduction pairwise; the
+        # loop-current sum must keep the per-shot order at every batch size.
+        chain = IsingModel(10, tuple(0.1 * (k % 3) - 0.1 for k in range(10)),
+                           {(k, k + 1): (-1.0 if k % 2 else 0.5) for k in range(9)})
+        layout = layout_from_ising(chain, ramp=RampSpec(ramp_s=0.1e-9, hold_s=0.02e-9))
+        self.assert_batch_equals_singles(layout, [shot_seed(5, k) for k in range(3)])
+
+    def test_final_currents_golden(self):
+        # Exact floats of a short 3-shot inverse-NOR run: any change to the
+        # integrator's arithmetic, its order or the noise streams shows here.
+        ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
+        layout = inverse_nor_layout(0, ramp=ramp)
+        final_iq, bits, _ = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT,
+                                             [shot_seed(42, k) for k in range(3)])
+        expected = np.array([
+            (3.4390205201306814e-06, 3.368817935308684e-06,
+             -3.1807981944566047e-06, 3.555966771360289e-06),
+            (3.409330692057452e-06, 3.4397468524789675e-06,
+             -2.9969539890607222e-06, -3.2066785244628673e-06),
+            (3.338178635601312e-06, 3.36353433060908e-06,
+             -3.4322735873140537e-06, 3.5967097590213848e-06),
+        ])
+        assert np.array_equal(final_iq, expected)
+        assert bits == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
 
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)
