@@ -28,24 +28,26 @@ whatever the visiting order.  The uniforms are drawn
 only on the model, the schedule and its seed:
 ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
 shot_seed(master_seed, k), k)`` for any batch size or worker count.
+
+SciPy is imported where it is called, in :func:`_csr` and
+:func:`_anneal_batch`.  ``scipy.sparse`` costs about a quarter of a
+second and tens of MB at start-up, and the commands that load this module
+without annealing (the circuit simulator, gate emission, verification)
+should not pay for it.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-# SciPy's own CSR kernel (private): y += A @ x in place, adding each row's
-# entries into y one by one in column order.  That is the order in which
-# the scalar loop applies flips, so the two paths round alike; the public
-# ``A @ x`` would sum a row first and add the total.
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .ising import GROUND_TOL, IsingModel, energy, spins_to_bits
-from .seeds import shot_seed
+from .seeds import run_shot_ranges, shot_seed
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 GEOMETRIC = "geometric"
 LINEAR = "linear"
@@ -144,6 +146,8 @@ class _SweepPlan:
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> csr_array:
     """CSR matrix whose rows list their entries in ascending column order."""
+    from scipy.sparse import csr_array
+
     key = np.lexsort((cols, rows))
     indptr = np.searchsorted(rows[key], np.arange(shape[0] + 1))
     return csr_array((vals[key], cols[key], indptr), shape=shape)
@@ -250,6 +254,12 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
 def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
                   master_seed: int, indices: range) -> list[ShotResult]:
     """Shots ``indices`` advanced together; see the module docstring."""
+    # SciPy's own CSR kernel (private): y += A @ x in place, adding each
+    # row's entries into y one by one in column order.  That is the order
+    # in which the scalar loop applies flips, so the two paths round alike;
+    # the public ``A @ x`` would sum a row first and add the total.
+    from scipy.sparse._sparsetools import csr_matvecs
+
     n, shots = model.n, len(indices)
     seeds = [shot_seed(master_seed, k) for k in indices]
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -282,8 +292,8 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     return results
 
 
-def _shot_range(args) -> list[ShotResult]:
-    model, schedule, master_seed, lo, hi = args
+def _shot_range(model: IsingModel, schedule: Schedule, master_seed: int,
+                lo: int, hi: int) -> list[ShotResult]:
     plan = _sweep_plan(model)
     per_shot = 8 * model.n * (2 + 2 * SWEEP_BLOCK)
     size = max(1, BATCH_BYTES // per_shot)
@@ -308,18 +318,10 @@ def run_shots(
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
     ``keep_shots`` is set.  Histogram keys are the final states' bit
     strings (spin 0 first).  Each worker takes a contiguous range of
-    shot indices.
+    shot indices (:func:`qafactor.seeds.run_shot_ranges`).
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    workers = max(1, min(workers, n_shots))
-    cuts = [n_shots * w // workers for w in range(workers + 1)]
-    chunks = [(model, schedule, master_seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    if workers == 1:
-        results = _shot_range(chunks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for chunk in pool.map(_shot_range, chunks) for r in chunk]
+    results = run_shot_ranges(_shot_range, (model, schedule, master_seed),
+                              n_shots, workers)
 
     histogram: dict[str, int] = {}
     best = math.inf

@@ -135,6 +135,14 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
+def _workers(text: str) -> int:
+    """``--workers``: at least 1; the runner caps it at the usable CPUs."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _add_anneal_flags(parser, shots_default=200):
     parser.add_argument("--shots", type=int, default=shots_default)
     parser.add_argument("--sweeps", type=int, default=2000)
@@ -142,7 +150,7 @@ def _add_anneal_flags(parser, shots_default=200):
     parser.add_argument("--t-cold", type=float, default=0.05)
     parser.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
                         default=annealing.GEOMETRIC)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_workers, default=1)
     parser.add_argument("--csv", metavar="PATH", default=None)
 
 
@@ -453,7 +461,7 @@ def build_parser() -> _Parser:
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", default=None)
     p_nor.add_argument("--decimate", type=int, default=10)
-    p_nor.add_argument("--workers", type=int, default=1)
+    p_nor.add_argument("--workers", type=_workers, default=1)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
     p_cap = sub.add_parser("capacity", parents=[seed_parent])
@@ -477,6 +485,9 @@ def main(argv=None) -> int:
         return 1
     except (ModelFormatError, SizeCapError, SynthesisError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("data error: out of memory; the input is too large", file=sys.stderr)
         return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -38,14 +38,13 @@ read-out.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .ising import IsingModel
-from .seeds import shot_seed
+from .seeds import run_shot_ranges, shot_seed
 
 PHI0 = 2.067833848e-15  # flux quantum, Wb
 KB = 1.380649e-23       # Boltzmann constant, J/K
@@ -516,8 +515,8 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
-def _ensemble_chunk(args) -> list[tuple[int, ...]]:
-    layout, noise, ramp, dt, master_seed, lo, hi = args
+def _ensemble_chunk(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
+                    master_seed: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
     _, bits, _ = _integrate_batch(layout, noise, ramp, dt, seeds)
     return bits
@@ -536,18 +535,9 @@ def run_ensemble(
     counts regardless of worker count.  Each worker takes a contiguous
     range of shot indices and integrates it as one batch, each shot
     driving its own noise stream."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
     ramp = ramp or layout.ramp
-    workers = max(1, min(workers, n_shots))
-    cuts = [n_shots * w // workers for w in range(workers + 1)]
-    chunks = [(layout, noise, ramp, dt, master_seed, lo, hi)
-              for lo, hi in zip(cuts, cuts[1:])]
-    if workers == 1:
-        states = _ensemble_chunk(chunks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            states = [b for chunk in pool.map(_ensemble_chunk, chunks) for b in chunk]
+    states = run_shot_ranges(_ensemble_chunk, (layout, noise, ramp, dt, master_seed),
+                             n_shots, workers)
     counts: dict[tuple[int, ...], int] = {}
     for bits in states:
         counts[bits] = counts.get(bits, 0) + 1

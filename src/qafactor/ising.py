@@ -25,6 +25,11 @@ GROUND_TOL = 1e-9
 #: seconds at desk scale).
 BRUTE_FORCE_CAP = 26
 
+#: Largest spin count a model file may declare.  The parser allocates one
+#: bias per spin up front, so this bounds what a one-line file can make it
+#: allocate to a few MiB; a 12x12 multiplier has under a thousand spins.
+MAX_MODEL_SPINS = 1 << 20
+
 Bits = Sequence[int]
 SpinState = tuple[int, ...]
 
@@ -327,8 +332,9 @@ def parse_model(text: str) -> IsingModel:
                 n = int(tokens[1])
             except ValueError:
                 raise ModelFormatError(f"bad spin count {tokens[1]!r}", lineno) from None
-            if n < 0:
-                raise ModelFormatError("spin count must be >= 0", lineno)
+            if not 0 <= n <= MAX_MODEL_SPINS:
+                raise ModelFormatError(
+                    f"spin count must be in 0..{MAX_MODEL_SPINS}, got {n}", lineno)
             h = [0.0] * n
         elif kind == "h":
             if n is None:

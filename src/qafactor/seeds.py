@@ -1,4 +1,4 @@
-"""Deterministic per-shot seed derivation shared by all stochastic runners.
+"""Deterministic per-shot seeds, and the shot-range runner built on them.
 
 Shot k of a run with master seed m uses
 
@@ -8,8 +8,18 @@ The golden-ratio multiply spreads the shot index over the 64-bit word and
 splitmix64 (Steele, Lea & Flood's SplittableRandom finalizer) mixes the
 result.  Identical (master seed, shot index) pairs therefore yield
 identical shots regardless of worker count or execution order.
+
+:func:`run_shot_ranges` is the one parallel runner of the stochastic
+solvers.  It cuts shots ``0 .. n_shots-1`` into contiguous ranges, one per
+process (:func:`shot_ranges`), runs a task on each range and returns the
+per-shot results in shot order.  Because every shot seeds itself from its
+index, the result does not depend on the split.  One range runs in the
+calling process; ``concurrent.futures`` is imported, and a process pool
+started, only when there are two or more.
 """
 from __future__ import annotations
+
+import os
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -28,3 +38,41 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     if shot_index < 0:
         raise ValueError("shot index must be >= 0")
     return splitmix64((master_seed & _MASK) ^ ((shot_index * _GOLDEN) & _MASK))
+
+
+def shot_ranges(n_shots: int, workers: int, cpus: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` shot ranges, one per process to run.
+
+    There are ``min(workers, n_shots, cpus)`` ranges, of sizes differing
+    by at most one, covering ``0 .. n_shots-1`` in order.
+    """
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    count = min(workers, n_shots, cpus)
+    cuts = [n_shots * w // count for w in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_shot_ranges(task, args: tuple, n_shots: int, workers: int) -> list:
+    """``task(*args, lo, hi)`` over the ranges of :func:`shot_ranges`.
+
+    ``task`` returns one result per shot of its range, in shot order, and
+    must be picklable (a module-level function) when ``workers`` > 1.
+    """
+    ranges = shot_ranges(n_shots, workers, _usable_cpus())
+    if len(ranges) == 1:
+        return task(*args, 0, n_shots)
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        parts = [pool.submit(task, *args, lo, hi) for lo, hi in ranges]
+        return [r for part in parts for r in part.result()]

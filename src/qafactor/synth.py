@@ -6,6 +6,11 @@ achievable gap by LP, then walk the coefficients one at a time onto a 1/4
 grid, choosing the lexicographically smallest grid value that keeps the
 remaining problem feasible.  The grid pass makes emitted models
 reproducible across platforms and LP solver builds.
+
+``scipy.optimize`` is imported inside :func:`_solve`, the one place that
+calls it.  It costs about a third of a second and tens of MB at start-up,
+and the command line loads this module for every command, most of which
+never solve an LP.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .gates import GateTemplate, TruthTable, verify_gate
 from .ising import IsingModel, bits_to_spins, energy
@@ -90,6 +94,8 @@ def _solve(prob: _Problem, objective: np.ndarray, fixed: dict[int, float],
     Valid rows are equalities against e0; invalid rows must clear e0 plus
     the gap (a fixed target, or the trailing variable being maximized).
     """
+    from scipy.optimize import linprog
+
     nc = prob.n_coeff
     with_gapvar = target_gap is None
     nv = nc + 1 + (1 if with_gapvar else 0)

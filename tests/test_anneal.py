@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qafactor import anneal
+from qafactor import anneal, seeds
 from qafactor.anneal import (
     GEOMETRIC,
     LINEAR,
@@ -20,7 +22,7 @@ from qafactor.anneal import (
 from qafactor.gates import half_adder_template, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
 from qafactor.multiplier import FOLD, build_multiplier, clamp_product
-from qafactor.seeds import shot_seed, splitmix64
+from qafactor.seeds import run_shot_ranges, shot_ranges, shot_seed, splitmix64
 
 NOR = nor_gate().model
 
@@ -269,6 +271,42 @@ class TestSeeds:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             shot_seed(1, -1)
+
+
+class TestShotRanges:
+    def test_seven_shots_over_three_workers(self):
+        assert shot_ranges(7, 3, cpus=8) == [(0, 2), (2, 4), (4, 7)]
+
+    def test_huge_worker_count_capped_by_cpus_and_shots(self):
+        assert shot_ranges(7, 10**6, cpus=2) == [(0, 3), (3, 7)]
+        assert shot_ranges(7, 10**6, cpus=64) == [(k, k + 1) for k in range(7)]
+        assert shot_ranges(7, 3, cpus=1) == [(0, 7)]
+
+    @pytest.mark.parametrize("workers", [0, -1, -10**6])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            shot_ranges(7, workers, cpus=8)
+
+    def test_no_shots_rejected(self):
+        with pytest.raises(ValueError, match="n_shots"):
+            shot_ranges(0, 1, cpus=8)
+
+    @given(st.integers(1, 10**4), st.integers(1, 10**7), st.integers(1, 256))
+    def test_ranges_tile_the_shots_evenly(self, n_shots, workers, cpus):
+        ranges = shot_ranges(n_shots, workers, cpus)
+        assert len(ranges) == min(n_shots, workers, cpus)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_shots
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        sizes = {hi - lo for lo, hi in ranges}
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    def test_one_range_runs_in_process(self, monkeypatch):
+        # A lambda cannot be pickled, so these calls fail if a pool starts.
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
+        task = lambda tag, lo, hi: [(tag, k) for k in range(lo, hi)]  # noqa: E731
+        assert run_shot_ranges(task, ("x",), 5, 10**6) == [("x", k) for k in range(5)]
+        monkeypatch.undo()
+        assert run_shot_ranges(task, ("y",), 1, 10**6) == [("y", 0)]
 
 
 class TestReporting:

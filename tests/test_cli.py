@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from qafactor import cli
 from qafactor.cli import main
 from qafactor.ising import read_model
 from qafactor.gates import nor_gate
@@ -52,6 +59,21 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "nope.model")
         assert code == 2
+
+    def test_hostile_spin_count_is_data_error(self, capsys):
+        with open("huge.model", "w") as fh:
+            fh.write("n 100000000000\n")
+        code, _, err = run(capsys, "verify", "huge.model")
+        assert code == 2
+        assert "spin count" in err
+
+    def test_memory_error_is_one_line_data_error(self, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+        monkeypatch.setattr(cli, "read_model", exhausted)
+        code, _, err = run(capsys, "verify", "any.model")
+        assert code == 2
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_size_cap_refusal(self, capsys):
         lines = ["n 30"] + [f"h {i} 1.0" for i in range(30)]
@@ -214,3 +236,59 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "fizz")[0] == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ("factor", "15", "--shots", "2"),
+        ("circuit", "nor-inverse", "--clamp", "0", "--shots", "2"),
+    ])
+    def test_workers_below_one_rejected_before_any_work(self, capsys, command, workers):
+        code, out, err = run(capsys, *command, "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert "--workers" in err
+
+
+# Runs in a fresh interpreter: this test process already holds SciPy.
+# Prints, after the import and after each command, which of the watched
+# packages are loaded.
+_PROBE = """
+import contextlib, io, json, sys
+WATCHED = {"scipy", "concurrent"}
+def loaded():
+    return sorted(WATCHED & {m.split(".")[0] for m in sys.modules})
+import qafactor, qafactor.cli
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qafactor.cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def _loaded_after(*commands):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestColdStart:
+    def test_numpy_only_commands_never_load_scipy_or_a_pool(self):
+        steps = _loaded_after(
+            ["circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
+             "--ramp-ns", "0.2", "--hold-ns", "0.05"],
+            ["gates", "emit", "nor"],
+            ["verify", "nor.model", "--ports", "nor.ports"],
+            ["capacity"],
+        )
+        assert steps == [[]] * 5
+
+    def test_annealing_loads_scipy_at_first_use(self):
+        # SciPy brings concurrent.futures in itself, so only SciPy is checked.
+        steps = _loaded_after(["factor", "15", "--shots", "2", "--sweeps", "50"])
+        assert steps[0] == [] and "scipy" in steps[1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import small_models, spin_states
 from qafactor.ising import (
+    MAX_MODEL_SPINS,
     DimensionError,
     IsingModel,
     ModelFormatError,
@@ -255,6 +256,22 @@ class TestModelFormat:
     def test_missing_n(self):
         with pytest.raises(ModelFormatError):
             parse_model("# nothing\n")
+
+    def test_spin_count_cap_boundary(self):
+        assert parse_model(f"n {MAX_MODEL_SPINS}\n").n == MAX_MODEL_SPINS
+        with pytest.raises(ModelFormatError, match="spin count") as err:
+            parse_model(f"# header\nn {MAX_MODEL_SPINS + 1}\n")
+        assert err.value.line == 2
+
+    @given(st.integers(-10**18, 10**18))
+    @settings(max_examples=60, deadline=None)
+    def test_spin_count_outside_cap_rejected_before_allocating(self, n):
+        text = f"n {n}\nh 0 1.0\n"
+        if 1 <= n <= MAX_MODEL_SPINS:
+            assert parse_model(text).n == n
+        else:
+            with pytest.raises(ModelFormatError):
+                parse_model(text)
 
     def test_writer_sorted_and_skips_zero_bias(self):
         m = IsingModel(3, (0.0, 1.0, 0.0), {(1, 2): -1.0, (0, 1): 2.0})
