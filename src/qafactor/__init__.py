@@ -33,10 +33,8 @@ from .multiplier import (
     FactorOutcome,
     MultiplierNetwork,
     build_multiplier,
-    clamp_factors,
     clamp_product,
     decode,
-    expected_ground_energy,
 )
 from .synth import SynthesisError, mult_unit_gate, multiplier_unit_table, synthesize_penalty
 

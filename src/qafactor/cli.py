@@ -275,7 +275,11 @@ def cmd_multiply(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _parse_ports_sidecar(path: str):
+def _parse_ports_sidecar(path: str, n: int):
+    """Ports, valid set and gap of a sidecar written for an ``n``-spin model.
+
+    A ``valid`` line must hold exactly ``n`` values, each 0 or 1.
+    """
     ports: dict[str, int] = {}
     valid: list[tuple[int, ...]] = []
     gap = None
@@ -289,13 +293,16 @@ def _parse_ports_sidecar(path: str):
                 if tokens[0] == "port" and len(tokens) == 3:
                     ports[tokens[1]] = int(tokens[2])
                 elif tokens[0] == "valid":
-                    valid.append(tuple(int(b) for b in tokens[1:]))
+                    bits = tuple(int(b) for b in tokens[1:])
+                    if len(bits) != n or any(b not in (0, 1) for b in bits):
+                        raise ValueError(f"expected {n} bits of 0 or 1")
+                    valid.append(bits)
                 elif tokens[0] == "gap" and len(tokens) == 2:
                     gap = float(tokens[1])
                 else:
                     raise ValueError("bad directive")
-            except ValueError:
-                raise ModelFormatError(f"bad sidecar line {line!r}", lineno) from None
+            except ValueError as exc:
+                raise ModelFormatError(f"bad sidecar line {line!r}: {exc}", lineno) from None
     return ports, tuple(valid), gap
 
 
@@ -309,7 +316,7 @@ def cmd_verify(args) -> int:
     if not args.ports:
         print("pass true")
         return 0
-    ports, valid, declared_gap = _parse_ports_sidecar(args.ports)
+    ports, valid, declared_gap = _parse_ports_sidecar(args.ports, model.n)
     for name, idx in sorted(ports.items()):
         if not 0 <= idx < model.n:
             raise ModelFormatError(f"port {name!r} index {idx} out of range")

@@ -146,13 +146,6 @@ class NoiseSpec:
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
 
-    @classmethod
-    def from_johnson(cls, r: float, temperature: float = 1.0,
-                     bandwidth: float = 1.0e12, sample_rate: float = 2.0e12,
-                     seed: int = 0) -> "NoiseSpec":
-        return cls(johnson_sigma(r, temperature, bandwidth), sample_rate,
-                   temperature, bandwidth, seed)
-
 
 def johnson_sigma(r: float, temperature: float, bandwidth: float) -> float:
     """Johnson-Nyquist current noise std over a bandwidth: sqrt(4 kB T B / R)."""

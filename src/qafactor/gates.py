@@ -11,10 +11,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ising import (
     BRUTE_FORCE_CAP,
     GROUND_TOL,
     IsingModel,
+    _energies_for_codes,
     bits_to_spins,
     brute_force_ground,
     energy,
@@ -267,7 +270,8 @@ def verify_gate(template: GateTemplate, cap: int = BRUTE_FORCE_CAP) -> GateRepor
         offending.append((bits, _bits_energy(template.model, bits)))
     for bits in sorted(valid - ground_bits):
         offending.append((bits, _bits_energy(template.model, bits)))
-    achieved = report.gap if ground_bits == valid else _invalid_gap(template, report.e0)
+    achieved = (report.gap if ground_bits == valid
+                else invalid_gap(template.model, template.valid_set, report.e0))
     passed = ground_bits == valid and achieved >= template.gap - GROUND_TOL
     return GateReport(passed, report.e0, achieved, tuple(offending))
 
@@ -276,10 +280,19 @@ def _bits_energy(model: IsingModel, bits) -> float:
     return energy(model, bits_to_spins(bits))
 
 
-def _invalid_gap(template: GateTemplate, e0: float) -> float:
-    valid = set(template.valid_set)
+def invalid_gap(model: IsingModel, valid_set, e0: float) -> float:
+    """Lowest energy over the bit-vectors outside ``valid_set``, minus ``e0``.
+
+    ``inf`` when every bit-vector is valid.  Bit k of an enumeration code
+    drives spin k; codes are taken 2**20 at a time to bound memory.
+    """
+    valid = np.array([sum(b << k for k, b in enumerate(bits)) for bits in valid_set],
+                     dtype=np.int64)
+    total, chunk = 1 << model.n, 1 << 20
     lowest = math.inf
-    for bits in itertools.product((0, 1), repeat=template.n):
-        if bits not in valid:
-            lowest = min(lowest, _bits_energy(template.model, bits))
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        e = _energies_for_codes(model, codes)[~np.isin(codes, valid)]
+        if e.size:
+            lowest = min(lowest, float(e.min()))
     return lowest - e0

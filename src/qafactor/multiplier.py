@@ -174,22 +174,10 @@ def build_multiplier(
     )
 
 
-def expected_ground_energy(net: MultiplierNetwork) -> float:
-    """Ground energy of the as-built network model (all ports free)."""
-    return net.expected_e0
-
-
 def _int_bits(value: int, width: int, what: str) -> dict[int, int]:
     if not 0 <= value < (1 << width):
         raise ValueError(f"{what}={value} out of range for {width} bits")
     return {k: (value >> k) & 1 for k in range(width)}
-
-
-def clamp_factors(net: MultiplierNetwork, m: int, n: int) -> tuple[IsingModel, float]:
-    """Fold both factors into the model; ground then encodes p = m*n."""
-    clamps = {net.factor_a[k]: b for k, b in _int_bits(m, net.n1, "M").items()}
-    clamps.update({net.factor_b[k]: b for k, b in _int_bits(n, net.n2, "N").items()})
-    return clamp_fold(net.model, clamps)
 
 
 def factor_clamp_assignment(net: MultiplierNetwork, m: int, n: int) -> dict[int, int]:

@@ -7,20 +7,23 @@ grid, choosing the lexicographically smallest grid value that keeps the
 remaining problem feasible.  The grid pass makes emitted models
 reproducible across platforms and LP solver builds.
 
+The 6-qubit multiplier cell is this synthesis applied to
+:func:`multiplier_unit_table`; :func:`mult_unit_gate` ships its result as a
+constant, so building a multiplier solves no LP.  The LP stays as the
+generator that pins the constant (see :func:`mult_unit_gate`).
+
 ``scipy.optimize`` is imported inside :func:`_solve`, the one place that
-calls it.  It costs about a third of a second and tens of MB at start-up,
-and the command line loads this module for every command, most of which
-never solve an LP.
+calls it.  It costs about half a second and tens of MB at start-up, and
+only :func:`synthesize_penalty` needs it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gates import GateTemplate, TruthTable, verify_gate
+from .gates import GateTemplate, TruthTable, invalid_gap, verify_gate
 from .ising import IsingModel, bits_to_spins, energy
 
 GRID = 0.25
@@ -201,7 +204,7 @@ def synthesize_penalty(
     model = IsingModel(prob.n, h, couplings)
 
     e0 = energy(model, bits_to_spins(table.valid[0]))
-    achieved = _achieved_gap(model, table, e0)
+    achieved = invalid_gap(model, table.valid, e0)
     template = GateTemplate(
         name, model, ports or {}, tuple(sorted(table.valid)), min(achieved, target)
     )
@@ -211,15 +214,6 @@ def synthesize_penalty(
             f"synthesized model failed verification ({len(check.offending)} offending states)"
         )
     return template
-
-
-def _achieved_gap(model: IsingModel, table: TruthTable, e0: float) -> float:
-    valid = set(table.valid)
-    lowest = float("inf")
-    for bits in itertools.product((0, 1), repeat=table.n_vars):
-        if bits not in valid:
-            lowest = min(lowest, energy(model, bits_to_spins(bits)))
-    return lowest - e0
 
 
 def _lex_grid_coefficients(prob: _Problem, target: float) -> list[float] | None:
@@ -266,10 +260,22 @@ MULT_UNIT_PORTS = {
 }
 
 
-@lru_cache(maxsize=1)
 def mult_unit_gate() -> GateTemplate:
-    """The synthesized 6-qubit multiplier cell (complete coupling graph)."""
-    return synthesize_penalty(
-        multiplier_unit_table(), gap=1.0, bound=2.0,
-        name="mult-unit", ports=dict(MULT_UNIT_PORTS),
-    )
+    """The 6-qubit multiplier cell (complete coupling graph, gap 1).
+
+    The coefficients are the result of ``synthesize_penalty(
+    multiplier_unit_table(), gap=1.0, bound=2.0, name="mult-unit",
+    ports=dict(MULT_UNIT_PORTS))``, written out on the 1/4 grid, so no
+    caller pays for the LP or for importing SciPy.
+    ``tests/test_synth.py::TestSynthesizedUnit::test_deterministic`` asserts
+    that the whole template equals that synthesis result.
+    """
+    model = IsingModel(6, (-0.25, -0.25, -0.5, -0.5, 1.0, 0.5), {
+        (0, 1): 0.25, (0, 2): 0.5, (0, 3): 0.5, (0, 4): -1.0, (0, 5): -0.5,
+        (1, 2): 0.5, (1, 3): 0.5, (1, 4): -1.0, (1, 5): -0.5,
+        (2, 3): 1.0, (2, 4): -2.0, (2, 5): -1.0,
+        (3, 4): -2.0, (3, 5): -1.0,
+        (4, 5): 2.0,
+    })
+    return GateTemplate("mult-unit", model, dict(MULT_UNIT_PORTS),
+                        tuple(sorted(multiplier_unit_table().valid)), 1.0)

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qafactor import cli
 from qafactor.cli import main
@@ -91,6 +93,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
         assert code == 3
         assert "valid_set_match false" in out
+
+    # The autouse working-directory fixture is shared by all examples; each
+    # example rewrites the one sidecar file it reads.
+    @given(st.lists(st.integers(-2, 3), max_size=6))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_valid_line_is_data_error(self, capsys, values):
+        with open("nor.model", "w") as fh:
+            fh.write("n 3\nh 0 0.5\nh 1 0.5\nh 2 1.0\n"
+                     "J 0 1 0.5\nJ 0 2 1.0\nJ 1 2 1.0\n")
+        with open("nor.ports", "w") as fh:
+            fh.write("port out 2\nvalid " + " ".join(map(str, values)) + "\n")
+        code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
+        if len(values) == 3 and set(values) <= {0, 1}:
+            assert code in (0, 3)
+        else:
+            assert code == 2
+            assert "line 2" in err
 
 
 class TestSynthMult:
@@ -254,9 +274,9 @@ class TestUsage:
 # packages are loaded.
 _PROBE = """
 import contextlib, io, json, sys
-WATCHED = {"scipy", "concurrent"}
+WATCHED = {"scipy", "scipy.sparse", "scipy.optimize", "concurrent"}
 def loaded():
-    return sorted(WATCHED & {m.split(".")[0] for m in sys.modules})
+    return sorted(WATCHED & set(sys.modules))
 import qafactor, qafactor.cli
 steps = [loaded()]
 for argv in json.loads(sys.argv[1]):
@@ -285,10 +305,13 @@ class TestColdStart:
             ["gates", "emit", "nor"],
             ["verify", "nor.model", "--ports", "nor.ports"],
             ["capacity"],
+            ["gates", "emit", "mult-unit"],
+            ["synth", "mult", "--bits-a", "2", "--bits-b", "2"],
         )
-        assert steps == [[]] * 5
+        assert steps == [[]] * 7
 
     def test_annealing_loads_scipy_at_first_use(self):
         # SciPy brings concurrent.futures in itself, so only SciPy is checked.
         steps = _loaded_after(["factor", "15", "--shots", "2", "--sweeps", "50"])
-        assert steps[0] == [] and "scipy" in steps[1]
+        assert steps[0] == []
+        assert "scipy.sparse" in steps[1] and "scipy.optimize" not in steps[1]

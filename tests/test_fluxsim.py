@@ -122,10 +122,6 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             QubitCircuitParams(ic=0.0)
 
-    def test_noise_from_johnson(self):
-        spec = NoiseSpec.from_johnson(3.2e3)
-        assert spec.sigma == pytest.approx(johnson_sigma(3.2e3, 1.0, 1e12))
-
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             NetworkLayout(params=(QubitCircuitParams(),), i_x=(0.0, 0.0))

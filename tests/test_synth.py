@@ -8,6 +8,7 @@ from qafactor.gates import NOR_TRUTH, TruthTable, verify_gate
 from qafactor.ising import bits_to_spins, brute_force_ground, energy
 from qafactor.synth import (
     GRID,
+    MULT_UNIT_PORTS,
     SynthesisError,
     multiplier_unit_table,
     synthesize_penalty,
@@ -64,8 +65,11 @@ class TestSynthesizedUnit:
             assert abs(v / GRID - round(v / GRID)) < 1e-9
 
     def test_deterministic(self, mult_unit):
-        again = synthesize_penalty(multiplier_unit_table(), gap=1.0, bound=2.0)
-        assert again.model == mult_unit.model
+        # The shipped cell is a literal; the LP is its generator.  Equality
+        # covers name, model, ports, valid set and gap.
+        again = synthesize_penalty(multiplier_unit_table(), gap=1.0, bound=2.0,
+                                   name="mult-unit", ports=dict(MULT_UNIT_PORTS))
+        assert again == mult_unit
 
 
 class TestSynthesizePenalty:
