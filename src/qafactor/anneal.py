@@ -344,30 +344,6 @@ def run_shots(
     return summary
 
 
-def format_counts_table(
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    counts: Sequence[Sequence[int]],
-    corner: str = "state",
-) -> str:
-    """Fixed-width text table of outcome counts (rows x run columns)."""
-    if len(counts) != len(row_labels):
-        raise ValueError("one counts row per row label required")
-    widths = [max(len(corner), *(len(r) for r in row_labels))] if row_labels else [len(corner)]
-    for c, label in enumerate(col_labels):
-        column = [len(label)] + [len(str(row[c])) for row in counts]
-        widths.append(max(column))
-    header = "  ".join(
-        s.rjust(w) for s, w in zip([corner, *col_labels], widths)
-    )
-    lines = [header]
-    for label, row in zip(row_labels, counts):
-        cells = [label.rjust(widths[0])]
-        cells += [str(v).rjust(w) for v, w in zip(row, widths[1:])]
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def write_shot_csv(
     fh,
     results: Sequence[ShotResult],

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import anneal as annealing
 from . import fluxsim
@@ -135,22 +134,23 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
-def _workers(text: str) -> int:
-    """``--workers``: at least 1; the runner caps it at the usable CPUs."""
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
+def _positive_int(text: str) -> int:
+    """A count that must be at least 1 (``--shots``, ``--workers``,
+    ``--decimate``); the runner caps ``--workers`` at the usable CPUs."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_anneal_flags(parser, shots_default=200):
-    parser.add_argument("--shots", type=int, default=shots_default)
+    parser.add_argument("--shots", type=_positive_int, default=shots_default)
     parser.add_argument("--sweeps", type=int, default=2000)
     parser.add_argument("--t-hot", type=float, default=3.0)
     parser.add_argument("--t-cold", type=float, default=0.05)
     parser.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
                         default=annealing.GEOMETRIC)
-    parser.add_argument("--workers", type=_workers, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--csv", metavar="PATH", default=None)
 
 
@@ -349,7 +349,8 @@ def cmd_circuit_nor_inverse(args) -> int:
     dt = args.dt_fs * 1e-15
     print(f"master_seed {args.seed}")
     result = fluxsim.run_ensemble(layout, noise, ramp=ramp, n_shots=args.shots,
-                                  master_seed=args.seed, dt=dt, workers=args.workers)
+                                  master_seed=args.seed, dt=dt, workers=args.workers,
+                                  decimate=args.decimate if args.trace else 0)
     sys.stdout.write(result.to_text())
     violations = sum(
         c for bits, c in result.counts.items() if (1 - (bits[0] | bits[1])) != bits[2]
@@ -361,15 +362,8 @@ def cmd_circuit_nor_inverse(args) -> int:
     print(f"nor_violations {violations}")
     print(f"clamp_misses {clamp_misses}")
     if args.trace:
-        rows = []
-        from .seeds import shot_seed
-        for k in range(args.shots):
-            shot_noise = replace(noise, seed=shot_seed(args.seed, k))
-            tr = fluxsim.simulate_shot(layout, shot_noise, ramp=ramp, dt=dt,
-                                       decimate=args.decimate)
-            rows.append(tr)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for k, tr in enumerate(rows):
+            for k, tr in enumerate(result.traces):
                 fluxsim.write_trace_csv(fh, tr, offset=k * ramp.total_s, header=k == 0)
         print(f"wrote {args.trace}")
     return 0
@@ -460,15 +454,15 @@ def build_parser() -> _Parser:
     circ_sub = p_circ.add_subparsers(dest="circuit_command", required=True)
     p_nor = circ_sub.add_parser("nor-inverse", parents=[seed_parent])
     p_nor.add_argument("--clamp", type=int, choices=[0, 1], required=True)
-    p_nor.add_argument("--shots", type=int, default=200)
+    p_nor.add_argument("--shots", type=_positive_int, default=200)
     p_nor.add_argument("--ramp-ns", type=float, default=fluxsim.RAMP_DEFAULT * 1e9)
     p_nor.add_argument("--hold-ns", type=float, default=fluxsim.HOLD_DEFAULT * 1e9)
     p_nor.add_argument("--dt-fs", type=float, default=fluxsim.DT_DEFAULT * 1e15)
     p_nor.add_argument("--noise-sigma", type=float, default=0.13,
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", default=None)
-    p_nor.add_argument("--decimate", type=int, default=10)
-    p_nor.add_argument("--workers", type=_workers, default=1)
+    p_nor.add_argument("--decimate", type=_positive_int, default=10)
+    p_nor.add_argument("--workers", type=_positive_int, default=1)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
     p_cap = sub.add_parser("capacity", parents=[seed_parent])

@@ -70,14 +70,12 @@ class QubitCircuitParams:
     ic: float = 4.0e-6     # junction critical current
     r: float = 3.2e3       # shunt resistance per junction
     c: float = 17e-15      # shunt capacitance per junction
-    l_t: float = 5e-12     # SQUID branch inductor
     l_q: float = 250e-12   # main storage inductance (trimmed for transformers)
     l_x: float = 10e-12    # bias-transformer section of the main loop
-    m_t: float = 2e-12     # transverse control mutual
     m_x: float = 4e-12     # bias control mutual
 
     def __post_init__(self):
-        for name in ("ic", "r", "c", "l_t", "l_q", "l_x", "m_t", "m_x"):
+        for name in ("ic", "r", "c", "l_q", "l_x", "m_x"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -136,8 +134,6 @@ class NoiseSpec:
 
     sigma: float = 0.13e-6
     sample_rate: float = 2.0e12
-    temperature: float = 1.0
-    bandwidth: float = 1.0e12
     seed: int = 0
 
     def __post_init__(self):
@@ -221,11 +217,17 @@ class NetworkLayout:
 
 
 @dataclass(frozen=True)
-class TraceSet:
-    """Decimated time series plus the final read-out of one shot."""
+class ShotTrace:
+    """Decimated loop currents of one shot, as ``--trace`` writes them."""
 
-    t: np.ndarray            # seconds
+    t: np.ndarray            # (n_samples,) seconds
     iq: np.ndarray           # (n_samples, n) circulating currents, A
+
+
+@dataclass(frozen=True)
+class TraceSet(ShotTrace):
+    """A shot's traces plus its junction phases and final read-out."""
+
     phases: np.ndarray       # (n_samples, 2n) junction phases, rad
     final_iq: tuple[float, ...]
     bits: tuple[int, ...]
@@ -345,8 +347,12 @@ def _integrate_batch(
 
     Every shot carries its own noise generator, so results per shot are
     independent of how shots are grouped into batches.  Returns
-    (final_iq[batch, n], bits list, traces), traces being recorded for
-    single-shot batches only.
+    (final_iq[batch, n], bits list, traces).  With ``record_every`` > 0,
+    traces are recorded for every row of the batch, at every
+    ``record_every``-th step and at the read-out step: traces is
+    (t[n_rec], iq[n_rec, n, batch], phi[n_rec, n, batch]), a row's loop
+    currents and fluxes being the views ``iq[:, :, row]`` and
+    ``phi[:, :, row]``.  Otherwise traces is None and nothing is recorded.
 
     State is qubit-major: ``phi``, ``vel``, ``iq`` and each step's noise
     row are (n, batch) arrays, so a qubit's row is contiguous, and every
@@ -410,31 +416,18 @@ def _integrate_batch(
         return sub(iq, bias_iq[k], out=iq)
 
     traces = None
-    record = record_every > 0 and batch == 1
-    if record:
-        n_rec = (max(n_steps, 1) - 1) // record_every + 2
-        rec_t = np.empty(n_rec)
-        rec_iq = np.empty((n_rec, n))
-        rec_ph = np.empty((n_rec, 2 * n))
-        rec_at = 0
-
-    def snapshot(k: int):
-        """Record step k; ``iq`` must hold that step's loop currents."""
-        nonlocal rec_at
-        rec_t[rec_at] = k * dt
-        rec_iq[rec_at] = iq[:, 0]
-        phi_c = math.pi + w * phi[:, 0]
-        phi_d = -math.pi * phi_t[k] / PHI0
-        rec_ph[rec_at, 0::2] = phi_c + phi_d
-        rec_ph[rec_at, 1::2] = phi_c - phi_d
-        rec_at += 1
+    if record_every > 0:
+        rec_steps = np.append(np.arange(0, n_steps, record_every), n_steps)
+        rec_iq = np.empty((len(rec_steps), n, batch))
+        rec_phi = np.empty((len(rec_steps), n, batch))
 
     barrier_limit = 10.0 * PHI0
     block_start = -1
     for k, s in enumerate(sample_of_step):
         current_iq(k)
-        if record and k % record_every == 0:
-            snapshot(k)
+        if record_every > 0 and k % record_every == 0:
+            rec_iq[k // record_every] = iq
+            rec_phi[k // record_every] = phi
         if block_start < 0 or s >= block_start + _NOISE_BLOCK:
             block_start = (s // _NOISE_BLOCK) * _NOISE_BLOCK
             take = min(_NOISE_BLOCK, n_samples - block_start)
@@ -464,9 +457,10 @@ def _integrate_batch(
         raise ShotError(f"integration diverged at end: phi={phi.T.tolist()}")
 
     final_iq = current_iq(n_steps).T.copy()
-    if record:
-        snapshot(n_steps)
-        traces = (rec_t[:rec_at].copy(), rec_iq[:rec_at].copy(), rec_ph[:rec_at].copy())
+    if record_every > 0:
+        rec_iq[-1] = iq
+        rec_phi[-1] = phi
+        traces = (rec_steps * dt, rec_iq, rec_phi)
 
     orient = np.array(layout.readout_orientation)
     bits = [tuple(1 if x > 0 else 0 for x in row * orient) for row in final_iq]
@@ -480,25 +474,32 @@ def simulate_shot(
     dt: float = DT_DEFAULT,
     decimate: int = 10,
 ) -> TraceSet:
-    """Integrate one annealing shot and return the recorded traces."""
+    """Integrate one annealing shot and return the recorded traces: a
+    batch of one through the ensemble's kernel."""
     ramp = ramp or layout.ramp
-    final_iq, bits, traces = _integrate_batch(
+    final_iq, bits, (t, iq, phi) = _integrate_batch(
         layout, noise, ramp, dt, [noise.seed], record_every=max(1, decimate)
     )
-    t, iq, phases = traces
+    phi_c = math.pi + (2.0 * math.pi / PHI0) * phi[:, :, 0]
+    phi_d = (-math.pi * ramp.phi_t(t) / PHI0)[:, None]
+    phases = np.empty((len(t), 2 * layout.n))
+    phases[:, 0::2] = phi_c + phi_d
+    phases[:, 1::2] = phi_c - phi_d
     return TraceSet(
-        t=t, iq=iq, phases=phases,
+        t=t, iq=iq[:, :, 0], phases=phases,
         final_iq=tuple(float(x) for x in final_iq[0]), bits=bits[0],
     )
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final-state counts over an ensemble of independent shots."""
+    """Final-state counts over an ensemble of independent shots, plus every
+    shot's traces, in shot order, when the ensemble recorded them."""
 
     shots: int
     counts: dict[tuple[int, ...], int]
     master_seed: int
+    traces: tuple[ShotTrace, ...] = field(default=(), compare=False)
 
     def to_text(self) -> str:
         lines = [f"shots {self.shots}", f"master_seed {self.master_seed}"]
@@ -509,10 +510,14 @@ class EnsembleResult:
 
 
 def _ensemble_chunk(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
-                    master_seed: int, lo: int, hi: int) -> list[tuple[int, ...]]:
+                    master_seed: int, decimate: int, lo: int, hi: int
+                    ) -> list[tuple[tuple[int, ...], ShotTrace | None]]:
     seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
-    _, bits, _ = _integrate_batch(layout, noise, ramp, dt, seeds)
-    return bits
+    _, bits, traces = _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
+    if traces is None:
+        return [(row, None) for row in bits]
+    t, iq, _ = traces
+    return [(row, ShotTrace(t, iq[:, :, b])) for b, row in enumerate(bits)]
 
 
 def run_ensemble(
@@ -523,18 +528,24 @@ def run_ensemble(
     master_seed: int = 0,
     dt: float = DT_DEFAULT,
     workers: int = 1,
+    decimate: int = 0,
 ) -> EnsembleResult:
     """Independent shots with derived per-shot noise seeds; deterministic
     counts regardless of worker count.  Each worker takes a contiguous
     range of shot indices and integrates it as one batch, each shot
-    driving its own noise stream."""
+    driving its own noise stream.  With ``decimate`` > 0 the result also
+    holds every shot's loop currents at every ``decimate``-th step, the
+    same samples :func:`simulate_shot` records for that shot."""
     ramp = ramp or layout.ramp
-    states = run_shot_ranges(_ensemble_chunk, (layout, noise, ramp, dt, master_seed),
-                             n_shots, workers)
+    shots = run_shot_ranges(_ensemble_chunk,
+                            (layout, noise, ramp, dt, master_seed, decimate),
+                            n_shots, workers)
     counts: dict[tuple[int, ...], int] = {}
-    for bits in states:
+    for bits, _ in shots:
         counts[bits] = counts.get(bits, 0) + 1
-    return EnsembleResult(shots=n_shots, counts=counts, master_seed=master_seed)
+    traces = tuple(trace for _, trace in shots) if decimate > 0 else ()
+    return EnsembleResult(shots=n_shots, counts=counts, master_seed=master_seed,
+                          traces=traces)
 
 
 @dataclass(frozen=True)
@@ -589,11 +600,10 @@ def static_potential(
     return PotentialScan(phi=phi, u=u, minima_phi=minima)
 
 
-def write_trace_csv(fh, trace: TraceSet, offset: float = 0.0, header: bool = True) -> None:
+def write_trace_csv(fh, trace: ShotTrace, offset: float = 0.0, header: bool = True) -> None:
     """Plot-ready CSV: t,Iq_1..Iq_n, with ``offset`` added to every time."""
     if header:
         n = trace.iq.shape[1]
         fh.write("t," + ",".join(f"Iq_{k + 1}" for k in range(n)) + "\n")
-    for row_t, row_iq in zip(trace.t, trace.iq):
-        fh.write(f"{float(row_t + offset)!r},"
-                 + ",".join(repr(float(x)) for x in row_iq) + "\n")
+    for row_t, row_iq in zip((trace.t + offset).tolist(), trace.iq.tolist()):
+        fh.write(f"{row_t!r}," + ",".join(map(repr, row_iq)) + "\n")

@@ -109,11 +109,13 @@ class CircuitGraph:
     """Gate instances plus inter-gate couplings on global spin indices.
 
     Global spins are assigned by concatenation: the k-th added gate
-    occupies indices [offset_k, offset_k + gate.n).  WIRE couplings emit
+    occupies indices [offsets[k], offsets[k] + gate.n); :meth:`add_gate`,
+    the only way to add a gate, records its offset.  WIRE couplings emit
     J = -strength, NOT couplings J = +strength (strength defaults to 1).
     """
 
-    gates: list[GateTemplate] = field(default_factory=list)
+    gates: list[GateTemplate] = field(default_factory=list, init=False)
+    offsets: list[int] = field(default_factory=list, init=False)
     couplings: list[tuple[int, int, str, float]] = field(default_factory=list)
     exports: dict[str, int] = field(default_factory=dict)
 
@@ -121,18 +123,12 @@ class CircuitGraph:
         """Append a gate instance; returns its global spin offset."""
         offset = self.n_spins
         self.gates.append(gate)
+        self.offsets.append(offset)
         return offset
 
     @property
     def n_spins(self) -> int:
         return sum(g.n for g in self.gates)
-
-    def _offsets(self) -> list[int]:
-        offsets, total = [], 0
-        for g in self.gates:
-            offsets.append(total)
-            total += g.n
-        return offsets
 
     def spin(self, gate_index: int, port: str) -> int:
         """Global index of a named port on one gate instance."""
@@ -141,7 +137,7 @@ class CircuitGraph:
         gate = self.gates[gate_index]
         if port not in gate.ports:
             raise CompositionError(f"gate {gate.name!r} has no port {port!r}")
-        return self._offsets()[gate_index] + gate.ports[port]
+        return self.offsets[gate_index] + gate.ports[port]
 
     def couple(self, a: int, b: int, kind: str, strength: float = 1.0) -> None:
         if kind not in (WIRE, NOT):
@@ -167,11 +163,7 @@ def compose(graph: CircuitGraph) -> tuple[IsingModel, dict[str, int]]:
     Ground states of the result restrict to each gate's valid set and
     satisfy every coupling (s_a s_b = +1 for WIRE, -1 for NOT).
     """
-    offsets = []
-    total = 0
-    for g in graph.gates:
-        offsets.append(total)
-        total += g.n
+    offsets, total = graph.offsets, graph.n_spins
     sizes = [g.n for g in graph.gates]
 
     h = [0.0] * total

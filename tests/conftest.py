@@ -9,11 +9,14 @@ from qafactor.fluxsim import (
     KB,
     MUTUAL_PER_UNIT_J,
     PHI0,
-    NoiseSpec,
     QubitCircuitParams,
     _well_positions,
 )
 from qafactor.ising import IsingModel
+
+#: Noise temperature, K: the Johnson-Nyquist temperature of NoiseSpec's
+#: default sigma (0.13 uA for the 3.2-kOhm shunt over 1 THz).
+T_NOISE = 1.0
 
 
 def quarter_grid(lo=-2.0, hi=2.0):
@@ -32,7 +35,7 @@ def j_unit_kt(params=QubitCircuitParams()):
     """Energy of one unit of J at read-out, |M| I*^2, in units of kT at the
     default noise temperature; I* is the bare full-barrier well current."""
     i_star = _bare_well_flux(params) / params.main_loop_inductance
-    return abs(MUTUAL_PER_UNIT_J) * i_star ** 2 / (KB * NoiseSpec().temperature)
+    return abs(MUTUAL_PER_UNIT_J) * i_star ** 2 / (KB * T_NOISE)
 
 
 def readout_wells(layout):
@@ -49,7 +52,7 @@ def readout_wells(layout):
     ic2 = np.array([2.0 * p.ic for p in layout.params])
     w = 2.0 * math.pi / PHI0
     start = np.array([_bare_well_flux(p) for p in layout.params])
-    kt = KB * NoiseSpec().temperature
+    kt = KB * T_NOISE
     wells = {}
     for bits in itertools.product((0, 1), repeat=layout.n):
         phi = np.where(np.array(bits) == 1, start, -start)

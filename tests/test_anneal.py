@@ -15,7 +15,6 @@ from qafactor.anneal import (
     RunSummary,
     Schedule,
     anneal_shot,
-    format_counts_table,
     run_shots,
     write_shot_csv,
 )
@@ -323,19 +322,6 @@ class TestReporting:
             "count 01 2",
             "count 10 1",
         ]
-
-    def test_counts_table_layout(self):
-        text = format_counts_table(
-            ["(-1,-1)", "(-1,+1)"], ["clamp0", "clamp1"], [[0, 100], [33, 0]]
-        )
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert lines[0].split() == ["state", "clamp0", "clamp1"]
-        assert lines[1].split() == ["(-1,-1)", "0", "100"]
-
-    def test_counts_table_empty(self):
-        text = format_counts_table([], ["clamp0"], [])
-        assert text.splitlines() == ["state  clamp0"]
 
     def test_csv_format(self):
         _, shots = run_shots(NOR, Schedule(sweeps=50), 3, master_seed=1,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qafactor import cli
+from qafactor import cli, fluxsim
 from qafactor.cli import main
 from qafactor.ising import read_model
 from qafactor.gates import nor_gate
+from qafactor.seeds import shot_seed
 
 
 @pytest.fixture(autouse=True)
@@ -211,18 +213,45 @@ class TestFactor:
 
 
 class TestCircuit:
-    def test_small_ensemble_with_trace(self, capsys):
-        code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
-                           "--shots", "2", "--ramp-ns", "0.2", "--hold-ns", "0.05",
-                           "--trace", "waves.csv", "--decimate", "200")
-        assert code == 0
-        assert "master_seed 1" in out
-        assert "nor_violations" in out
-        lines = open("waves.csv").read().splitlines()
-        assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
-        assert len(lines) > 10
-        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-        assert all(len(row) == 5 for row in rows)
+    def test_small_ensemble_with_trace(self, capsys, monkeypatch):
+        # Shot k's rows are those of simulate_shot, seeded as shot k; the
+        # inputs are scaled to SI units exactly as the CLI scales them.
+        ramp = fluxsim.RampSpec(ramp_s=0.2 * 1e-9, hold_s=0.05 * 1e-9)
+        layout = fluxsim.inverse_nor_layout(0, ramp=ramp)
+        expected = io.StringIO()
+        for k in range(3):
+            noise = fluxsim.NoiseSpec(sigma=0.13 * 1e-6, seed=shot_seed(1, k))
+            shot = fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 * 1e-15,
+                                         decimate=200)
+            fluxsim.write_trace_csv(expected, shot, offset=k * ramp.total_s, header=k == 0)
+
+        calls = []
+        integrate = fluxsim._integrate_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(fluxsim, "_integrate_batch", counted)
+        for workers in ("1", "2"):
+            code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
+                               "--shots", "3", "--ramp-ns", "0.2", "--hold-ns", "0.05",
+                               "--dt-fs", "50", "--noise-sigma", "0.13",
+                               "--trace", "waves.csv", "--decimate", "200",
+                               "--workers", workers)
+            assert code == 0
+            assert "master_seed 1" in out
+            assert "nor_violations" in out
+            if workers == "1":
+                # One pass: the CSV comes from the ensemble's own batch.
+                assert len(calls) == 1
+            text = open("waves.csv").read()
+            lines = text.splitlines()
+            assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
+            assert len(lines) > 10
+            rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+            assert all(len(row) == 5 for row in rows)
+            assert text == expected.getvalue()
 
     def test_noiseless_repeatable(self, capsys):
         args = ("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
@@ -257,16 +286,20 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "fizz")[0] == 1
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    @pytest.mark.parametrize("command", [
-        ("factor", "15", "--shots", "2"),
-        ("circuit", "nor-inverse", "--clamp", "0", "--shots", "2"),
-    ])
-    def test_workers_below_one_rejected_before_any_work(self, capsys, command, workers):
-        code, out, err = run(capsys, *command, "--workers", workers)
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command,flag", [
+        (("factor", "15", "--shots", "2"), "--workers"),
+        (("circuit", "nor-inverse", "--clamp", "0", "--shots", "2"), "--workers"),
+        (("factor", "15"), "--shots"),
+        (("circuit", "nor-inverse", "--clamp", "0"), "--shots"),
+        (("circuit", "nor-inverse", "--clamp", "0", "--shots", "2"), "--decimate"),
+    ], ids=["factor-workers", "circuit-workers", "factor-shots", "circuit-shots",
+            "circuit-decimate"])
+    def test_counts_below_one_rejected_before_any_work(self, capsys, command, flag, value):
+        code, out, err = run(capsys, *command, flag, value)
         assert code == 1
         assert out == ""
-        assert "--workers" in err
+        assert flag in err
 
 
 # Runs in a fresh interpreter: this test process already holds SciPy.
