@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -21,7 +22,6 @@ from .ising import (
     brute_force_ground,
     clamp_fold,
     format_model,
-    merge_spins,
     read_model,
     spins_to_bits,
 )
@@ -32,7 +32,7 @@ from .multiplier import (
     bias_ground_energy,
     build_multiplier,
     clamp_product,
-    decode,
+    decode_reduced,
     factor_clamp_assignment,
     product_clamp_assignment,
 )
@@ -136,7 +136,8 @@ def _schedule_from(args) -> annealing.Schedule:
 
 def _positive_int(text: str) -> int:
     """A count that must be at least 1 (``--shots``, ``--workers``,
-    ``--decimate``); the runner caps ``--workers`` at the usable CPUs."""
+    ``--decimate``, ``--bits-a``, ``--bits-b``); the runner caps
+    ``--workers`` at the usable CPUs."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -155,13 +156,14 @@ def _add_anneal_flags(parser, shots_default=200):
 
 
 def cmd_anneal(args) -> int:
+    schedule = _schedule_from(args)
     model = read_model(args.model)
     reference = args.reference_e0
     if args.brute_force_reference:
         reference = brute_force_ground(model, cap=args.cap).e0
     print(f"master_seed {args.seed}")
     summary, shots = annealing.run_shots(
-        model, _schedule_from(args), args.shots, args.seed,
+        model, schedule, args.shots, args.seed,
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
     if args.csv:
@@ -192,6 +194,7 @@ def _default_widths(p: int, balanced: bool) -> tuple[int, int]:
 def cmd_factor(args) -> int:
     if args.p < 0:
         raise UsageError("P must be >= 0")
+    schedule = _schedule_from(args)
     n1, n2 = _default_widths(args.p, args.balanced)
     if args.bits_a:
         n1 = args.bits_a
@@ -213,13 +216,11 @@ def cmd_factor(args) -> int:
     print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
     print(f"reference_e0 {reference!r}")
     summary, shots = annealing.run_shots(
-        clamped, _schedule_from(args), args.shots, args.seed,
+        clamped, schedule, args.shots, args.seed,
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
 
-    def outcome(state):
-        return decode(net, merge_spins(net.model.n, clamps, state) if clamps else state)
-
+    outcome = functools.partial(decode_reduced, net, clamps)
     outcomes = [outcome(r.state) for r in shots]
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
@@ -242,6 +243,7 @@ def cmd_factor(args) -> int:
 def cmd_multiply(args) -> int:
     if args.m < 0 or args.n < 0:
         raise UsageError("factors must be >= 0")
+    schedule = _schedule_from(args)
     n1 = args.bits_a or max(1, args.m.bit_length())
     n2 = args.bits_b or max(1, args.n.bit_length())
     if args.m >= (1 << n1):
@@ -254,13 +256,11 @@ def cmd_multiply(args) -> int:
     reference = net.expected_e0 - offset
     print(f"master_seed {args.seed}")
     summary, shots = annealing.run_shots(
-        clamped, _schedule_from(args), args.shots, args.seed,
+        clamped, schedule, args.shots, args.seed,
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
 
-    def outcome(state):
-        return decode(net, merge_spins(net.model.n, clamps, state))
-
+    outcome = functools.partial(decode_reduced, net, clamps)
     best = min(shots, key=lambda r: (r.energy, r.index))
     out = outcome(best.state)
     print(f"product {out.p}")
@@ -399,18 +399,18 @@ def build_parser() -> _Parser:
     seed_parent.add_argument("--seed", type=int, default=DEFAULT_SEED,
                              help="master seed (printed; derives per-shot seeds)")
 
-    p_gates = sub.add_parser("gates", parents=[seed_parent])
+    p_gates = sub.add_parser("gates")
     gates_sub = p_gates.add_subparsers(dest="gates_command", required=True)
-    p_emit = gates_sub.add_parser("emit", parents=[seed_parent])
+    p_emit = gates_sub.add_parser("emit")
     p_emit.add_argument("kind", choices=["nor", "and", "half-adder", "mult-unit"])
     p_emit.add_argument("--out", default=None, help="output path prefix")
     p_emit.set_defaults(func=cmd_gates_emit)
 
-    p_synth = sub.add_parser("synth", parents=[seed_parent])
+    p_synth = sub.add_parser("synth")
     synth_sub = p_synth.add_subparsers(dest="synth_command", required=True)
-    p_mult = synth_sub.add_parser("mult", parents=[seed_parent])
-    p_mult.add_argument("--bits-a", type=int, required=True)
-    p_mult.add_argument("--bits-b", type=int, required=True)
+    p_mult = synth_sub.add_parser("mult")
+    p_mult.add_argument("--bits-a", type=_positive_int, required=True)
+    p_mult.add_argument("--bits-b", type=_positive_int, required=True)
     p_mult.add_argument("--chains", action="store_true")
     p_mult.add_argument("--chain-strength", type=float, default=1.0)
     p_mult.add_argument("--out", default=None)
@@ -426,8 +426,8 @@ def build_parser() -> _Parser:
 
     p_factor = sub.add_parser("factor", parents=[seed_parent])
     p_factor.add_argument("p", type=int)
-    p_factor.add_argument("--bits-a", type=int, default=None)
-    p_factor.add_argument("--bits-b", type=int, default=None)
+    p_factor.add_argument("--bits-a", type=_positive_int, default=None)
+    p_factor.add_argument("--bits-b", type=_positive_int, default=None)
     p_factor.add_argument("--balanced", action="store_true",
                           help="use ceil(bitlen/2) factor widths (semiprime work)")
     p_factor.add_argument("--method", choices=["fold", "bias"], default="fold")
@@ -438,19 +438,19 @@ def build_parser() -> _Parser:
     p_mul = sub.add_parser("multiply", parents=[seed_parent])
     p_mul.add_argument("m", type=int)
     p_mul.add_argument("n", type=int)
-    p_mul.add_argument("--bits-a", type=int, default=None)
-    p_mul.add_argument("--bits-b", type=int, default=None)
+    p_mul.add_argument("--bits-a", type=_positive_int, default=None)
+    p_mul.add_argument("--bits-b", type=_positive_int, default=None)
     p_mul.add_argument("--chains", action="store_true")
     _add_anneal_flags(p_mul, shots_default=50)
     p_mul.set_defaults(func=cmd_multiply)
 
-    p_verify = sub.add_parser("verify", parents=[seed_parent])
+    p_verify = sub.add_parser("verify")
     p_verify.add_argument("model")
     p_verify.add_argument("--ports", default=None, help="ports sidecar to check against")
     p_verify.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_circ = sub.add_parser("circuit", parents=[seed_parent])
+    p_circ = sub.add_parser("circuit")
     circ_sub = p_circ.add_subparsers(dest="circuit_command", required=True)
     p_nor = circ_sub.add_parser("nor-inverse", parents=[seed_parent])
     p_nor.add_argument("--clamp", type=int, choices=[0, 1], required=True)
@@ -465,7 +465,7 @@ def build_parser() -> _Parser:
     p_nor.add_argument("--workers", type=_positive_int, default=1)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
-    p_cap = sub.add_parser("capacity", parents=[seed_parent])
+    p_cap = sub.add_parser("capacity")
     p_cap.add_argument("--unit-w", type=float, default=515.0)
     p_cap.add_argument("--unit-h", type=float, default=530.0)
     p_cap.add_argument("--chip-mm", type=float, default=19.0)

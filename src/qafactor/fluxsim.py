@@ -123,24 +123,25 @@ def _ix_per_unit_h(p: QubitCircuitParams) -> float:
 IX_PER_UNIT_H = _ix_per_unit_h(QubitCircuitParams())
 
 
+#: Noise samples per second; each sample is held for 1 / NOISE_SAMPLE_RATE.
+NOISE_SAMPLE_RATE = 2.0e12
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-junction Gaussian current noise, held constant between samples.
 
     The default sigma is the Johnson-Nyquist value for the 3.2-kOhm shunt
     at 1 K over a 1-THz bandwidth, rounded as specified for the reference
-    runs (0.13 uA), sampled at 2 THz.
+    runs (0.13 uA), sampled at ``NOISE_SAMPLE_RATE`` (2 THz).
     """
 
     sigma: float = 0.13e-6
-    sample_rate: float = 2.0e12
     seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
 
 
 def johnson_sigma(r: float, temperature: float, bandwidth: float) -> float:
@@ -182,7 +183,6 @@ class NetworkLayout:
     i_x: tuple[float, ...]
     mutuals: dict[tuple[int, int], float] = field(default_factory=dict)
     ramp: RampSpec = field(default_factory=RampSpec)
-    readout_orientation: tuple[float, ...] = ()
 
     def __post_init__(self):
         n = len(self.params)
@@ -195,10 +195,6 @@ class NetworkLayout:
                        self.params[j].main_loop_inductance)
             if abs(m) >= lmin:
                 raise ValueError(f"mutual ({i},{j}) not small against loop inductance")
-        if not self.readout_orientation:
-            object.__setattr__(self, "readout_orientation", (1.0,) * n)
-        elif len(self.readout_orientation) != n:
-            raise ValueError("one read-out orientation per qubit required")
 
     @property
     def n(self) -> int:
@@ -367,7 +363,7 @@ def _integrate_batch(
     """
     n = layout.n
     batch = len(seeds)
-    hold = 1.0 / noise.sample_rate
+    hold = 1.0 / NOISE_SAMPLE_RATE
     if dt > hold + 1e-30:
         raise ValueError("integrator step must not exceed the noise hold interval")
     n_steps = int(math.ceil(ramp.total_s / dt))
@@ -462,8 +458,7 @@ def _integrate_batch(
         rec_phi[-1] = phi
         traces = (rec_steps * dt, rec_iq, rec_phi)
 
-    orient = np.array(layout.readout_orientation)
-    bits = [tuple(1 if x > 0 else 0 for x in row * orient) for row in final_iq]
+    bits = [tuple(1 if x > 0 else 0 for x in row) for row in final_iq]
     return final_iq, bits, traces
 
 
@@ -502,7 +497,7 @@ class EnsembleResult:
     traces: tuple[ShotTrace, ...] = field(default=(), compare=False)
 
     def to_text(self) -> str:
-        lines = [f"shots {self.shots}", f"master_seed {self.master_seed}"]
+        lines = [f"shots {self.shots}"]
         for bits, count in sorted(self.counts.items()):
             sigma = " ".join("+1" if b else "-1" for b in bits)
             lines.append(f"count {sigma} {count}")

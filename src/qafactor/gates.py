@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ising import (
-    BRUTE_FORCE_CAP,
     GROUND_TOL,
     IsingModel,
     _energies_for_codes,
@@ -110,14 +109,16 @@ class CircuitGraph:
 
     Global spins are assigned by concatenation: the k-th added gate
     occupies indices [offsets[k], offsets[k] + gate.n); :meth:`add_gate`,
-    the only way to add a gate, records its offset.  WIRE couplings emit
-    J = -strength, NOT couplings J = +strength (strength defaults to 1).
+    the only way to add a gate, records its offset, and :meth:`couple`, the
+    only way to add a coupling, checks its kind and strength.  WIRE
+    couplings emit J = -strength, NOT couplings J = +strength (strength
+    defaults to 1).
     """
 
     gates: list[GateTemplate] = field(default_factory=list, init=False)
     offsets: list[int] = field(default_factory=list, init=False)
-    couplings: list[tuple[int, int, str, float]] = field(default_factory=list)
-    exports: dict[str, int] = field(default_factory=dict)
+    couplings: list[tuple[int, int, str, float]] = field(default_factory=list, init=False)
+    exports: dict[str, int] = field(default_factory=dict, init=False)
 
     def add_gate(self, gate: GateTemplate) -> int:
         """Append a gate instance; returns its global spin offset."""
@@ -247,14 +248,14 @@ class GateReport:
     offending: tuple[tuple[tuple[int, ...], float], ...]
 
 
-def verify_gate(template: GateTemplate, cap: int = BRUTE_FORCE_CAP) -> GateReport:
+def verify_gate(template: GateTemplate) -> GateReport:
     """Check ground manifold == valid_set and achieved gap >= declared gap.
 
     Failures are reported, not raised; ``offending`` lists ground states
     outside the valid set and valid states off the ground level, with
     their energies.
     """
-    report = brute_force_ground(template.model, cap=cap)
+    report = brute_force_ground(template.model)
     ground_bits = {spins_to_bits(s) for s in report.states}
     valid = set(template.valid_set)
     offending = []

@@ -260,7 +260,6 @@ class GroundReport:
 def brute_force_ground(
     model: IsingModel,
     cap: int = BRUTE_FORCE_CAP,
-    tol: float = GROUND_TOL,
     chunk_bits: int = 20,
 ) -> GroundReport:
     """Enumerate all 2**n states; exact e0, the complete ground list, and gap.
@@ -286,7 +285,7 @@ def brute_force_ground(
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         e = _energies_for_codes(model, codes)
-        mask = e <= e0 + tol
+        mask = e <= e0 + GROUND_TOL
         ground_codes.extend(int(c) for c in codes[mask])
         above = e[~mask]
         if above.size:
@@ -381,8 +380,3 @@ def parse_model(text: str) -> IsingModel:
 def read_model(path) -> IsingModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read())
-
-
-def write_model(path, model: IsingModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_model(model))

@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .gates import WIRE, CircuitGraph, GateTemplate, compose, free_spin
+from .gates import WIRE, CircuitGraph, compose, free_spin
 from .ising import (
     GROUND_TOL,
     IsingModel,
     brute_force_ground,
     clamp_fold,
     energy,
+    free_indices,
     merge_spins,
     spins_to_bits,
 )
@@ -51,14 +52,10 @@ class MultiplierNetwork:
     n1: int
     n2: int
     model: IsingModel                       # boundary addends already folded in
-    cell: GateTemplate
-    cell_ports: tuple[tuple[dict[str, int], ...], ...]  # [j][i] -> port -> spin
     factor_a: tuple[int, ...]               # spin per factor-A bit
     factor_b: tuple[int, ...]
     product: tuple[int, ...]                # spin per product bit, LSB first
     expected_e0: float
-    chains: bool
-    chain_strength: float
     n_chain_spins: int
     n_couplings: int
 
@@ -66,21 +63,12 @@ class MultiplierNetwork:
     def n_cells(self) -> int:
         return self.n1 * self.n2
 
-    def role_of(self, spin: int) -> tuple[str, int] | str:
-        """('A', k), ('B', k), ('P', k) or 'internal'."""
-        for label, spins in (("A", self.factor_a), ("B", self.factor_b), ("P", self.product)):
-            for k, s in enumerate(spins):
-                if s == spin:
-                    return (label, k)
-        return "internal"
-
 
 def build_multiplier(
     n1: int,
     n2: int,
     chains: bool = False,
     chain_strength: float = 1.0,
-    cell: GateTemplate | None = None,
 ) -> MultiplierNetwork:
     """Build the n1 x n2 network; factor A has n1 bits, factor B has n2.
 
@@ -93,7 +81,7 @@ def build_multiplier(
         raise ValueError("factor widths must be >= 1")
     if chain_strength <= 0:
         raise ValueError("chain strength must be positive")
-    cell = cell or mult_unit_gate()
+    cell = mult_unit_gate()
 
     graph = CircuitGraph()
     offsets = [[graph.add_gate(cell) for _i in range(n1)] for _j in range(n2)]
@@ -135,24 +123,7 @@ def build_multiplier(
     boundary.update({port(0, j, "in_d"): 0 for j in range(n2)})
     reduced, offset = clamp_fold(full_model, boundary)
 
-    remap = {}
-    new = 0
-    for old in range(full_model.n):
-        if old not in boundary:
-            remap[old] = new
-            new += 1
-
-    cell_ports = tuple(
-        tuple(
-            {
-                name: remap[offsets[j][i] + local]
-                for name, local in cell.ports.items()
-                if (offsets[j][i] + local) in remap
-            }
-            for i in range(n1)
-        )
-        for j in range(n2)
-    )
+    remap = {old: new for new, old in enumerate(free_indices(full_model.n, boundary))}
 
     factor_a = tuple(remap[port(i, 0, "in_a")] for i in range(n1))
     factor_b = tuple(remap[port(0, j, "in_b")] for j in range(n2))
@@ -167,9 +138,8 @@ def build_multiplier(
     expected_e0 = n1 * n2 * cell_e0 - chain_strength * n_couplings - offset
 
     return MultiplierNetwork(
-        n1=n1, n2=n2, model=reduced, cell=cell, cell_ports=cell_ports,
-        factor_a=factor_a, factor_b=factor_b, product=tuple(product),
-        expected_e0=expected_e0, chains=chains, chain_strength=chain_strength,
+        n1=n1, n2=n2, model=reduced, factor_a=factor_a, factor_b=factor_b,
+        product=tuple(product), expected_e0=expected_e0,
         n_chain_spins=n_chain, n_couplings=n_couplings,
     )
 
@@ -191,35 +161,29 @@ def product_clamp_assignment(net: MultiplierNetwork, p: int) -> dict[int, int]:
     return {net.product[k]: b for k, b in _int_bits(p, width, "P").items()}
 
 
-def clamp_product(
-    net: MultiplierNetwork,
-    p: int,
-    method: str = FOLD,
-    bias_strength: float = BIAS_STRENGTH,
-) -> tuple[IsingModel, float]:
+def clamp_product(net: MultiplierNetwork, p: int,
+                  method: str = FOLD) -> tuple[IsingModel, float]:
     """Pin the product, either exactly (FOLD) or by strong bias (BIAS).
 
-    BIAS leaves the product spins free and adds -bias_strength to h for a
-    target bit 1 and +bias_strength for a target bit 0, the hardware-style
+    BIAS leaves the product spins free and adds -BIAS_STRENGTH to h for a
+    target bit 1 and +BIAS_STRENGTH for a target bit 0, the hardware-style
     over-bias mechanism.  FOLD removes them algebraically.
     """
     clamps = product_clamp_assignment(net, p)
     if method == FOLD:
         return clamp_fold(net.model, clamps)
     if method == BIAS:
-        if bias_strength <= 0:
-            raise ValueError("bias strength must be positive")
         h = list(net.model.h)
         for spin, bit in clamps.items():
-            h[spin] += -bias_strength if bit else bias_strength
+            h[spin] += -BIAS_STRENGTH if bit else BIAS_STRENGTH
         return IsingModel(net.model.n, tuple(h), dict(net.model.couplings)), 0.0
     raise ValueError(f"unknown clamp method {method!r}")
 
 
-def bias_ground_energy(net: MultiplierNetwork, bias_strength: float = BIAS_STRENGTH) -> float:
+def bias_ground_energy(net: MultiplierNetwork) -> float:
     """Ground reference for a BIAS-clamped model whose product is attainable:
-    every biased spin aligns, each contributing -bias_strength."""
-    return net.expected_e0 - bias_strength * len(net.product)
+    every biased spin aligns, each contributing -BIAS_STRENGTH."""
+    return net.expected_e0 - BIAS_STRENGTH * len(net.product)
 
 
 def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:

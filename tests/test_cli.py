@@ -264,6 +264,13 @@ class TestCircuit:
         code, _, _ = run(capsys, "circuit", "nor-inverse", "--shots", "1")
         assert code == 1
 
+    def test_prints_master_seed_once(self, capsys):
+        code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
+                           "--ramp-ns", "0.2", "--hold-ns", "0.05", "--seed", "5")
+        assert code == 0
+        seeds = [line for line in out.splitlines() if line.startswith("master_seed")]
+        assert seeds == ["master_seed 5"]
+
 
 class TestCapacity:
     def test_reference_numbers(self, capsys):
@@ -293,13 +300,46 @@ class TestUsage:
         (("factor", "15"), "--shots"),
         (("circuit", "nor-inverse", "--clamp", "0"), "--shots"),
         (("circuit", "nor-inverse", "--clamp", "0", "--shots", "2"), "--decimate"),
+        (("factor", "15"), "--bits-a"),
+        (("factor", "15", "--bits-a", "2"), "--bits-b"),
+        (("multiply", "3", "5"), "--bits-a"),
+        (("synth", "mult", "--bits-b", "2"), "--bits-a"),
     ], ids=["factor-workers", "circuit-workers", "factor-shots", "circuit-shots",
-            "circuit-decimate"])
+            "circuit-decimate", "factor-bits-a", "factor-bits-b", "multiply-bits-a",
+            "synth-bits-a"])
     def test_counts_below_one_rejected_before_any_work(self, capsys, command, flag, value):
         code, out, err = run(capsys, *command, flag, value)
         assert code == 1
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("command", [
+        ("factor", "15", "--sweeps", "0"),
+        ("factor", "15", "--t-cold", "-1"),
+        ("multiply", "3", "5", "--sweeps", "0"),
+        ("anneal", "nor.model", "--t-hot", "0.01"),
+    ], ids=["factor-sweeps", "factor-t-cold", "multiply-sweeps", "anneal-t-hot"])
+    def test_bad_schedule_rejected_before_any_output(self, capsys, command):
+        run(capsys, "gates", "emit", "nor")
+        code, out, err = run(capsys, *command)
+        assert code == 1
+        assert out == ""
+        assert "t_cold" in err or "sweeps" in err
+
+    @pytest.mark.parametrize("command", [
+        ("circuit", "--seed", "5", "nor-inverse", "--clamp", "0", "--shots", "2",
+         "--ramp-ns", "0.2", "--hold-ns", "0.05"),
+        ("capacity", "--seed", "3"),
+        ("gates", "emit", "nor", "--seed", "3"),
+        ("synth", "mult", "--bits-a", "2", "--bits-b", "2", "--seed", "3"),
+        ("verify", "nor.model", "--seed", "3"),
+    ], ids=["circuit-group", "capacity", "gates-emit", "synth-mult", "verify"])
+    def test_seed_rejected_where_nothing_is_drawn(self, capsys, command):
+        run(capsys, "gates", "emit", "nor")
+        code, out, err = run(capsys, *command)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
 
 
 # Runs in a fresh interpreter: this test process already holds SciPy.

@@ -337,7 +337,6 @@ class TestEnsemble:
         res = EnsembleResult(shots=2, counts={(0, 1): 1, (1, 0): 1}, master_seed=9)
         assert res.to_text().splitlines() == [
             "shots 2",
-            "master_seed 9",
             "count -1 +1 1",
             "count +1 -1 1",
         ]

@@ -52,15 +52,10 @@ class TestBuild:
         )
 
     def test_role_map_covers_each_bit_once(self, net22):
-        seen = {}
-        for spin in range(net22.model.n):
-            role = net22.role_of(spin)
-            if role != "internal":
-                assert role not in seen
-                seen[role] = spin
-        for label, width in (("A", 2), ("B", 2), ("P", 4)):
-            for k in range(width):
-                assert (label, k) in seen
+        assert (len(net22.factor_a), len(net22.factor_b), len(net22.product)) == (2, 2, 4)
+        roles = net22.factor_a + net22.factor_b + net22.product
+        assert len(set(roles)) == len(roles)
+        assert all(0 <= s < net22.model.n for s in roles)
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
