@@ -347,6 +347,7 @@ def cmd_circuit_nor_inverse(args) -> int:
     layout = fluxsim.inverse_nor_layout(args.clamp, ramp=ramp)
     noise = fluxsim.NoiseSpec(sigma=args.noise_sigma * 1e-6)
     dt = args.dt_fs * 1e-15
+    fluxsim.step_count(ramp, dt)  # rejects a bad step before any output
     print(f"master_seed {args.seed}")
     result = fluxsim.run_ensemble(layout, noise, ramp=ramp, n_shots=args.shots,
                                   master_seed=args.seed, dt=dt, workers=args.workers,

@@ -133,15 +133,19 @@ class NoiseSpec:
 
     The default sigma is the Johnson-Nyquist value for the 3.2-kOhm shunt
     at 1 K over a 1-THz bandwidth, rounded as specified for the reference
-    runs (0.13 uA), sampled at ``NOISE_SAMPLE_RATE`` (2 THz).
+    runs (0.13 uA), sampled at ``NOISE_SAMPLE_RATE`` (2 THz).  A shot
+    seeded ``seed`` draws its samples in order from ``PCG64(seed)``, two
+    junction values per qubit per sample, so sample i's values depend on
+    i and the seed alone, not on how many samples the integrator draws
+    at a time.
     """
 
     sigma: float = 0.13e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 def johnson_sigma(r: float, temperature: float, bandwidth: float) -> float:
@@ -161,6 +165,9 @@ class RampSpec:
     phi_t_end: float = 0.0
 
     def __post_init__(self):
+        values = (self.ramp_s, self.hold_s, self.phi_t_start, self.phi_t_end)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"ramp values must be finite, got {values!r}")
         if self.ramp_s <= 0 or self.hold_s < 0:
             raise ValueError("ramp must be positive, hold >= 0")
 
@@ -308,27 +315,27 @@ def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkL
     return layout_from_ising(model, ramp=ramp)
 
 
-def _bias_waveform(layout: NetworkLayout, cos_steps: np.ndarray) -> np.ndarray:
-    """Per-step bias scaling I*(t)/I*(end): the compensation waveform that
-    keeps bias and coupling energies in fixed proportion (see module
-    docstring).  One shared waveform from the stiffest qubit's well curve
-    (layouts here are homogeneous); falls back to a static bias when the
-    ramp never ends in a bistable configuration."""
-    beta_full = max(
-        p.main_loop_inductance * 2.0 * p.ic / PHI0 for p in layout.params
-    )
-    grid = np.linspace(0.0, 1.0, 513)
-    x_grid = _well_positions(beta_full * grid)
-    x_end = float(np.interp(cos_steps[-1], grid, x_grid))
-    if x_end <= 0.0:
-        return np.ones_like(cos_steps)
-    return np.interp(cos_steps, grid, x_grid) / x_end
+#: Steps whose barrier drive, bias share and noise-sample index are tabled
+#: at a time.
+_STEP_BLOCK = 4096
+#: Noise samples drawn per generator at a time.  ``Generator.normal`` gives
+#: the same values however a stream is split into calls, so neither block
+#: size is part of the seeding contract: a shot's noise is keyed on the
+#: sample index alone.
+_NOISE_BLOCK = 256
 
 
-#: Noise samples drawn per generator per block during integration; a fixed
-#: constant so every shot consumes its stream identically no matter how
-#: shots are batched.
-_NOISE_BLOCK = 4096
+def step_count(ramp: RampSpec, dt: float) -> int:
+    """Integrator steps covering ``ramp`` at step ``dt``: ceil(total / dt).
+
+    Raises ValueError unless ``dt`` is finite and in (0, hold], hold being
+    the noise sample interval 1 / NOISE_SAMPLE_RATE (0.5 ps)."""
+    hold = 1.0 / NOISE_SAMPLE_RATE
+    if not (math.isfinite(dt) and 0.0 < dt <= hold + 1e-30):
+        raise ValueError(
+            f"integrator step must be in (0, {hold!r}] s, the noise hold interval; got {dt!r}"
+        )
+    return int(math.ceil(ramp.total_s / dt))
 
 
 def _integrate_batch(
@@ -350,6 +357,13 @@ def _integrate_batch(
     currents and fluxes being the views ``iq[:, :, row]`` and
     ``phi[:, :, row]``.  Otherwise traces is None and nothing is recorded.
 
+    The run streams in blocks.  Each block of ``_STEP_BLOCK`` steps builds
+    its own per-step inputs (barrier drive, bias share of the loop
+    currents, noise sample index) elementwise, exactly as whole-run arrays
+    would, and noise is drawn ``_NOISE_BLOCK`` samples per generator at a
+    time.  Working memory is therefore O(n * batch * block) whatever the
+    ramp length, plus the traces when they are recorded.
+
     State is qubit-major: ``phi``, ``vel``, ``iq`` and each step's noise
     row are (n, batch) arrays, so a qubit's row is contiguous, and every
     step updates them in place through preallocated buffers.  Per-shot
@@ -363,10 +377,8 @@ def _integrate_batch(
     """
     n = layout.n
     batch = len(seeds)
+    n_steps = step_count(ramp, dt)
     hold = 1.0 / NOISE_SAMPLE_RATE
-    if dt > hold + 1e-30:
-        raise ValueError("integrator step must not exceed the noise hold interval")
-    n_steps = int(math.ceil(ramp.total_s / dt))
     n_samples = int(math.ceil(n_steps * dt / hold)) + 1
 
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -382,17 +394,32 @@ def _integrate_batch(
     ic2 = np.array([2.0 * p.ic for p in layout.params])
     w = 2.0 * math.pi / PHI0
 
-    times = np.arange(n_steps + 1) * dt
-    phi_t = ramp.phi_t(times)
-    cos_steps = np.cos(np.pi * phi_t[:n_steps] / PHI0)
-    bias_scale = _bias_waveform(layout, cos_steps)
-    sample_of_step = np.minimum((times[:n_steps] / hold).astype(np.int64),
-                                n_samples - 1).tolist()
-    g_end = bias_scale[-1] if n_steps else 1.0
-    # Per-step tables: the barrier drive Ic_eff(t) and the bias share of the
-    # loop currents; row n_steps holds the read-out bias.
-    drive = (ic2 * cos_steps[:, None])[:, :, None]
-    bias_iq = (np.append(bias_scale, g_end)[:, None] * iq_bias)[:, :, None]
+    def barrier_cos(times: np.ndarray) -> np.ndarray:
+        return np.cos(np.pi * ramp.phi_t(times) / PHI0)
+
+    # Bias compensation I*(t)/I*(end) (see module docstring): one shared
+    # waveform from the stiffest qubit's well curve (layouts here are
+    # homogeneous), interpolated in cos(pi phi_t / Phi0); a static bias when
+    # the ramp never ends in a bistable configuration.
+    beta_full = max(p.main_loop_inductance * 2.0 * p.ic / PHI0 for p in layout.params)
+    grid = np.linspace(0.0, 1.0, 513)
+    x_grid = _well_positions(beta_full * grid)
+    x_end = float(np.interp(barrier_cos(np.arange(n_steps - 1, n_steps) * dt)[0],
+                            grid, x_grid))
+
+    def step_inputs(k0: int, k1: int):
+        """Steps k0..k1-1: the barrier drive Ic_eff(t), the bias share of
+        the loop currents, and the noise sample each step reads."""
+        times = np.arange(k0, k1) * dt
+        cos_steps = barrier_cos(times)
+        if x_end > 0.0:
+            bias_scale = np.interp(cos_steps, grid, x_grid) / x_end
+        else:
+            bias_scale = np.ones_like(cos_steps)
+        samples = np.minimum((times / hold).astype(np.int64), n_samples - 1)
+        return ((ic2 * cos_steps[:, None])[:, :, None],
+                (bias_scale[:, None] * iq_bias)[:, :, None],
+                samples.tolist())
 
     phi = np.zeros((n, batch))
     vel = np.zeros((n, batch))
@@ -402,14 +429,14 @@ def _integrate_batch(
     ainv_t = np.repeat(a_inv.T[:, :, None], batch, axis=2)
     phi_j = phi[:, None, :]
     prod = np.empty((n, n, batch))
-    block = np.empty((min(_NOISE_BLOCK, n_samples), n, batch))
+    noise_block = np.empty((min(_NOISE_BLOCK, n_samples), n, batch))
 
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
 
-    def current_iq(k: int) -> np.ndarray:
+    def current_iq(bias_row: np.ndarray) -> np.ndarray:
         mul(ainv_t, phi_j, out=prod)
         add_reduce(prod, axis=0, out=iq)
-        return sub(iq, bias_iq[k], out=iq)
+        return sub(iq, bias_row, out=iq)
 
     traces = None
     if record_every > 0:
@@ -418,41 +445,48 @@ def _integrate_batch(
         rec_phi = np.empty((len(rec_steps), n, batch))
 
     barrier_limit = 10.0 * PHI0
-    block_start = -1
-    for k, s in enumerate(sample_of_step):
-        current_iq(k)
-        if record_every > 0 and k % record_every == 0:
-            rec_iq[k // record_every] = iq
-            rec_phi[k // record_every] = phi
-        if block_start < 0 or s >= block_start + _NOISE_BLOCK:
-            block_start = (s // _NOISE_BLOCK) * _NOISE_BLOCK
-            take = min(_NOISE_BLOCK, n_samples - block_start)
-            for b, g in enumerate(gens):
-                drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
-                np.add(drawn[:, 0::2], drawn[:, 1::2], out=block[:take, :, b])
-        # accel = ((drive sin(w phi) - iq) - g_eff vel + noise) * inv_c
-        mul(w, phi, out=tmp)
-        np.sin(tmp, out=tmp)
-        mul(drive[k], tmp, out=accel)
-        sub(accel, iq, out=accel)
-        mul(g_eff, vel, out=tmp)
-        sub(accel, tmp, out=accel)
-        add(accel, block[s - block_start], out=accel)
-        mul(accel, inv_c, out=accel)
-        mul(dt, accel, out=accel)
-        add(vel, accel, out=vel)
-        mul(dt, vel, out=tmp)
-        add(phi, tmp, out=phi)
-        if k % 2000 == 1999:
-            if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
-                raise ShotError(
-                    f"integration diverged at t={k * dt:.3e}s: max|phi|="
-                    f"{float(np.max(np.abs(phi))):.3e}"
-                )
-    if not np.all(np.isfinite(phi)) or (n_steps and np.max(np.abs(phi)) > barrier_limit):
+    noise_lo = noise_hi = 0  # noise_block holds samples [noise_lo, noise_hi)
+    for k0 in range(0, n_steps, _STEP_BLOCK):
+        drive, bias_iq, samples = step_inputs(k0, min(k0 + _STEP_BLOCK, n_steps))
+        for j, s in enumerate(samples):
+            k = k0 + j
+            current_iq(bias_iq[j])
+            if record_every > 0 and k % record_every == 0:
+                rec_iq[k // record_every] = iq
+                rec_phi[k // record_every] = phi
+            while s >= noise_hi:
+                noise_lo = noise_hi
+                take = min(_NOISE_BLOCK, n_samples - noise_lo)
+                noise_hi = noise_lo + take
+                for b, g in enumerate(gens):
+                    drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
+                    np.add(drawn[:, 0::2], drawn[:, 1::2], out=noise_block[:take, :, b])
+            # accel = ((drive sin(w phi) - iq) - g_eff vel + noise) * inv_c
+            mul(w, phi, out=tmp)
+            np.sin(tmp, out=tmp)
+            mul(drive[j], tmp, out=accel)
+            sub(accel, iq, out=accel)
+            mul(g_eff, vel, out=tmp)
+            sub(accel, tmp, out=accel)
+            add(accel, noise_block[s - noise_lo], out=accel)
+            mul(accel, inv_c, out=accel)
+            mul(dt, accel, out=accel)
+            add(vel, accel, out=vel)
+            mul(dt, vel, out=tmp)
+            add(phi, tmp, out=phi)
+            if k % 2000 == 1999:
+                if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
+                    raise ShotError(
+                        f"integration diverged at t={k * dt:.3e}s: max|phi|="
+                        f"{float(np.max(np.abs(phi))):.3e}"
+                    )
+        del drive, bias_iq, samples  # one block's tables alive at a time
+    if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
         raise ShotError(f"integration diverged at end: phi={phi.T.tolist()}")
 
-    final_iq = current_iq(n_steps).T.copy()
+    # The last step's bias scale is x_end / x_end = 1: read-out sees the
+    # static bias.
+    final_iq = current_iq(iq_bias[:, None]).T.copy()
     if record_every > 0:
         rec_iq[-1] = iq
         rec_phi[-1] = phi
@@ -493,7 +527,6 @@ class EnsembleResult:
 
     shots: int
     counts: dict[tuple[int, ...], int]
-    master_seed: int
     traces: tuple[ShotTrace, ...] = field(default=(), compare=False)
 
     def to_text(self) -> str:
@@ -539,8 +572,7 @@ def run_ensemble(
     for bits, _ in shots:
         counts[bits] = counts.get(bits, 0) + 1
     traces = tuple(trace for _, trace in shots) if decimate > 0 else ()
-    return EnsembleResult(shots=n_shots, counts=counts, master_seed=master_seed,
-                          traces=traces)
+    return EnsembleResult(shots=n_shots, counts=counts, traces=traces)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,18 @@ class TestCircuit:
         code, _, _ = run(capsys, "circuit", "nor-inverse", "--shots", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt-fs", "600"), ("--dt-fs", "0"), ("--dt-fs", "-5"), ("--dt-fs", "nan"),
+        ("--ramp-ns", "nan"), ("--hold-ns", "inf"), ("--noise-sigma", "nan"),
+    ])
+    def test_bad_inputs_rejected_before_any_output(self, capsys, flag, value):
+        code, out, err = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
+                             "--shots", "2", "--ramp-ns", "0.2", "--hold-ns", "0.05",
+                             flag, value)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
     def test_prints_master_seed_once(self, capsys):
         code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
                            "--ramp-ns", "0.2", "--hold-ns", "0.05", "--seed", "5")

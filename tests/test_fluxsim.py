@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import j_unit_kt, readout_wells
+from qafactor import fluxsim
 from qafactor.fluxsim import (
     BIAS_WINDING,
     DT_DEFAULT,
@@ -27,6 +29,7 @@ from qafactor.fluxsim import (
     run_ensemble,
     simulate_shot,
     static_potential,
+    step_count,
     write_trace_csv,
 )
 from qafactor.ising import IsingModel
@@ -142,6 +145,28 @@ class TestDataclasses:
             RampSpec(ramp_s=0.0)
         with pytest.raises(ValueError):
             RampSpec(hold_s=-1e-9)
+
+    @pytest.mark.parametrize("field", ["ramp_s", "hold_s", "phi_t_start", "phi_t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_ramp_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            RampSpec(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1e-9])
+    def test_noise_validation(self, sigma):
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=sigma)
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-15, 6e-13, math.nan, math.inf])
+    def test_step_count_rejects_bad_steps(self, dt):
+        with pytest.raises(ValueError):
+            step_count(RampSpec(), dt)
+
+    def test_step_count(self):
+        # 2.2 ns / 0.05 ps is a hair above 44000 in floats.
+        assert step_count(RampSpec(), DT_DEFAULT) == 44001
+        assert step_count(RampSpec(ramp_s=0.3e-9, hold_s=0.0), 7e-14) == 4286
+        assert step_count(RampSpec(ramp_s=1e-13, hold_s=0.0), 5e-13) == 1
 
 
 class TestNoiseStatistics:
@@ -323,6 +348,52 @@ class TestEnsemble:
         assert np.array_equal(final_iq, expected)
         assert bits == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
 
+    @pytest.mark.parametrize("dt", [DT_DEFAULT, 3e-14], ids=["default-dt", "dt-3e-14"])
+    def test_block_sizes_do_not_change_results(self, monkeypatch, dt):
+        # Step tables and noise are built a block at a time; odd block sizes
+        # put boundaries everywhere, and 3e-14 s does not divide the 0.5-ps
+        # noise hold, so steps straddle samples and samples straddle blocks.
+        ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
+        layout = inverse_nor_layout(1, ramp=ramp)
+        seeds = [shot_seed(7, k) for k in range(3)]
+
+        def run():
+            return _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds, record_every=3)
+
+        final_iq, bits, traces = run()
+        monkeypatch.setattr(fluxsim, "_STEP_BLOCK", 7)
+        monkeypatch.setattr(fluxsim, "_NOISE_BLOCK", 3)
+        small_iq, small_bits, small_traces = run()
+        assert np.array_equal(small_iq, final_iq)
+        assert small_bits == bits
+        for small, default in zip(small_traces, traces):
+            assert np.array_equal(small, default)
+
+    def test_working_memory_does_not_grow_with_ramp(self, monkeypatch):
+        """Beyond what it returns, a batch holds one block of step inputs
+        and one block of noise at a time, whatever the ramp length.  Small
+        blocks keep the traced runs short: 500 and 5000 steps."""
+        monkeypatch.setattr(fluxsim, "_STEP_BLOCK", 128)
+        monkeypatch.setattr(fluxsim, "_NOISE_BLOCK", 16)
+        seeds = [shot_seed(1, k) for k in range(4)]
+
+        def transient_peak(ramp_s):
+            ramp = RampSpec(ramp_s=ramp_s, hold_s=0.0)
+            layout = inverse_nor_layout(0, ramp=ramp)
+            tracemalloc.start()
+            try:
+                kept = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT, seeds)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del kept
+            return peak - current
+
+        transient_peak(0.005e-9)
+        short = transient_peak(0.025e-9)
+        ten_times_longer = transient_peak(0.25e-9)
+        assert ten_times_longer < 1.25 * short + (32 << 10)
+
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)
         seeds = [shot_seed(314, k) for k in range(50)]
@@ -334,7 +405,7 @@ class TestEnsemble:
         assert flips <= 1
 
     def test_text_layout(self):
-        res = EnsembleResult(shots=2, counts={(0, 1): 1, (1, 0): 1}, master_seed=9)
+        res = EnsembleResult(shots=2, counts={(0, 1): 1, (1, 0): 1})
         assert res.to_text().splitlines() == [
             "shots 2",
             "count -1 +1 1",
