@@ -7,6 +7,7 @@ flux qubits drives the same gate models with physical Johnson noise.
 """
 from .anneal import Schedule, ShotResult, RunSummary, anneal_shot, run_shots
 from .capacity import CapacityInput, CapacityReport, capacity_estimate
+from .formats import format_model, parse_model
 from .gates import (
     CircuitGraph,
     GateTemplate,
@@ -25,8 +26,6 @@ from .ising import (
     clamp_fold,
     energy,
     merge_spins,
-    parse_model,
-    format_model,
     spins_to_bits,
 )
 from .multiplier import (

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -342,26 +342,3 @@ def run_shots(
     if keep_shots:
         return summary, results
     return summary
-
-
-def write_shot_csv(
-    fh,
-    results: Sequence[ShotResult],
-    reference_e0: float | None = None,
-    decoder=None,
-) -> None:
-    """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P]."""
-    header = "shot,energy,ground_hit,state_bits"
-    if decoder is not None:
-        header += ",M,N,P"
-    fh.write(header + "\n")
-    for r in results:
-        bits = "".join(str(b) for b in spins_to_bits(r.state))
-        hit = ""
-        if reference_e0 is not None:
-            hit = "1" if r.energy <= reference_e0 + GROUND_TOL else "0"
-        row = f"{r.index},{r.energy!r},{hit},{bits}"
-        if decoder is not None:
-            m, n, p = decoder(r.state)
-            row += f",{m},{n},{p}"
-        fh.write(row + "\n")

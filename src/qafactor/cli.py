@@ -14,21 +14,21 @@ import sys
 from . import anneal as annealing
 from . import fluxsim
 from .capacity import CapacityInput, capacity_estimate
-from .gates import GateTemplate, and_gate, half_adder_template, nor_gate, verify_gate
-from .ising import (
-    BRUTE_FORCE_CAP,
+from .formats import (
     ModelFormatError,
-    SizeCapError,
-    brute_force_ground,
-    clamp_fold,
     format_model,
-    read_model,
-    spins_to_bits,
+    format_ports,
+    format_roles,
+    parse_model,
+    parse_ports,
+    write_shot_csv,
+    write_trace_csv,
 )
+from .gates import and_gate, half_adder_template, nor_gate, verify_gate
+from .ising import BRUTE_FORCE_CAP, SizeCapError, brute_force_ground, clamp_fold, spins_to_bits
 from .multiplier import (
     BIAS,
     FOLD,
-    MultiplierNetwork,
     bias_ground_energy,
     build_multiplier,
     clamp_product,
@@ -54,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -63,28 +68,12 @@ def _write(path: str, text: str) -> None:
 # gates emit
 # ---------------------------------------------------------------------------
 
-def _gate_by_kind(kind: str) -> GateTemplate:
-    if kind == "nor":
-        return nor_gate()
-    if kind == "and":
-        return and_gate()
-    if kind == "half-adder":
-        return half_adder_template()
-    if kind == "mult-unit":
-        return mult_unit_gate()
-    raise UsageError(f"unknown gate kind {kind!r}")
-
-
-def _ports_sidecar(template: GateTemplate) -> str:
-    lines = [f"port {name} {idx}" for name, idx in sorted(template.ports.items())]
-    for bits in template.valid_set:
-        lines.append("valid " + " ".join(str(b) for b in bits))
-    lines.append(f"gap {template.gap!r}")
-    return "\n".join(lines) + "\n"
+_GATES = {"nor": nor_gate, "and": and_gate, "half-adder": half_adder_template,
+         "mult-unit": mult_unit_gate}
 
 
 def cmd_gates_emit(args) -> int:
-    template = _gate_by_kind(args.kind)
+    template = _GATES[args.kind]()
     report = verify_gate(template)
     if not report.passed:
         raise VerificationFailure(
@@ -92,7 +81,7 @@ def cmd_gates_emit(args) -> int:
         )
     prefix = args.out or args.kind
     _write(prefix + ".model", format_model(template.model))
-    _write(prefix + ".ports", _ports_sidecar(template))
+    _write(prefix + ".ports", format_ports(template))
     print(f"wrote {prefix}.model and {prefix}.ports")
     print(f"e0 {report.e0!r}")
     print(f"gap {report.achieved_gap!r}")
@@ -103,20 +92,12 @@ def cmd_gates_emit(args) -> int:
 # synth mult
 # ---------------------------------------------------------------------------
 
-def _roles_sidecar(net: MultiplierNetwork) -> str:
-    lines = []
-    for label, spins in (("A", net.factor_a), ("B", net.factor_b), ("P", net.product)):
-        for bit, spin in enumerate(spins):
-            lines.append(f"role {label} {bit} {spin}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_synth_mult(args) -> int:
     net = build_multiplier(args.bits_a, args.bits_b, chains=args.chains,
                            chain_strength=args.chain_strength)
     prefix = args.out or f"mult{args.bits_a}x{args.bits_b}"
     _write(prefix + ".model", format_model(net.model))
-    _write(prefix + ".roles", _roles_sidecar(net))
+    _write(prefix + ".roles", format_roles(net))
     print(f"wrote {prefix}.model and {prefix}.roles")
     print(f"qubits {net.model.n}")
     print(f"cells {net.n_cells}")
@@ -157,7 +138,7 @@ def _add_anneal_flags(parser, shots_default=200):
 
 def cmd_anneal(args) -> int:
     schedule = _schedule_from(args)
-    model = read_model(args.model)
+    model = parse_model(_read(args.model))
     reference = args.reference_e0
     if args.brute_force_reference:
         reference = brute_force_ground(model, cap=args.cap).e0
@@ -167,20 +148,17 @@ def cmd_anneal(args) -> int:
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            annealing.write_shot_csv(fh, shots, reference_e0=reference)
-        print(f"wrote {args.csv}")
+        _save_shot_csv(args.csv, shots, reference)
     sys.stdout.write(summary.to_text())
     return 0
 
 
-def _write_decoded_csv(path: str, shots, reference: float, outcome) -> None:
-    """``--csv`` of factor and multiply: the shot log with M,N,P per shot."""
-    def decoder(state):
-        out = outcome(state)
-        return out.m, out.n, out.p
+def _save_shot_csv(path: str, shots, reference, outcomes=None) -> None:
+    """``--csv``: the shot log, with M,N,P per shot when ``outcomes`` (one
+    decoded outcome per shot) is given."""
+    decoded = None if outcomes is None else [(o.m, o.n, o.p) for o in outcomes]
     with open(path, "w", encoding="utf-8") as fh:
-        annealing.write_shot_csv(fh, shots, reference_e0=reference, decoder=decoder)
+        write_shot_csv(fh, shots, reference_e0=reference, decoded=decoded)
     print(f"wrote {path}")
 
 
@@ -236,7 +214,7 @@ def cmd_factor(args) -> int:
     for key in sorted(hist, key=lambda k: (-hist[k], k)):
         print(f"count {key} {hist[key]} ground {hits.get(key, 0)}")
     if args.csv:
-        _write_decoded_csv(args.csv, shots, reference, outcome)
+        _save_shot_csv(args.csv, shots, reference, outcomes)
     return 0
 
 
@@ -267,7 +245,7 @@ def cmd_multiply(args) -> int:
     print(f"ground_reached {out.is_ground}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     if args.csv:
-        _write_decoded_csv(args.csv, shots, reference, outcome)
+        _save_shot_csv(args.csv, shots, reference, [outcome(r.state) for r in shots])
     return 0
 
 
@@ -275,39 +253,8 @@ def cmd_multiply(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _parse_ports_sidecar(path: str, n: int):
-    """Ports, valid set and gap of a sidecar written for an ``n``-spin model.
-
-    A ``valid`` line must hold exactly ``n`` values, each 0 or 1.
-    """
-    ports: dict[str, int] = {}
-    valid: list[tuple[int, ...]] = []
-    gap = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if tokens[0] == "port" and len(tokens) == 3:
-                    ports[tokens[1]] = int(tokens[2])
-                elif tokens[0] == "valid":
-                    bits = tuple(int(b) for b in tokens[1:])
-                    if len(bits) != n or any(b not in (0, 1) for b in bits):
-                        raise ValueError(f"expected {n} bits of 0 or 1")
-                    valid.append(bits)
-                elif tokens[0] == "gap" and len(tokens) == 2:
-                    gap = float(tokens[1])
-                else:
-                    raise ValueError("bad directive")
-            except ValueError as exc:
-                raise ModelFormatError(f"bad sidecar line {line!r}: {exc}", lineno) from None
-    return ports, tuple(valid), gap
-
-
 def cmd_verify(args) -> int:
-    model = read_model(args.model)
+    model = parse_model(_read(args.model))
     report = brute_force_ground(model, cap=args.cap)
     print(f"spins {model.n}")
     print(f"e0 {report.e0!r}")
@@ -316,10 +263,7 @@ def cmd_verify(args) -> int:
     if not args.ports:
         print("pass true")
         return 0
-    ports, valid, declared_gap = _parse_ports_sidecar(args.ports, model.n)
-    for name, idx in sorted(ports.items()):
-        if not 0 <= idx < model.n:
-            raise ModelFormatError(f"port {name!r} index {idx} out of range")
+    ports, valid, declared_gap = parse_ports(_read(args.ports), model.n)
     ground_bits = sorted(spins_to_bits(s) for s in report.states)
     for bits in ground_bits[:32]:
         decoded = " ".join(f"{name}={bits[idx]}" for name, idx in sorted(ports.items()))
@@ -364,8 +308,7 @@ def cmd_circuit_nor_inverse(args) -> int:
     print(f"clamp_misses {clamp_misses}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for k, tr in enumerate(result.traces):
-                fluxsim.write_trace_csv(fh, tr, offset=k * ramp.total_s, header=k == 0)
+            write_trace_csv(fh, result.traces, ramp.total_s)
         print(f"wrote {args.trace}")
     return 0
 
@@ -403,7 +346,7 @@ def build_parser() -> _Parser:
     p_gates = sub.add_parser("gates")
     gates_sub = p_gates.add_subparsers(dest="gates_command", required=True)
     p_emit = gates_sub.add_parser("emit")
-    p_emit.add_argument("kind", choices=["nor", "and", "half-adder", "mult-unit"])
+    p_emit.add_argument("kind", choices=list(_GATES))
     p_emit.add_argument("--out", default=None, help="output path prefix")
     p_emit.set_defaults(func=cmd_gates_emit)
 

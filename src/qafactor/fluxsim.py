@@ -221,17 +221,11 @@ class NetworkLayout:
 
 @dataclass(frozen=True)
 class ShotTrace:
-    """Decimated loop currents of one shot, as ``--trace`` writes them."""
+    """One shot's decimated loop currents, as ``--trace`` writes them, and
+    its read-out."""
 
     t: np.ndarray            # (n_samples,) seconds
     iq: np.ndarray           # (n_samples, n) circulating currents, A
-
-
-@dataclass(frozen=True)
-class TraceSet(ShotTrace):
-    """A shot's traces plus its junction phases and final read-out."""
-
-    phases: np.ndarray       # (n_samples, 2n) junction phases, rad
     final_iq: tuple[float, ...]
     bits: tuple[int, ...]
 
@@ -315,6 +309,12 @@ def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkL
     return layout_from_ising(model, ramp=ramp)
 
 
+#: Most integrator steps one run may take: a 500-ns ramp at the default step,
+#: 30 times the longest run in the repository (the 16-ns ramp of
+#: ``scripts/freeze_out_study.py``, 3.2e5 steps) and about 2.6 minutes per
+#: shot at batch 1 (15.6 us per step on a 2-core x86 machine).
+MAX_STEPS = 10_000_000
+
 #: Steps whose barrier drive, bias share and noise-sample index are tabled
 #: at a time.
 _STEP_BLOCK = 4096
@@ -329,13 +329,19 @@ def step_count(ramp: RampSpec, dt: float) -> int:
     """Integrator steps covering ``ramp`` at step ``dt``: ceil(total / dt).
 
     Raises ValueError unless ``dt`` is finite and in (0, hold], hold being
-    the noise sample interval 1 / NOISE_SAMPLE_RATE (0.5 ps)."""
+    the noise sample interval 1 / NOISE_SAMPLE_RATE (0.5 ps), and unless
+    the run takes at most ``MAX_STEPS`` steps.  The ratio is checked
+    before rounding, so an overflow to ``inf`` is rejected too."""
     hold = 1.0 / NOISE_SAMPLE_RATE
     if not (math.isfinite(dt) and 0.0 < dt <= hold + 1e-30):
         raise ValueError(
             f"integrator step must be in (0, {hold!r}] s, the noise hold interval; got {dt!r}"
         )
-    return int(math.ceil(ramp.total_s / dt))
+    steps = ramp.total_s / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"{ramp.total_s!r} s at a {dt!r}-s step is {steps:.3g} "
+                         f"integrator steps, more than the {MAX_STEPS} allowed")
+    return int(math.ceil(steps))
 
 
 def _integrate_batch(
@@ -351,11 +357,10 @@ def _integrate_batch(
     Every shot carries its own noise generator, so results per shot are
     independent of how shots are grouped into batches.  Returns
     (final_iq[batch, n], bits list, traces).  With ``record_every`` > 0,
-    traces are recorded for every row of the batch, at every
+    the loop currents of every row of the batch are recorded at every
     ``record_every``-th step and at the read-out step: traces is
-    (t[n_rec], iq[n_rec, n, batch], phi[n_rec, n, batch]), a row's loop
-    currents and fluxes being the views ``iq[:, :, row]`` and
-    ``phi[:, :, row]``.  Otherwise traces is None and nothing is recorded.
+    (t[n_rec], iq[n_rec, n, batch]), a row's currents being the view
+    ``iq[:, :, row]``.  Otherwise traces is None and nothing is recorded.
 
     The run streams in blocks.  Each block of ``_STEP_BLOCK`` steps builds
     its own per-step inputs (barrier drive, bias share of the loop
@@ -442,7 +447,6 @@ def _integrate_batch(
     if record_every > 0:
         rec_steps = np.append(np.arange(0, n_steps, record_every), n_steps)
         rec_iq = np.empty((len(rec_steps), n, batch))
-        rec_phi = np.empty((len(rec_steps), n, batch))
 
     barrier_limit = 10.0 * PHI0
     noise_lo = noise_hi = 0  # noise_block holds samples [noise_lo, noise_hi)
@@ -453,7 +457,6 @@ def _integrate_batch(
             current_iq(bias_iq[j])
             if record_every > 0 and k % record_every == 0:
                 rec_iq[k // record_every] = iq
-                rec_phi[k // record_every] = phi
             while s >= noise_hi:
                 noise_lo = noise_hi
                 take = min(_NOISE_BLOCK, n_samples - noise_lo)
@@ -489,11 +492,18 @@ def _integrate_batch(
     final_iq = current_iq(iq_bias[:, None]).T.copy()
     if record_every > 0:
         rec_iq[-1] = iq
-        rec_phi[-1] = phi
-        traces = (rec_steps * dt, rec_iq, rec_phi)
+        traces = (rec_steps * dt, rec_iq)
 
     bits = [tuple(1 if x > 0 else 0 for x in row) for row in final_iq]
     return final_iq, bits, traces
+
+
+def _shot_traces(final_iq: np.ndarray, bits: list[tuple[int, ...]],
+                 traces: tuple[np.ndarray, np.ndarray]) -> list[ShotTrace]:
+    """One :class:`ShotTrace` per row of a recorded :func:`_integrate_batch`."""
+    t, iq = traces
+    return [ShotTrace(t, iq[:, :, b], tuple(final_iq[b].tolist()), row)
+            for b, row in enumerate(bits)]
 
 
 def simulate_shot(
@@ -502,22 +512,13 @@ def simulate_shot(
     ramp: RampSpec | None = None,
     dt: float = DT_DEFAULT,
     decimate: int = 10,
-) -> TraceSet:
-    """Integrate one annealing shot and return the recorded traces: a
-    batch of one through the ensemble's kernel."""
+) -> ShotTrace:
+    """Integrate one annealing shot seeded ``noise.seed``: a batch of one
+    through the ensemble's kernel, recording the loop currents at every
+    ``decimate``-th step and at read-out."""
     ramp = ramp or layout.ramp
-    final_iq, bits, (t, iq, phi) = _integrate_batch(
-        layout, noise, ramp, dt, [noise.seed], record_every=max(1, decimate)
-    )
-    phi_c = math.pi + (2.0 * math.pi / PHI0) * phi[:, :, 0]
-    phi_d = (-math.pi * ramp.phi_t(t) / PHI0)[:, None]
-    phases = np.empty((len(t), 2 * layout.n))
-    phases[:, 0::2] = phi_c + phi_d
-    phases[:, 1::2] = phi_c - phi_d
-    return TraceSet(
-        t=t, iq=iq[:, :, 0], phases=phases,
-        final_iq=tuple(float(x) for x in final_iq[0]), bits=bits[0],
-    )
+    return _shot_traces(*_integrate_batch(layout, noise, ramp, dt, [noise.seed],
+                                          record_every=max(1, decimate)))[0]
 
 
 @dataclass(frozen=True)
@@ -541,11 +542,10 @@ def _ensemble_chunk(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt:
                     master_seed: int, decimate: int, lo: int, hi: int
                     ) -> list[tuple[tuple[int, ...], ShotTrace | None]]:
     seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
-    _, bits, traces = _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
+    final_iq, bits, traces = _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
     if traces is None:
         return [(row, None) for row in bits]
-    t, iq, _ = traces
-    return [(row, ShotTrace(t, iq[:, :, b])) for b, row in enumerate(bits)]
+    return list(zip(bits, _shot_traces(final_iq, bits, traces)))
 
 
 def run_ensemble(
@@ -625,12 +625,3 @@ def static_potential(
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
     minima = tuple(float(x) for x in phi[1:-1][interior])
     return PotentialScan(phi=phi, u=u, minima_phi=minima)
-
-
-def write_trace_csv(fh, trace: ShotTrace, offset: float = 0.0, header: bool = True) -> None:
-    """Plot-ready CSV: t,Iq_1..Iq_n, with ``offset`` added to every time."""
-    if header:
-        n = trace.iq.shape[1]
-        fh.write("t," + ",".join(f"Iq_{k + 1}" for k in range(n)) + "\n")
-    for row_t, row_iq in zip((trace.t + offset).tolist(), trace.iq.tolist()):
-        fh.write(f"{row_t!r}," + ",".join(map(repr, row_iq)) + "\n")

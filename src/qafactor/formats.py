@@ -1,0 +1,197 @@
+"""Every file format of the package: writers turn objects into text, parsers
+turn text into objects, and the CLI opens the files.
+
+Model files hold ``n <count>`` first, then ``h <i> <v>`` and ``J <i> <j> <v>``
+lines (0-based, i < j; written sorted, read in any order).  Gate sidecars
+hold ``port <name> <spin>``, ``valid <bits...>`` and ``gap <value>`` lines,
+network sidecars ``role <A|B|P> <bit> <spin>`` lines.  Both text formats
+take ``#`` comments, and their parsers raise :class:`ModelFormatError` with
+the 1-based number of the bad line.  The shot and trace logs are CSV.
+"""
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+from .ising import GROUND_TOL, IsingModel, spins_to_bits
+
+if TYPE_CHECKING:
+    from .anneal import ShotResult
+    from .fluxsim import ShotTrace
+    from .gates import GateTemplate
+    from .multiplier import MultiplierNetwork
+
+#: Largest spin count a model file may declare.  The parser allocates one
+#: bias per spin up front, so this bounds what a one-line file can make it
+#: allocate to a few MiB; a 12x12 multiplier has under a thousand spins.
+MAX_MODEL_SPINS = 1 << 20
+
+
+class ModelFormatError(ValueError):
+    """Malformed model text; carries the offending 1-based line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+def _directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, tokens) of every line of ``text`` that holds more
+    than a ``#`` comment; the line is stripped of its comment and of
+    surrounding whitespace."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+def format_model(model: IsingModel) -> str:
+    lines = [f"n {model.n}"]
+    for i, hv in enumerate(model.h):
+        if hv != 0.0:
+            lines.append(f"h {i} {hv!r}")
+    for (i, j) in sorted(model.couplings):
+        lines.append(f"J {i} {j} {model.couplings[(i, j)]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_model(text: str) -> IsingModel:
+    n: int | None = None
+    h: list[float] = []
+    seen_h: set[int] = set()
+    couplings: dict[tuple[int, int], float] = {}
+    for lineno, _, tokens in _directives(text):
+        kind = tokens[0]
+        if kind in ("h", "J") and n is None:
+            raise ModelFormatError(f"{kind!r} line before 'n'", lineno)
+        if kind == "n":
+            if n is not None:
+                raise ModelFormatError("duplicate 'n' line", lineno)
+            if len(tokens) != 2:
+                raise ModelFormatError("expected 'n <count>'", lineno)
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise ModelFormatError(f"bad spin count {tokens[1]!r}", lineno) from None
+            if not 0 <= n <= MAX_MODEL_SPINS:
+                raise ModelFormatError(
+                    f"spin count must be in 0..{MAX_MODEL_SPINS}, got {n}", lineno)
+            h = [0.0] * n
+        elif kind == "h":
+            if len(tokens) != 3:
+                raise ModelFormatError("expected 'h <i> <value>'", lineno)
+            try:
+                i, value = int(tokens[1]), float(tokens[2])
+            except ValueError:
+                raise ModelFormatError("bad 'h' line", lineno) from None
+            if not 0 <= i < n:
+                raise ModelFormatError(f"spin index {i} out of range", lineno)
+            if i in seen_h:
+                raise ModelFormatError(f"duplicate bias for spin {i}", lineno)
+            if not math.isfinite(value):
+                raise ModelFormatError("non-finite bias", lineno)
+            seen_h.add(i)
+            h[i] = value
+        elif kind == "J":
+            if len(tokens) != 4:
+                raise ModelFormatError("expected 'J <i> <j> <value>'", lineno)
+            try:
+                i, j, value = int(tokens[1]), int(tokens[2]), float(tokens[3])
+            except ValueError:
+                raise ModelFormatError("bad 'J' line", lineno) from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ModelFormatError(f"coupling ({i},{j}) out of range", lineno)
+            if i >= j:
+                raise ModelFormatError(f"coupling requires i < j, got ({i},{j})", lineno)
+            if (i, j) in couplings:
+                raise ModelFormatError(f"duplicate coupling ({i},{j})", lineno)
+            if not math.isfinite(value):
+                raise ModelFormatError("non-finite coupling", lineno)
+            couplings[(i, j)] = value
+        else:
+            raise ModelFormatError(f"unknown directive {kind!r}", lineno)
+    if n is None:
+        raise ModelFormatError("missing 'n' line")
+    return IsingModel(n, tuple(h), couplings)
+
+
+def format_ports(template: GateTemplate) -> str:
+    lines = [f"port {name} {idx}" for name, idx in sorted(template.ports.items())]
+    for bits in template.valid_set:
+        lines.append("valid " + " ".join(str(b) for b in bits))
+    lines.append(f"gap {template.gap!r}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_ports(text: str, n: int):
+    """Ports, valid set and gap of a sidecar written for an ``n``-spin model.
+
+    A ``valid`` line must hold exactly ``n`` values, each 0 or 1, and every
+    port must name a spin in 0..n-1.
+    """
+    ports: dict[str, int] = {}
+    valid: list[tuple[int, ...]] = []
+    gap = None
+    for lineno, line, tokens in _directives(text):
+        try:
+            if tokens[0] == "port" and len(tokens) == 3:
+                ports[tokens[1]] = int(tokens[2])
+            elif tokens[0] == "valid":
+                bits = tuple(int(b) for b in tokens[1:])
+                if len(bits) != n or any(b not in (0, 1) for b in bits):
+                    raise ValueError(f"expected {n} bits of 0 or 1")
+                valid.append(bits)
+            elif tokens[0] == "gap" and len(tokens) == 2:
+                gap = float(tokens[1])
+            else:
+                raise ValueError("bad directive")
+        except ValueError as exc:
+            raise ModelFormatError(f"bad sidecar line {line!r}: {exc}", lineno) from None
+    for name, idx in sorted(ports.items()):
+        if not 0 <= idx < n:
+            raise ModelFormatError(f"port {name!r} index {idx} out of range")
+    return ports, tuple(valid), gap
+
+
+def format_roles(net: MultiplierNetwork) -> str:
+    lines = []
+    for label, spins in (("A", net.factor_a), ("B", net.factor_b), ("P", net.product)):
+        for bit, spin in enumerate(spins):
+            lines.append(f"role {label} {bit} {spin}")
+    return "\n".join(lines) + "\n"
+
+
+def write_shot_csv(
+    fh,
+    results: Sequence[ShotResult],
+    reference_e0: float | None = None,
+    decoded: Sequence[tuple[int, int, int]] | None = None,
+) -> None:
+    """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P], the last
+    three columns from ``decoded``, one (M, N, P) row per result."""
+    header = "shot,energy,ground_hit,state_bits"
+    if decoded is not None:
+        header += ",M,N,P"
+    fh.write(header + "\n")
+    for k, r in enumerate(results):
+        bits = "".join(str(b) for b in spins_to_bits(r.state))
+        hit = ""
+        if reference_e0 is not None:
+            hit = "1" if r.energy <= reference_e0 + GROUND_TOL else "0"
+        row = f"{r.index},{r.energy!r},{hit},{bits}"
+        if decoded is not None:
+            m, n, p = decoded[k]
+            row += f",{m},{n},{p}"
+        fh.write(row + "\n")
+
+
+def write_trace_csv(fh, traces: Sequence[ShotTrace], period: float) -> None:
+    """Plot-ready CSV of one or more shots: t,Iq_1..Iq_n under one header,
+    shot k's times shifted by ``k * period``."""
+    n = traces[0].iq.shape[1]
+    fh.write("t," + ",".join(f"Iq_{q + 1}" for q in range(n)) + "\n")
+    for k, trace in enumerate(traces):
+        for row_t, row_iq in zip((trace.t + k * period).tolist(), trace.iq.tolist()):
+            fh.write(f"{row_t!r}," + ",".join(map(repr, row_iq)) + "\n")

@@ -16,9 +16,9 @@ import numpy as np
 from .ising import (
     GROUND_TOL,
     IsingModel,
-    _energies_for_codes,
     bits_to_spins,
     brute_force_ground,
+    code_energies,
     energy,
     spins_to_bits,
 )
@@ -277,15 +277,13 @@ def invalid_gap(model: IsingModel, valid_set, e0: float) -> float:
     """Lowest energy over the bit-vectors outside ``valid_set``, minus ``e0``.
 
     ``inf`` when every bit-vector is valid.  Bit k of an enumeration code
-    drives spin k; codes are taken 2**20 at a time to bound memory.
+    drives spin k.
     """
     valid = np.array([sum(b << k for k, b in enumerate(bits)) for bits in valid_set],
                      dtype=np.int64)
-    total, chunk = 1 << model.n, 1 << 20
     lowest = math.inf
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        e = _energies_for_codes(model, codes)[~np.isin(codes, valid)]
+    for codes, e in code_energies(model):
+        e = e[~np.isin(codes, valid)]
         if e.size:
             lowest = min(lowest, float(e.min()))
     return lowest - e0

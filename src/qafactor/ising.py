@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,11 +25,6 @@ GROUND_TOL = 1e-9
 #: seconds at desk scale).
 BRUTE_FORCE_CAP = 26
 
-#: Largest spin count a model file may declare.  The parser allocates one
-#: bias per spin up front, so this bounds what a one-line file can make it
-#: allocate to a few MiB; a 12x12 multiplier has under a thousand spins.
-MAX_MODEL_SPINS = 1 << 20
-
 Bits = Sequence[int]
 SpinState = tuple[int, ...]
 
@@ -40,16 +35,6 @@ class DimensionError(ValueError):
 
 class SizeCapError(ValueError):
     """Model exceeds the exhaustive-enumeration cap."""
-
-
-class ModelFormatError(ValueError):
-    """Malformed model text; carries the offending 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 def _canonical_couplings(n: int, couplings) -> dict[tuple[int, int], float]:
@@ -219,25 +204,25 @@ def state_from_code(n: int, code: int) -> SpinState:
     return tuple(1 if (code >> k) & 1 else -1 for k in range(n))
 
 
-def _energies_for_codes(model: IsingModel, codes: np.ndarray) -> np.ndarray:
-    """Vectorized H over an array of enumeration codes."""
-    cols: dict[int, np.ndarray] = {}
-
-    def col(i: int) -> np.ndarray:
-        arr = cols.get(i)
-        if arr is None:
-            arr = (((codes >> i) & 1) * 2 - 1).astype(np.int8)
-            cols[i] = arr
-        return arr
-
-    e = np.zeros(codes.shape[0], dtype=np.float64)
-    for i, hv in enumerate(model.h):
-        if hv != 0.0:
-            e += hv * col(i)
-    for (i, j), v in model.couplings.items():
-        if v != 0.0:
-            e += v * (col(i) * col(j))
-    return e
+def code_energies(model: IsingModel, chunk_bits: int = 20
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(codes, energies)``: H at every enumeration code 0..2**n-1 in
+    ascending order, 2**chunk_bits codes at a time to bound memory.  Bit k
+    of a code drives spin k."""
+    h = [(i, hv) for i, hv in enumerate(model.h) if hv != 0.0]
+    couplings = [(i, j, v) for (i, j), v in model.couplings.items() if v != 0.0]
+    used = {i for i, _ in h} | {i for c in couplings for i in c[:2]}
+    total = 1 << model.n
+    chunk = 1 << min(chunk_bits, model.n)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        spin = {i: (((codes >> i) & 1) * 2 - 1).astype(np.int8) for i in used}
+        e = np.zeros(codes.shape[0], dtype=np.float64)
+        for i, hv in h:
+            e += hv * spin[i]
+        for i, j, v in couplings:
+            e += v * (spin[i] * spin[j])
+        yield codes, e
 
 
 @dataclass(frozen=True)
@@ -264,27 +249,21 @@ def brute_force_ground(
 ) -> GroundReport:
     """Enumerate all 2**n states; exact e0, the complete ground list, and gap.
 
-    The enumeration is processed in chunks; results do not depend on the
-    chunk size.  Ground states are returned in ascending code order
-    (spin 0 is the least significant bit of the code).
+    The enumeration is processed in chunks (:func:`code_energies`);
+    results do not depend on the chunk size.  Ground states are returned
+    in ascending code order (spin 0 is the least significant bit of the
+    code).
     """
     if model.n > cap:
         raise SizeCapError(f"n={model.n} exceeds enumeration cap {cap}")
     if model.n == 0:
         return GroundReport(0.0, ((),), math.inf)
-    total = 1 << model.n
-    chunk = 1 << min(chunk_bits, model.n)
 
-    e0 = math.inf
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        e0 = min(e0, float(_energies_for_codes(model, codes).min()))
+    e0 = min(float(e.min()) for _, e in code_energies(model, chunk_bits))
 
     ground_codes: list[int] = []
     e1 = math.inf
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        e = _energies_for_codes(model, codes)
+    for codes, e in code_energies(model, chunk_bits):
         mask = e <= e0 + GROUND_TOL
         ground_codes.extend(int(c) for c in codes[mask])
         above = e[~mask]
@@ -293,90 +272,3 @@ def brute_force_ground(
     states = tuple(state_from_code(model.n, c) for c in ground_codes)
     gap = math.inf if math.isinf(e1) else e1 - e0
     return GroundReport(e0, states, gap)
-
-
-# ---------------------------------------------------------------------------
-# Text model format: `n <count>` first, then `h <i> <v>` / `J <i> <j> <v>`
-# lines, 0-based, i<j, '#' comments.  The writer emits sorted lines; the
-# reader accepts h/J lines in any order.
-# ---------------------------------------------------------------------------
-
-def format_model(model: IsingModel) -> str:
-    lines = [f"n {model.n}"]
-    for i, hv in enumerate(model.h):
-        if hv != 0.0:
-            lines.append(f"h {i} {hv!r}")
-    for (i, j) in sorted(model.couplings):
-        lines.append(f"J {i} {j} {model.couplings[(i, j)]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_model(text: str) -> IsingModel:
-    n: int | None = None
-    h: list[float] = []
-    seen_h: set[int] = set()
-    couplings: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "n":
-            if n is not None:
-                raise ModelFormatError("duplicate 'n' line", lineno)
-            if len(tokens) != 2:
-                raise ModelFormatError("expected 'n <count>'", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ModelFormatError(f"bad spin count {tokens[1]!r}", lineno) from None
-            if not 0 <= n <= MAX_MODEL_SPINS:
-                raise ModelFormatError(
-                    f"spin count must be in 0..{MAX_MODEL_SPINS}, got {n}", lineno)
-            h = [0.0] * n
-        elif kind == "h":
-            if n is None:
-                raise ModelFormatError("'h' line before 'n'", lineno)
-            if len(tokens) != 3:
-                raise ModelFormatError("expected 'h <i> <value>'", lineno)
-            try:
-                i, value = int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise ModelFormatError("bad 'h' line", lineno) from None
-            if not 0 <= i < n:
-                raise ModelFormatError(f"spin index {i} out of range", lineno)
-            if i in seen_h:
-                raise ModelFormatError(f"duplicate bias for spin {i}", lineno)
-            if not math.isfinite(value):
-                raise ModelFormatError("non-finite bias", lineno)
-            seen_h.add(i)
-            h[i] = value
-        elif kind == "J":
-            if n is None:
-                raise ModelFormatError("'J' line before 'n'", lineno)
-            if len(tokens) != 4:
-                raise ModelFormatError("expected 'J <i> <j> <value>'", lineno)
-            try:
-                i, j, value = int(tokens[1]), int(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise ModelFormatError("bad 'J' line", lineno) from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ModelFormatError(f"coupling ({i},{j}) out of range", lineno)
-            if i >= j:
-                raise ModelFormatError(f"coupling requires i < j, got ({i},{j})", lineno)
-            if (i, j) in couplings:
-                raise ModelFormatError(f"duplicate coupling ({i},{j})", lineno)
-            if not math.isfinite(value):
-                raise ModelFormatError("non-finite coupling", lineno)
-            couplings[(i, j)] = value
-        else:
-            raise ModelFormatError(f"unknown directive {kind!r}", lineno)
-    if n is None:
-        raise ModelFormatError("missing 'n' line")
-    return IsingModel(n, tuple(h), couplings)
-
-
-def read_model(path) -> IsingModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())

@@ -16,8 +16,8 @@ from qafactor.anneal import (
     Schedule,
     anneal_shot,
     run_shots,
-    write_shot_csv,
 )
+from qafactor.formats import write_shot_csv
 from qafactor.gates import half_adder_template, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
 from qafactor.multiplier import FOLD, build_multiplier, clamp_product
@@ -327,8 +327,7 @@ class TestReporting:
         _, shots = run_shots(NOR, Schedule(sweeps=50), 3, master_seed=1,
                              keep_shots=True)
         buf = io.StringIO()
-        write_shot_csv(buf, shots, reference_e0=-1.5,
-                       decoder=lambda s: (1, 2, 3))
+        write_shot_csv(buf, shots, reference_e0=-1.5, decoded=[(1, 2, 3)] * 3)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
         assert len(lines) == 4

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from qafactor import cli, fluxsim
 from qafactor.cli import main
-from qafactor.ising import read_model
+from qafactor.formats import parse_model, write_trace_csv
 from qafactor.gates import nor_gate
 from qafactor.seeds import shot_seed
 
@@ -33,7 +34,7 @@ class TestGatesEmit:
         code, out, _ = run(capsys, "gates", "emit", "nor")
         assert code == 0
         assert "e0 -1.5" in out
-        assert read_model("nor.model") == nor_gate().model
+        assert parse_model(Path("nor.model").read_text()) == nor_gate().model
         ports = open("nor.ports").read()
         assert "port in_a 0" in ports and "port out 2" in ports
         assert "valid 0 0 1" in ports
@@ -72,9 +73,11 @@ class TestVerify:
         assert "spin count" in err
 
     def test_memory_error_is_one_line_data_error(self, capsys, monkeypatch):
-        def exhausted(path):
+        def exhausted(text):
             raise MemoryError
-        monkeypatch.setattr(cli, "read_model", exhausted)
+        with open("any.model", "w") as fh:
+            fh.write("n 1\n")
+        monkeypatch.setattr(cli, "parse_model", exhausted)
         code, _, err = run(capsys, "verify", "any.model")
         assert code == 2
         assert err.startswith("data error:") and err.count("\n") == 1
@@ -119,7 +122,7 @@ class TestSynthMult:
     def test_writes_model_and_roles(self, capsys):
         code, out, _ = run(capsys, "synth", "mult", "--bits-a", "2", "--bits-b", "2")
         assert code == 0
-        model = read_model("mult2x2.model")
+        model = parse_model(Path("mult2x2.model").read_text())
         assert model.n == 20
         roles = open("mult2x2.roles").read().splitlines()
         assert sum(1 for line in roles if line.startswith("role A ")) == 2
@@ -218,12 +221,11 @@ class TestCircuit:
         # inputs are scaled to SI units exactly as the CLI scales them.
         ramp = fluxsim.RampSpec(ramp_s=0.2 * 1e-9, hold_s=0.05 * 1e-9)
         layout = fluxsim.inverse_nor_layout(0, ramp=ramp)
+        noises = [fluxsim.NoiseSpec(sigma=0.13 * 1e-6, seed=shot_seed(1, k)) for k in range(3)]
+        shots = [fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 * 1e-15, decimate=200)
+                 for noise in noises]
         expected = io.StringIO()
-        for k in range(3):
-            noise = fluxsim.NoiseSpec(sigma=0.13 * 1e-6, seed=shot_seed(1, k))
-            shot = fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 * 1e-15,
-                                         decimate=200)
-            fluxsim.write_trace_csv(expected, shot, offset=k * ramp.total_s, header=k == 0)
+        write_trace_csv(expected, shots, ramp.total_s)
 
         calls = []
         integrate = fluxsim._integrate_batch
@@ -267,6 +269,7 @@ class TestCircuit:
     @pytest.mark.parametrize("flag,value", [
         ("--dt-fs", "600"), ("--dt-fs", "0"), ("--dt-fs", "-5"), ("--dt-fs", "nan"),
         ("--ramp-ns", "nan"), ("--hold-ns", "inf"), ("--noise-sigma", "nan"),
+        ("--dt-fs", "1e-300"), ("--ramp-ns", "1e300"),
     ])
     def test_bad_inputs_rejected_before_any_output(self, capsys, flag, value):
         code, out, err = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
@@ -282,6 +285,46 @@ class TestCircuit:
         assert code == 0
         seeds = [line for line in out.splitlines() if line.startswith("master_seed")]
         assert seeds == ["master_seed 5"]
+
+
+#: sha256 of every file each command writes.  A writer whose bytes change
+#: must change these on purpose.  The trace digest also pins NumPy's float64
+#: sin and cos, whose SIMD kernels may round differently on other CPUs.
+_WRITTEN = {
+    "gates-nor": (("gates", "emit", "nor"), {
+        "nor.model": "a58052830bec399bb29b36b402d5739188df142b4efe484d3b95f56977fb6a3b",
+        "nor.ports": "8ee80561cad559abf0621762ce62fe3dec092f5c73f6a531b726b9bb66c376bf"}),
+    "gates-and": (("gates", "emit", "and"), {
+        "and.model": "ecd81ce0dd0e5698cd5c4ff961c55371ae9aa71c178484acd8537a728064efa6",
+        "and.ports": "5eb77740d10e62eaa85367356532d74c9a4fada6378e88420f7762a2a407f53c"}),
+    "gates-half-adder": (("gates", "emit", "half-adder"), {
+        "half-adder.model": "9bea3313e1d68bcc73bc9453641f61b5a63813e31b169fd6ce17112fa582a704",
+        "half-adder.ports": "d53707e8704ee7a36b80ac98e79deb432847af244d25dc6b47d266ed637250f7"}),
+    "gates-mult-unit": (("gates", "emit", "mult-unit"), {
+        "mult-unit.model": "2ab2e29b482d3760c5cbfce3bf737382d3dddef6b3cd928ab8dbe7c1f6b5318b",
+        "mult-unit.ports": "034b93caa23b77dfe516458b58afc57c6bb84160db67e7cd4492ee0b9af6eadf"}),
+    "synth-mult": (("synth", "mult", "--bits-a", "2", "--bits-b", "2"), {
+        "mult2x2.model": "ef3f1da81c63998331cb203e843f8439d92ad35dfe6ec87507335ba1fa3d20d4",
+        "mult2x2.roles": "6190bf4226f65bc4d567d6103b863d3d677c611e86bf71b3d6febedb7b94f69d"}),
+    "factor-csv": (("factor", "15", "--shots", "5", "--sweeps", "50", "--csv", "f.csv"), {
+        "f.csv": "ae87f21fb1ba94a8a3618b5f682700e3db5fb058f5dd1a9756fd9516fe956e50"}),
+    "multiply-csv": (("multiply", "3", "5", "--shots", "5", "--csv", "m.csv"), {
+        "m.csv": "5ebfae6a8f144dd1b657337e52edf0922a0ded6a534d7e1fbcf3218be98a24a4"}),
+    "circuit-trace": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
+                       "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
+        "t.csv": "1968c330f58a650a9c98305e695307aa288373f1e389cca0e49d4e5599db74bc"}),
+}
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("case", sorted(_WRITTEN))
+    def test_files_match_pinned_digests(self, capsys, case):
+        argv, digests = _WRITTEN[case]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in digests}
+        assert written == digests
 
 
 class TestCapacity:

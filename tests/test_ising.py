@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_models, spin_states
+from qafactor.formats import MAX_MODEL_SPINS, ModelFormatError, format_model, parse_model
 from qafactor.ising import (
-    MAX_MODEL_SPINS,
     DimensionError,
     IsingModel,
-    ModelFormatError,
     SizeCapError,
     bits_to_spins,
     brute_force_ground,
     clamp_fold,
     energy,
-    format_model,
     free_indices,
     merge_spins,
-    parse_model,
     spins_to_bits,
     state_from_code,
 )
