@@ -37,7 +37,6 @@ should not pay for it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -104,17 +103,22 @@ class ShotResult:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """``hits``: per shot, in shot order, whether its energy reached
+    ``reference_e0`` within :data:`GROUND_TOL`; ``None`` without one."""
+
     shots: int
     best_energy: float
     reference_e0: float | None
-    ground_hits: int | None
+    hits: tuple[bool, ...] | None
     histogram: dict[str, int]
 
     @property
+    def ground_hits(self) -> int | None:
+        return None if self.hits is None else sum(self.hits)
+
+    @property
     def ground_hit_rate(self) -> float | None:
-        if self.ground_hits is None:
-            return None
-        return self.ground_hits / self.shots
+        return None if self.hits is None else self.ground_hits / self.shots
 
     def to_text(self) -> str:
         """Line-oriented key-value rendering; byte-stable for fixed inputs."""
@@ -316,27 +320,26 @@ def run_shots(
     """Run ``n_shots`` independent shots and aggregate in shot-index order.
 
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
-    ``keep_shots`` is set.  Histogram keys are the final states' bit
-    strings (spin 0 first).  Each worker takes a contiguous range of
+    ``keep_shots`` is set; its ``hits`` are the package's one ground label
+    per shot.  Histogram keys are the final states' bit strings (spin 0
+    first).  Each worker takes a contiguous range of
     shot indices (:func:`qafactor.seeds.run_shot_ranges`).
     """
     results = run_shot_ranges(_shot_range, (model, schedule, master_seed),
                               n_shots, workers)
 
     histogram: dict[str, int] = {}
-    best = math.inf
-    hits = 0
     for r in results:
         key = "".join(str(b) for b in spins_to_bits(r.state))
         histogram[key] = histogram.get(key, 0) + 1
-        best = min(best, r.energy)
-        if reference_e0 is not None and r.energy <= reference_e0 + GROUND_TOL:
-            hits += 1
+    hits = None
+    if reference_e0 is not None:
+        hits = tuple(r.energy <= reference_e0 + GROUND_TOL for r in results)
     summary = RunSummary(
         shots=n_shots,
-        best_energy=best,
+        best_energy=min(r.energy for r in results),
         reference_e0=reference_e0,
-        ground_hits=hits if reference_e0 is not None else None,
+        hits=hits,
         histogram=histogram,
     )
     if keep_shots:

@@ -25,7 +25,8 @@ from .formats import (
     write_trace_csv,
 )
 from .gates import and_gate, half_adder_template, nor_gate, verify_gate
-from .ising import BRUTE_FORCE_CAP, SizeCapError, brute_force_ground, clamp_fold, spins_to_bits
+from .ising import (BRUTE_FORCE_CAP, GROUND_TOL, MAX_BRUTE_FORCE_CAP, SizeCapError,
+                    brute_force_ground, clamp_fold, spins_to_bits)
 from .multiplier import (
     BIAS,
     FOLD,
@@ -125,6 +126,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _cap(text: str) -> int:
+    """``--cap``: the largest spin count to enumerate, 1..MAX_BRUTE_FORCE_CAP."""
+    value = int(text)
+    if not 1 <= value <= MAX_BRUTE_FORCE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{MAX_BRUTE_FORCE_CAP}, got {value}")
+    return value
+
+
 def _add_anneal_flags(parser, shots_default=200):
     parser.add_argument("--shots", type=_positive_int, default=shots_default)
     parser.add_argument("--sweeps", type=int, default=2000)
@@ -148,17 +158,17 @@ def cmd_anneal(args) -> int:
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
     if args.csv:
-        _save_shot_csv(args.csv, shots, reference)
+        _save_shot_csv(args.csv, shots, summary.hits)
     sys.stdout.write(summary.to_text())
     return 0
 
 
-def _save_shot_csv(path: str, shots, reference, outcomes=None) -> None:
+def _save_shot_csv(path: str, shots, hits, outcomes=None) -> None:
     """``--csv``: the shot log, with M,N,P per shot when ``outcomes`` (one
     decoded outcome per shot) is given."""
     decoded = None if outcomes is None else [(o.m, o.n, o.p) for o in outcomes]
     with open(path, "w", encoding="utf-8") as fh:
-        write_shot_csv(fh, shots, reference_e0=reference, decoded=decoded)
+        write_shot_csv(fh, shots, hits=hits, decoded=decoded)
     print(f"wrote {path}")
 
 
@@ -202,19 +212,18 @@ def cmd_factor(args) -> int:
     outcomes = [outcome(r.state) for r in shots]
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
-    for out in outcomes:
+    for out, hit in zip(outcomes, summary.hits):
         key = f"({out.m},{out.n})"
         hist[key] = hist.get(key, 0) + 1
-        if out.is_ground:
-            hits[key] = hits.get(key, 0) + 1
+        hits[key] = hits.get(key, 0) + hit
     print(f"shots {summary.shots}")
     print(f"best_energy {summary.best_energy!r}")
     print(f"ground_hits {summary.ground_hits}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     for key in sorted(hist, key=lambda k: (-hist[k], k)):
-        print(f"count {key} {hist[key]} ground {hits.get(key, 0)}")
+        print(f"count {key} {hist[key]} ground {hits[key]}")
     if args.csv:
-        _save_shot_csv(args.csv, shots, reference, outcomes)
+        _save_shot_csv(args.csv, shots, summary.hits, outcomes)
     return 0
 
 
@@ -240,12 +249,12 @@ def cmd_multiply(args) -> int:
 
     outcome = functools.partial(decode_reduced, net, clamps)
     best = min(shots, key=lambda r: (r.energy, r.index))
-    out = outcome(best.state)
-    print(f"product {out.p}")
-    print(f"ground_reached {out.is_ground}")
+    # The lowest-energy shot reached ground exactly when any shot did.
+    print(f"product {outcome(best.state).p}")
+    print(f"ground_reached {summary.ground_hits > 0}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     if args.csv:
-        _save_shot_csv(args.csv, shots, reference, [outcome(r.state) for r in shots])
+        _save_shot_csv(args.csv, shots, summary.hits, [outcome(r.state) for r in shots])
     return 0
 
 
@@ -273,7 +282,7 @@ def cmd_verify(args) -> int:
         passed = ground_bits == sorted(valid)
         print(f"valid_set_match {str(passed).lower()}")
     if declared_gap is not None:
-        gap_ok = report.gap >= declared_gap - 1e-9
+        gap_ok = report.gap >= declared_gap - GROUND_TOL
         print(f"gap_met {str(gap_ok).lower()}")
         passed = passed and gap_ok
     print(f"pass {str(passed).lower()}")
@@ -363,9 +372,10 @@ def build_parser() -> _Parser:
     p_anneal = sub.add_parser("anneal", parents=[seed_parent])
     p_anneal.add_argument("model")
     _add_anneal_flags(p_anneal)
-    p_anneal.add_argument("--reference-e0", type=float, default=None)
-    p_anneal.add_argument("--brute-force-reference", action="store_true")
-    p_anneal.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
+    ref_flags = p_anneal.add_mutually_exclusive_group()
+    ref_flags.add_argument("--reference-e0", type=float, default=None)
+    ref_flags.add_argument("--brute-force-reference", action="store_true")
+    p_anneal.add_argument("--cap", type=_cap, default=BRUTE_FORCE_CAP)
     p_anneal.set_defaults(func=cmd_anneal)
 
     p_factor = sub.add_parser("factor", parents=[seed_parent])
@@ -391,7 +401,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify")
     p_verify.add_argument("model")
     p_verify.add_argument("--ports", default=None, help="ports sidecar to check against")
-    p_verify.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
+    p_verify.add_argument("--cap", type=_cap, default=BRUTE_FORCE_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_circ = sub.add_parser("circuit")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .ising import GROUND_TOL, IsingModel, spins_to_bits
+from .ising import IsingModel, spins_to_bits
 
 if TYPE_CHECKING:
     from .anneal import ShotResult
@@ -166,20 +166,20 @@ def format_roles(net: MultiplierNetwork) -> str:
 def write_shot_csv(
     fh,
     results: Sequence[ShotResult],
-    reference_e0: float | None = None,
+    hits: Sequence[bool] | None = None,
     decoded: Sequence[tuple[int, int, int]] | None = None,
 ) -> None:
-    """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P], the last
-    three columns from ``decoded``, one (M, N, P) row per result."""
+    """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P].  The
+    ground_hit column writes ``hits`` (the run's labels, one per result;
+    empty without them) and the last three columns ``decoded``, one
+    (M, N, P) row per result."""
     header = "shot,energy,ground_hit,state_bits"
     if decoded is not None:
         header += ",M,N,P"
     fh.write(header + "\n")
     for k, r in enumerate(results):
         bits = "".join(str(b) for b in spins_to_bits(r.state))
-        hit = ""
-        if reference_e0 is not None:
-            hit = "1" if r.energy <= reference_e0 + GROUND_TOL else "0"
+        hit = "" if hits is None else str(int(hits[k]))
         row = f"{r.index},{r.energy!r},{hit},{bits}"
         if decoded is not None:
             m, n, p = decoded[k]

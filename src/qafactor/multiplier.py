@@ -43,7 +43,6 @@ class FactorOutcome:
     m: int
     n: int
     p: int
-    energy: float
     is_ground: bool
 
 
@@ -187,13 +186,16 @@ def bias_ground_energy(net: MultiplierNetwork) -> float:
 
 
 def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:
-    """Read (M, N, P) off the role spins of a full network state."""
+    """Read (M, N, P) off the role spins of a full network state.
+
+    ``is_ground`` means a valid multiplication at the network's E0, not
+    that a run reached its reference (that is ``RunSummary.hits``)."""
     e = energy(net.model, state)  # validates dimension
     bits = spins_to_bits(state)
     m = sum(bits[s] << k for k, s in enumerate(net.factor_a))
     n = sum(bits[s] << k for k, s in enumerate(net.factor_b))
     p = sum(bits[s] << k for k, s in enumerate(net.product))
-    return FactorOutcome(m, n, p, e, e <= net.expected_e0 + GROUND_TOL)
+    return FactorOutcome(m, n, p, e <= net.expected_e0 + GROUND_TOL)
 
 
 def decode_reduced(

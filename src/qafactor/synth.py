@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateTemplate, TruthTable, invalid_gap, verify_gate
-from .ising import IsingModel, bits_to_spins, energy
+from .gates import GateTemplate, TruthTable
+from .ising import IsingModel, brute_force_ground, spins_to_bits
 
 GRID = 0.25
 _SNAP_EPS = 1e-6
@@ -203,17 +203,14 @@ def synthesize_penalty(
     couplings = {p: c for p, c in zip(prob.pairs, coeffs[prob.n:]) if c != 0.0}
     model = IsingModel(prob.n, h, couplings)
 
-    e0 = energy(model, bits_to_spins(table.valid[0]))
-    achieved = invalid_gap(model, table.valid, e0)
-    template = GateTemplate(
-        name, model, ports or {}, tuple(sorted(table.valid)), min(achieved, target)
-    )
-    check = verify_gate(template)
-    if not check.passed:
+    report = brute_force_ground(model)
+    offending = {spins_to_bits(s) for s in report.states} ^ set(table.valid)
+    if offending:
         raise SynthesisError(
-            f"synthesized model failed verification ({len(check.offending)} offending states)"
+            f"synthesized model failed verification ({len(offending)} offending states)"
         )
-    return template
+    return GateTemplate(name, model, ports or {}, tuple(sorted(table.valid)),
+                        min(report.gap, target))
 
 
 def _lex_grid_coefficients(prob: _Problem, target: float) -> list[float] | None:

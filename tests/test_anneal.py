@@ -168,6 +168,16 @@ class TestRunShots:
         assert all(r.seed == shot_seed(3, r.index) for r in shots)
         assert summary.shots == 10
 
+    def test_hits_label_each_shot_in_order(self):
+        hot = Schedule(t_hot=5.0, t_cold=5.0, sweeps=1)
+        summary, shots = run_shots(NOR, hot, 40, master_seed=4, reference_e0=-1.5,
+                                   keep_shots=True)
+        assert len(summary.hits) == 40
+        assert summary.ground_hits == sum(summary.hits)
+        assert 0 < summary.ground_hits < 40
+        for r, hit in zip(shots, summary.hits):
+            assert hit == (r.energy == -1.5)
+
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
             run_shots(NOR, Schedule(), 0, master_seed=1)
@@ -310,7 +320,7 @@ class TestShotRanges:
 
 class TestReporting:
     def test_summary_text_layout(self):
-        summary = RunSummary(3, -1.5, -1.5, 2, {"01": 2, "10": 1})
+        summary = RunSummary(3, -1.5, -1.5, (True, False, True), {"01": 2, "10": 1})
         text = summary.to_text()
         assert text.splitlines() == [
             "shots 3",
@@ -327,12 +337,12 @@ class TestReporting:
         _, shots = run_shots(NOR, Schedule(sweeps=50), 3, master_seed=1,
                              keep_shots=True)
         buf = io.StringIO()
-        write_shot_csv(buf, shots, reference_e0=-1.5, decoded=[(1, 2, 3)] * 3)
+        write_shot_csv(buf, shots, hits=(False, True, False), decoded=[(1, 2, 3)] * 3)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
         assert len(lines) == 4
+        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "0"]
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert first[2] in ("0", "1")
         assert set(first[3]) <= {"0", "1"}
         assert first[4:] == ["1", "2", "3"]

@@ -14,6 +14,7 @@ from qafactor import cli, fluxsim
 from qafactor.cli import main
 from qafactor.formats import parse_model, write_trace_csv
 from qafactor.gates import nor_gate
+from qafactor.ising import MAX_BRUTE_FORCE_CAP
 from qafactor.seeds import shot_seed
 
 
@@ -153,6 +154,14 @@ class TestAnnealCommand:
         _, second, _ = run(capsys, "anneal", "nor.model", "--shots", "10", "--seed", "7")
         assert first == second
 
+    def test_reference_flags_are_exclusive(self, capsys):
+        run(capsys, "gates", "emit", "nor")
+        code, out, err = run(capsys, "anneal", "nor.model", "--reference-e0", "7",
+                             "--brute-force-reference", "--shots", "2")
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestMultiply:
     def test_three_times_five(self, capsys):
@@ -187,16 +196,34 @@ class TestMultiply:
 
 
 class TestFactor:
-    def test_factor_four_on_2x2(self, capsys):
-        code, out, _ = run(capsys, "factor", "4", "--bits-a", "2", "--bits-b", "2",
-                           "--shots", "40")
+    # The ground column and the CSV's ground_hit are the run's one label
+    # per shot, so they sum to ground_hits and mark only true factor pairs,
+    # under BIAS (product spins free) as under FOLD.
+    @pytest.mark.parametrize("p,extra", [
+        (4, ("--shots", "40")),
+        (9, ("--method", "bias", "--shots", "30")),
+    ], ids=["4-fold", "9-bias"])
+    def test_ground_labels_are_factor_pairs(self, capsys, p, extra):
+        code, out, _ = run(capsys, "factor", str(p), "--bits-a", "2", "--bits-b", "2",
+                           *extra, "--csv", "shots.csv")
         assert code == 0
-        for line in out.splitlines():
-            if line.startswith("count") and " ground " in line:
-                pair, ground = line.split()[1], int(line.split()[-1])
-                if ground > 0:
-                    m, n = eval(pair)
-                    assert m * n == 4
+        lines = out.splitlines()
+        hits = int(next(x for x in lines if x.startswith("ground_hits ")).split()[1])
+        assert hits > 0
+        ground_total = 0
+        for line in lines:
+            if line.startswith("count "):
+                _, pair, _, _, ground = line.split()
+                m, n = map(int, pair.strip("()").split(","))
+                ground_total += int(ground)
+                if int(ground) > 0:
+                    assert m * n == p, line
+        assert ground_total == hits
+        rows = [row.split(",") for row in open("shots.csv").read().splitlines()[1:]]
+        assert sum(row[2] == "1" for row in rows) == hits
+        for _, _, hit, _, m, n, _ in rows:
+            if hit == "1":
+                assert int(m) * int(n) == p
 
     def test_zero_product(self, capsys):
         code, out, _ = run(capsys, "factor", "0", "--bits-a", "1", "--bits-b", "1",
@@ -207,12 +234,6 @@ class TestFactor:
     def test_width_too_small(self, capsys):
         code, _, _ = run(capsys, "factor", "100", "--bits-a", "1", "--bits-b", "1")
         assert code == 1
-
-    def test_bias_method_runs(self, capsys):
-        code, out, _ = run(capsys, "factor", "9", "--bits-a", "2", "--bits-b", "2",
-                           "--method", "bias", "--shots", "30")
-        assert code == 0
-        assert "ground_hit_rate" in out
 
 
 class TestCircuit:
@@ -367,6 +388,28 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    # The model has 3 spins, so a cap accepted by mistake still returns at
+    # once instead of starting a long enumeration.
+    @given(st.one_of(st.integers(max_value=0),
+                     st.integers(1, MAX_BRUTE_FORCE_CAP),
+                     st.integers(min_value=MAX_BRUTE_FORCE_CAP + 1)),
+           st.sampled_from([("verify", "nor.model"),
+                            ("anneal", "nor.model", "--brute-force-reference",
+                             "--shots", "1", "--sweeps", "1")]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cap_outside_range_is_usage_error(self, capsys, cap, command):
+        with open("nor.model", "w") as fh:
+            fh.write("n 3\nh 0 0.5\nh 1 0.5\nh 2 1.0\n"
+                     "J 0 1 0.5\nJ 0 2 1.0\nJ 1 2 1.0\n")
+        code, out, err = run(capsys, *command, "--cap", str(cap))
+        if 1 <= cap <= MAX_BRUTE_FORCE_CAP:
+            assert code == (0 if cap >= 3 else 2)
+        else:
+            assert code == 1
+            assert out == ""
+            assert "--cap" in err
 
     @pytest.mark.parametrize("command", [
         ("factor", "15", "--sweeps", "0"),

@@ -1,10 +1,4 @@
-import itertools
-import math
-
 import pytest
-from conftest import small_models
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qafactor.gates import (
     NOT,
@@ -18,7 +12,6 @@ from qafactor.gates import (
     free_spin,
     half_adder,
     half_adder_template,
-    invalid_gap,
     nor_gate,
     verify_gate,
 )
@@ -84,16 +77,6 @@ class TestVerifyGate:
         nor = nor_gate()
         too_demanding = GateTemplate("nor", nor.model, nor.ports, nor.valid_set, 2.5)
         assert not verify_gate(too_demanding).passed
-
-    @given(small_models(), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_invalid_gap_equals_per_state_loop(self, model, data):
-        states = list(itertools.product((0, 1), repeat=model.n))
-        valid = data.draw(st.sets(st.sampled_from(states)))
-        e0 = data.draw(st.sampled_from((0.0, -1.25)))
-        lowest = min((energy(model, bits_to_spins(b)) for b in states if b not in valid),
-                     default=math.inf)
-        assert invalid_gap(model, valid, e0) == lowest - e0
 
 
 class TestCompose:
