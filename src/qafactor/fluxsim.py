@@ -65,7 +65,7 @@ class ShotError(RuntimeError):
 
 @dataclass(frozen=True)
 class QubitCircuitParams:
-    """Per-qubit circuit values (SI units)."""
+    """Circuit values of one qubit design (SI units), shared by a layout's qubits."""
 
     ic: float = 4.0e-6     # junction critical current
     r: float = 3.2e3       # shunt resistance per junction
@@ -184,39 +184,33 @@ class RampSpec:
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Coupled-qubit layout: per-qubit params, biases, signed mutuals."""
+    """Coupled-qubit layout: one qubit design ``params`` shared by every
+    qubit, one bias current per qubit, signed mutuals."""
 
-    params: tuple[QubitCircuitParams, ...]
+    params: QubitCircuitParams
     i_x: tuple[float, ...]
     mutuals: dict[tuple[int, int], float] = field(default_factory=dict)
     ramp: RampSpec = field(default_factory=RampSpec)
 
     def __post_init__(self):
-        n = len(self.params)
-        if len(self.i_x) != n:
-            raise ValueError("one bias current per qubit required")
         for (i, j), m in self.mutuals.items():
-            if not (0 <= i < j < n):
+            if not (0 <= i < j < self.n):
                 raise ValueError(f"mutual key ({i},{j}) must satisfy 0 <= i < j < n")
-            lmin = min(self.params[i].main_loop_inductance,
-                       self.params[j].main_loop_inductance)
-            if abs(m) >= lmin:
+            if abs(m) >= self.params.main_loop_inductance:
                 raise ValueError(f"mutual ({i},{j}) not small against loop inductance")
 
     @property
     def n(self) -> int:
-        return len(self.params)
+        return len(self.i_x)
 
     def inductance_matrix(self) -> np.ndarray:
-        a = np.diag([p.main_loop_inductance for p in self.params])
+        a = np.diag(np.full(self.n, self.params.main_loop_inductance))
         for (i, j), m in self.mutuals.items():
             a[i, j] = a[j, i] = m
         return a
 
     def bias_flux(self) -> np.ndarray:
-        return np.array(
-            [BIAS_WINDING * p.m_x * ix for p, ix in zip(self.params, self.i_x)]
-        )
+        return BIAS_WINDING * self.params.m_x * np.array(self.i_x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -280,10 +274,7 @@ def layout_from_ising(
     """Physical layout realizing an Ising model with identical qubits."""
     params = params or QubitCircuitParams()
     i_x, mutuals = logical_to_physical(model.h, model.couplings, params)
-    return NetworkLayout(
-        params=(params,) * model.n, i_x=i_x, mutuals=mutuals,
-        ramp=ramp or RampSpec(),
-    )
+    return NetworkLayout(params=params, i_x=i_x, mutuals=mutuals, ramp=ramp or RampSpec())
 
 
 def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkLayout:
@@ -392,21 +383,20 @@ def _integrate_batch(
     a_inv = np.linalg.inv(a)
     phi_b = layout.bias_flux()
     iq_bias = a_inv @ phi_b
-    # Per-qubit constants as full (n, batch) operands: NumPy's contiguous
-    # loops are faster than broadcasting a column across the batch.
-    inv_c = np.repeat([[1.0 / (2.0 * p.c)] for p in layout.params], batch, axis=1)
-    g_eff = np.repeat([[2.0 / p.r] for p in layout.params], batch, axis=1)
-    ic2 = np.array([2.0 * p.ic for p in layout.params])
+    p = layout.params
+    inv_c = 1.0 / (2.0 * p.c)
+    g_eff = 2.0 / p.r
+    ic2 = 2.0 * p.ic
     w = 2.0 * math.pi / PHI0
 
     def barrier_cos(times: np.ndarray) -> np.ndarray:
         return np.cos(np.pi * ramp.phi_t(times) / PHI0)
 
     # Bias compensation I*(t)/I*(end) (see module docstring): one shared
-    # waveform from the stiffest qubit's well curve (layouts here are
-    # homogeneous), interpolated in cos(pi phi_t / Phi0); a static bias when
-    # the ramp never ends in a bistable configuration.
-    beta_full = max(p.main_loop_inductance * 2.0 * p.ic / PHI0 for p in layout.params)
+    # waveform from the qubit design's well curve, interpolated in
+    # cos(pi phi_t / Phi0); a static bias when the ramp never ends in a
+    # bistable configuration.
+    beta_full = p.main_loop_inductance * 2.0 * p.ic / PHI0
     grid = np.linspace(0.0, 1.0, 513)
     x_grid = _well_positions(beta_full * grid)
     x_end = float(np.interp(barrier_cos(np.arange(n_steps - 1, n_steps) * dt)[0],
@@ -422,7 +412,7 @@ def _integrate_batch(
         else:
             bias_scale = np.ones_like(cos_steps)
         samples = np.minimum((times / hold).astype(np.int64), n_samples - 1)
-        return ((ic2 * cos_steps[:, None])[:, :, None],
+        return ((ic2 * cos_steps)[:, None, None],
                 (bias_scale[:, None] * iq_bias)[:, :, None],
                 samples.tolist())
 
@@ -594,19 +584,17 @@ def static_potential(
     phi_x: float,
     qubit: int,
     neighbor_iq: Sequence[float] | None = None,
-    span: float | None = None,
-    points: int = 3001,
 ) -> PotentialScan:
     """Effective 1-D potential of one qubit with neighbors frozen.
 
     ``phi_x`` is the externally applied main-loop flux; frozen neighbor
     circulating currents add their mutual flux on top.  Counts strict
-    local minima over the sampled grid, which spans the applied flux
-    plus 1.5 flux quanta on either side unless ``span`` is given.
+    local minima over 3001 grid points spanning the applied flux plus 1.5
+    flux quanta on either side.
     """
     if not 0 <= qubit < layout.n:
         raise ValueError("qubit index out of range")
-    p = layout.params[qubit]
+    p = layout.params
     l_total = p.main_loop_inductance
     ej = (PHI0 / (2.0 * math.pi)) * 2.0 * p.ic * math.cos(math.pi * phi_t / PHI0)
     ext = phi_x
@@ -618,9 +606,8 @@ def static_potential(
                 ext += m * neighbor_iq[j]
             elif j == qubit:
                 ext += m * neighbor_iq[i]
-    if span is None:
-        span = abs(ext) + 1.5 * PHI0
-    phi = np.linspace(-span, span, points)
+    span = abs(ext) + 1.5 * PHI0
+    phi = np.linspace(-span, span, 3001)
     u = (phi - ext) ** 2 / (2.0 * l_total) + ej * np.cos(2.0 * math.pi * phi / PHI0)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
     minima = tuple(float(x) for x in phi[1:-1][interior])

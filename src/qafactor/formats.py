@@ -128,11 +128,11 @@ def format_ports(template: GateTemplate) -> str:
 def parse_ports(text: str, n: int):
     """Ports, valid set and gap of a sidecar written for an ``n``-spin model.
 
-    A ``valid`` line must hold exactly ``n`` values, each 0 or 1, and every
-    port must name a spin in 0..n-1.
+    A ``valid`` line must hold exactly ``n`` values, each 0 or 1, and no
+    two the same; every port must name a spin in 0..n-1.
     """
     ports: dict[str, int] = {}
-    valid: list[tuple[int, ...]] = []
+    valid: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     gap = None
     for lineno, line, tokens in _directives(text):
         try:
@@ -142,7 +142,9 @@ def parse_ports(text: str, n: int):
                 bits = tuple(int(b) for b in tokens[1:])
                 if len(bits) != n or any(b not in (0, 1) for b in bits):
                     raise ValueError(f"expected {n} bits of 0 or 1")
-                valid.append(bits)
+                if bits in valid:
+                    raise ValueError("repeated valid vector")
+                valid[bits] = None
             elif tokens[0] == "gap" and len(tokens) == 2:
                 gap = float(tokens[1])
             else:

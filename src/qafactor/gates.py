@@ -11,7 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .ising import GROUND_TOL, IsingModel, bits_to_spins, brute_force_ground, energy, spins_to_bits
+import numpy as np
+
+from .ising import GROUND_TOL, GroundReport, IsingModel, brute_force_ground
 
 WIRE = "wire"
 NOT = "not"
@@ -26,9 +28,9 @@ class GateTemplate:
     """An Ising block plus its declared valid truth set and energy gap.
 
     ``ports`` maps role names (in_a, out, ...) to local spin indices and
-    ``valid_set`` lists the bit-vectors declared logically correct; the
-    block's ground manifold must equal ``valid_set`` exactly, which
-    :func:`verify_gate` checks by enumeration.
+    ``valid_set`` lists the bit-vectors declared logically correct, under
+    the rule of :class:`TruthTable`; the block's ground manifold must equal
+    ``valid_set`` exactly, which :func:`verify_gate` checks by enumeration.
     """
 
     name: str
@@ -45,9 +47,7 @@ class GateTemplate:
         for name, idx in self.ports.items():
             if not 0 <= idx < self.n:
                 raise ValueError(f"port {name!r} index {idx} out of range")
-        for v in self.valid_set:
-            if len(v) != self.n:
-                raise ValueError("valid_set arity mismatch")
+        TruthTable(self.n, self.valid_set)
 
 
 @dataclass(frozen=True)
@@ -230,34 +230,43 @@ def half_adder_template() -> GateTemplate:
 
 @dataclass(frozen=True)
 class GateReport:
-    """Outcome of an exhaustive gate check."""
+    """Outcome of a ground-manifold check (:func:`check_manifold`).
+
+    ``valid_match`` is None when no valid set was checked, ``gap_met`` None
+    when no gap was declared; ``passed`` holds when neither is False.
+    ``offending`` counts ground states outside the valid set plus valid
+    states off the ground level.  ``e0`` and ``achieved_gap`` are the
+    enumeration's.
+    """
 
     passed: bool
     e0: float
     achieved_gap: float
-    offending: tuple[tuple[tuple[int, ...], float], ...]
+    valid_match: bool | None
+    gap_met: bool | None
+    offending: int
+
+
+def check_manifold(report: GroundReport, valid, gap: float | None) -> GateReport:
+    """Check an enumeration's ground codes against the codes of the bit-vectors
+    ``valid`` and its gap against ``gap``; ``None`` skips that part."""
+    valid_match = gap_met = None
+    offending = 0
+    if valid is not None:
+        wanted = np.array([sum(b << k for k, b in enumerate(v)) for v in valid],
+                          dtype=np.int64)
+        offending = int(np.count_nonzero(~np.isin(report.codes, wanted))
+                        + np.count_nonzero(~np.isin(wanted, report.codes)))
+        valid_match = offending == 0
+    if gap is not None:
+        gap_met = report.gap >= gap - GROUND_TOL
+    return GateReport(valid_match is not False and gap_met is not False, report.e0,
+                      report.gap, valid_match, gap_met, offending)
 
 
 def verify_gate(template: GateTemplate) -> GateReport:
-    """Check ground manifold == valid_set and achieved gap >= declared gap.
-
-    Failures are reported, not raised; ``offending`` lists ground states
-    outside the valid set and valid states off the ground level, with
-    their energies.  ``achieved_gap`` is the enumeration's gap: when the
-    ground set is the valid set, the lowest invalid energy minus e0.
-    """
-    report = brute_force_ground(template.model)
-    ground_bits = {spins_to_bits(s) for s in report.states}
-    valid = set(template.valid_set)
-    offending = []
-    for bits in sorted(ground_bits - valid):
-        offending.append((bits, _bits_energy(template.model, bits)))
-    for bits in sorted(valid - ground_bits):
-        offending.append((bits, _bits_energy(template.model, bits)))
-    passed = ground_bits == valid and report.gap >= template.gap - GROUND_TOL
-    return GateReport(passed, report.e0, report.gap, tuple(offending))
-
-
-def _bits_energy(model: IsingModel, bits) -> float:
-    return energy(model, bits_to_spins(bits))
-
+    """Enumerate the template's block and check its ground manifold against
+    ``valid_set`` and its gap against ``gap``.  Failures are reported, not
+    raised."""
+    return check_manifold(brute_force_ground(template.model), template.valid_set,
+                          template.gap)

@@ -91,13 +91,6 @@ class IsingModel:
             i, j = j, i
         return self.couplings.get((i, j), 0.0)
 
-    def scaled(self, factor: float) -> "IsingModel":
-        return IsingModel(
-            self.n,
-            tuple(factor * x for x in self.h),
-            {k: factor * v for k, v in self.couplings.items()},
-        )
-
 
 def check_state(model: IsingModel, state: Sequence[int]) -> SpinState:
     if len(state) != model.n:
@@ -210,16 +203,19 @@ def state_from_code(n: int, code: int) -> SpinState:
     return tuple(1 if (code >> k) & 1 else -1 for k in range(n))
 
 
-def code_energies(model: IsingModel, chunk_bits: int = 20
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+#: log2 of the codes per chunk of :func:`code_energies` (8-MiB int64 arrays).
+_CHUNK_BITS = 20
+
+
+def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(codes, energies)``: H at every enumeration code 0..2**n-1 in
-    ascending order, 2**chunk_bits codes at a time to bound memory.  Bit k
+    ascending order, 2**_CHUNK_BITS codes at a time to bound memory.  Bit k
     of a code drives spin k."""
     h = [(i, hv) for i, hv in enumerate(model.h) if hv != 0.0]
     couplings = [(i, j, v) for (i, j), v in model.couplings.items() if v != 0.0]
     used = {i for i, _ in h} | {i for c in couplings for i in c[:2]}
     total = 1 << model.n
-    chunk = 1 << min(chunk_bits, model.n)
+    chunk = 1 << min(_CHUNK_BITS, model.n)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         spin = {i: (((codes >> i) & 1) * 2 - 1).astype(np.int8) for i in used}
@@ -231,50 +227,51 @@ def code_energies(model: IsingModel, chunk_bits: int = 20
         yield codes, e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundReport:
-    """Exhaustive ground-state search result.
+    """Exhaustive ground-state search result over ``n`` spins.
 
+    ``codes`` holds every ground state as its enumeration code, an
+    ascending int64 array (bit k of a code drives spin k), 8 bytes per
+    state; ``states`` decodes them to spin tuples in the same order.
     ``gap`` is the distance from e0 to the first level above the
     degeneracy tolerance, ``inf`` when every state is ground.
     """
 
+    n: int
     e0: float
-    states: tuple[SpinState, ...]
+    codes: np.ndarray
     gap: float
 
     @property
     def degeneracy(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    @property
+    def states(self) -> tuple[SpinState, ...]:
+        return tuple(state_from_code(self.n, c) for c in self.codes.tolist())
 
 
-def brute_force_ground(
-    model: IsingModel,
-    cap: int = BRUTE_FORCE_CAP,
-    chunk_bits: int = 20,
-) -> GroundReport:
-    """Enumerate all 2**n states; exact e0, the complete ground list, and gap.
+def brute_force_ground(model: IsingModel, cap: int = BRUTE_FORCE_CAP) -> GroundReport:
+    """Enumerate all 2**n states; exact e0, every ground code, and gap.
 
     The enumeration is processed in chunks (:func:`code_energies`);
-    results do not depend on the chunk size.  Ground states are returned
-    in ascending code order (spin 0 is the least significant bit of the
-    code).
+    results do not depend on the chunk size.
     """
     if model.n > cap:
         raise SizeCapError(f"n={model.n} exceeds enumeration cap {cap}")
     if model.n == 0:
-        return GroundReport(0.0, ((),), math.inf)
+        return GroundReport(0, 0.0, np.zeros(1, dtype=np.int64), math.inf)
 
-    e0 = min(float(e.min()) for _, e in code_energies(model, chunk_bits))
+    e0 = min(float(e.min()) for _, e in code_energies(model))
 
-    ground_codes: list[int] = []
+    ground_codes: list[np.ndarray] = []
     e1 = math.inf
-    for codes, e in code_energies(model, chunk_bits):
+    for codes, e in code_energies(model):
         mask = e <= e0 + GROUND_TOL
-        ground_codes.extend(int(c) for c in codes[mask])
+        ground_codes.append(codes[mask])
         above = e[~mask]
         if above.size:
             e1 = min(e1, float(above.min()))
-    states = tuple(state_from_code(model.n, c) for c in ground_codes)
     gap = math.inf if math.isinf(e1) else e1 - e0
-    return GroundReport(e0, states, gap)
+    return GroundReport(model.n, e0, np.concatenate(ground_codes), gap)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateTemplate, TruthTable
-from .ising import IsingModel, brute_force_ground, spins_to_bits
+from .gates import GateTemplate, TruthTable, check_manifold
+from .ising import IsingModel, brute_force_ground
 
 GRID = 0.25
 _SNAP_EPS = 1e-6
@@ -203,14 +203,13 @@ def synthesize_penalty(
     couplings = {p: c for p, c in zip(prob.pairs, coeffs[prob.n:]) if c != 0.0}
     model = IsingModel(prob.n, h, couplings)
 
-    report = brute_force_ground(model)
-    offending = {spins_to_bits(s) for s in report.states} ^ set(table.valid)
-    if offending:
+    check = check_manifold(brute_force_ground(model), table.valid, None)
+    if not check.passed:
         raise SynthesisError(
-            f"synthesized model failed verification ({len(offending)} offending states)"
+            f"synthesized model failed verification ({check.offending} offending states)"
         )
     return GateTemplate(name, model, ports or {}, tuple(sorted(table.valid)),
-                        min(report.gap, target))
+                        min(check.achieved_gap, target))
 
 
 def _lex_grid_coefficients(prob: _Problem, target: float) -> list[float] | None:

@@ -49,9 +49,9 @@ def readout_wells(layout):
     """
     a_inv = np.linalg.inv(layout.inductance_matrix())
     phi_b = layout.bias_flux()
-    ic2 = np.array([2.0 * p.ic for p in layout.params])
+    ic2 = 2.0 * layout.params.ic
     w = 2.0 * math.pi / PHI0
-    start = np.array([_bare_well_flux(p) for p in layout.params])
+    start = np.full(layout.n, _bare_well_flux(layout.params))
     kt = KB * T_NOISE
     wells = {}
     for bits in itertools.product((0, 1), repeat=layout.n):

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import small_models
 from qafactor import cli, fluxsim
 from qafactor.cli import main
-from qafactor.formats import parse_model, write_trace_csv
-from qafactor.gates import nor_gate
-from qafactor.ising import MAX_BRUTE_FORCE_CAP
+from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
+from qafactor.gates import GateTemplate, nor_gate, verify_gate
+from qafactor.ising import MAX_BRUTE_FORCE_CAP, IsingModel, brute_force_ground, spins_to_bits
 from qafactor.seeds import shot_seed
 
 
@@ -117,6 +120,43 @@ class TestVerify:
         else:
             assert code == 2
             assert "line 2" in err
+            assert out == ""
+
+    def test_repeated_valid_line_is_data_error(self, capsys):
+        run(capsys, "gates", "emit", "nor")
+        with open("nor.ports", "a") as fh:
+            fh.write("valid 0 0 1\n")
+        lines = open("nor.ports").read().count("\n")
+        code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
+        assert code == 2
+        assert f"line {lines}" in err and "repeated" in err
+        assert out == ""
+
+    # One example per model, valid set and gap; each writes the two files
+    # it reads into the shared working directory.  Models without terms
+    # have more ground states than the 32 printed.
+    @given(st.one_of(small_models(),
+                     st.integers(6, 7).map(lambda n: IsingModel(n, (0.0,) * n, {}))),
+           st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ground_and_pass_lines_agree_with_references(self, capsys, model, data):
+        ground = sorted(spins_to_bits(s) for s in brute_force_ground(model).states)
+        every = list(itertools.product((0, 1), repeat=model.n))
+        valid = data.draw(st.one_of(
+            st.just(ground), st.lists(st.sampled_from(every), min_size=1, unique=True)))
+        gap = data.draw(st.sampled_from([0.0, 0.25, 1.0, 2.0, math.inf]))
+        template = GateTemplate("random", model, {}, tuple(valid), gap)
+        with open("random.model", "w") as fh:
+            fh.write(format_model(model))
+        with open("random.ports", "w") as fh:
+            fh.write(format_ports(template))
+        code, out, _ = run(capsys, "verify", "random.model", "--ports", "random.ports")
+        passed = verify_gate(template).passed
+        assert out.splitlines()[-1] == f"pass {str(passed).lower()}"
+        assert [line for line in out.splitlines() if line.startswith("ground ")] == [
+            f"ground {''.join(map(str, bits))} " for bits in ground[:32]]
+        assert code == (0 if passed else 3)
 
 
 class TestSynthMult:

@@ -41,7 +41,7 @@ from qafactor.seeds import shot_seed
 
 
 def single_qubit_layout(i_x=0.0, ramp=None):
-    return NetworkLayout(params=(QubitCircuitParams(),), i_x=(i_x,),
+    return NetworkLayout(params=QubitCircuitParams(), i_x=(i_x,),
                          ramp=ramp or RampSpec())
 
 
@@ -122,8 +122,9 @@ class TestDataclasses:
 
     def test_every_layout_qubit_reports_260_ph(self):
         layout = inverse_nor_layout(0)
-        for p in layout.params:
-            assert p.main_loop_inductance == pytest.approx(260e-12)
+        assert layout.n == 4
+        assert layout.params.main_loop_inductance == pytest.approx(260e-12)
+        assert np.diag(layout.inductance_matrix()) == pytest.approx([260e-12] * 4)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -131,12 +132,10 @@ class TestDataclasses:
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
-            NetworkLayout(params=(QubitCircuitParams(),), i_x=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            NetworkLayout(params=(QubitCircuitParams(),) * 2, i_x=(0.0, 0.0),
+            NetworkLayout(params=QubitCircuitParams(), i_x=(0.0, 0.0),
                           mutuals={(1, 0): 8e-12})
         with pytest.raises(ValueError):
-            NetworkLayout(params=(QubitCircuitParams(),) * 2, i_x=(0.0, 0.0),
+            NetworkLayout(params=QubitCircuitParams(), i_x=(0.0, 0.0),
                           mutuals={(0, 1): 300e-12})
 
     def test_inductance_matrix_symmetric(self):

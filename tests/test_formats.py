@@ -25,7 +25,8 @@ def templates(draw):
     names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
                           max_size=4, unique=True))
     ports = {name: draw(st.integers(0, n - 1)) for name in names}
-    valid = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), max_size=8, unique=True))
+    valid = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8,
+                         unique=True))
     gap = draw(st.floats(allow_nan=False))
     return GateTemplate("random", IsingModel(n, (0.0,) * n, {}), ports, tuple(valid), gap)
 
@@ -41,6 +42,7 @@ def test_random_ports_round_trip(template):
     ("port out 2\n# comment\n\nvalid 0 0\n", 4),
     ("gap 2.0\nfoo bar\n", 2),
     ("valid 0 0 2\n", 1),
+    ("valid 0 0 1\nport out 2\nvalid 0 0 1\n", 3),
 ])
 def test_sidecar_errors_carry_line_numbers(text, line):
     with pytest.raises(ModelFormatError) as err:

@@ -5,9 +5,11 @@ from qafactor.gates import (
     WIRE,
     CircuitGraph,
     CompositionError,
+    GateReport,
     GateTemplate,
     TruthTable,
     and_gate,
+    check_manifold,
     compose,
     free_spin,
     half_adder,
@@ -38,7 +40,7 @@ class TestNorGate:
         report = verify_gate(nor_gate())
         assert report.passed
         assert report.achieved_gap == 2.0
-        assert report.offending == ()
+        assert report.offending == 0
 
 
 class TestAndGate:
@@ -71,12 +73,24 @@ class TestVerifyGate:
         broken = GateTemplate("broken", broken_model, nor.ports, nor.valid_set, 2.0)
         report = verify_gate(broken)
         assert not report.passed
-        assert len(report.offending) > 0
+        assert report.offending > 0
 
     def test_detects_insufficient_gap(self):
         nor = nor_gate()
         too_demanding = GateTemplate("nor", nor.model, nor.ports, nor.valid_set, 2.5)
         assert not verify_gate(too_demanding).passed
+
+    def test_unchecked_parts_are_none(self):
+        # Valid set (1,1,0) instead of (0,0,1): one ground state outside it,
+        # one valid state off the ground level.
+        report = brute_force_ground(nor_gate().model)
+        assert check_manifold(report, None, None) == GateReport(
+            True, -1.5, 2.0, None, None, 0)
+        wrong = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+        assert check_manifold(report, wrong, None) == GateReport(
+            False, -1.5, 2.0, False, None, 2)
+        assert check_manifold(report, None, 2.5) == GateReport(
+            False, -1.5, 2.0, None, False, 0)
 
 
 class TestCompose:
@@ -218,3 +232,6 @@ class TestTruthTable:
             TruthTable(2, ((0, 1, 1),))
         with pytest.raises(ValueError):
             TruthTable(2, ((0, 2),))
+        nor = nor_gate()
+        with pytest.raises(ValueError, match="duplicate"):
+            GateTemplate("nor", nor.model, nor.ports, nor.valid_set + nor.valid_set[:1], 2.0)
