@@ -11,8 +11,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import anneal as annealing
 from . import fluxsim
 from .capacity import CapacityInput, capacity_estimate
@@ -275,12 +273,10 @@ def cmd_verify(args) -> int:
     print(f"ground_states {report.degeneracy}")
     print(f"gap {report.gap!r}")
     if args.ports:
-        # The first 32 ground states by bit string, spin 0 first: ascending
-        # order of the bit-reversed code.
-        n, lex = model.n, np.zeros_like(report.codes)
-        for k in range(n):
-            lex |= ((report.codes >> k) & 1) << (n - 1 - k)
-        for code in np.sort(lex)[:32].tolist():
+        # The first 32 ground states by bit string, spin 0 first: the
+        # codes are already in that order.
+        n = model.n
+        for code in report.codes[:32].tolist():
             bits = "".join(str((code >> (n - 1 - k)) & 1) for k in range(n))
             decoded = " ".join(f"{name}={bits[idx]}" for name, idx in sorted(ports.items()))
             print(f"ground {bits} {decoded}")

@@ -31,8 +31,8 @@ proportionally to I*(t) itself, so a constant I_x overwhelms the
 couplings early in the ramp and traps every qubit on its bias side
 (verified numerically at ramps up to 32 ns).  As in production annealers,
 the bias lines therefore follow the well current: the applied bias flux
-is M_x I_x * I*(t)/I*(end), which keeps the realized h : J proportions
-fixed through the anneal and equals the static value M_x I_x at
+is M_X I_x * I*(t)/I*(end), which keeps the realized h : J proportions
+fixed through the anneal and equals the static value M_X I_x at
 read-out.
 """
 from __future__ import annotations
@@ -63,26 +63,17 @@ class ShotError(RuntimeError):
     """Integrator diverged; carries time and state diagnostics."""
 
 
-@dataclass(frozen=True)
-class QubitCircuitParams:
-    """Circuit values of one qubit design (SI units), shared by a layout's qubits."""
-
-    ic: float = 4.0e-6     # junction critical current
-    r: float = 3.2e3       # shunt resistance per junction
-    c: float = 17e-15      # shunt capacitance per junction
-    l_q: float = 250e-12   # main storage inductance (trimmed for transformers)
-    l_x: float = 10e-12    # bias-transformer section of the main loop
-    m_x: float = 4e-12     # bias control mutual
-
-    def __post_init__(self):
-        for name in ("ic", "r", "c", "l_q", "l_x", "m_x"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def main_loop_inductance(self) -> float:
-        """Total main-loop inductance; 260 pH for the reference design."""
-        return self.l_q + self.l_x
+#: The one qubit design every simulated qubit shares (SI units): junction
+#: critical current, shunt resistance and capacitance per junction, and the
+#: bias control mutual.
+IC = 4.0e-6
+R_SHUNT = 3.2e3
+C_SHUNT = 17e-15
+M_X = 4e-12
+#: Main-loop inductance: the 250-pH storage inductance (trimmed for the
+#: transformers) plus the 10-pH bias-transformer section.  Kept as that sum,
+#: which is not the float 260e-12: the pinned trace goldens were made with it.
+L_LOOP = 250e-12 + 10e-12
 
 
 def _well_positions(beta: np.ndarray) -> np.ndarray:
@@ -103,24 +94,15 @@ def _well_positions(beta: np.ndarray) -> np.ndarray:
     return np.where(bistable, 0.5 * (x_lo + x_hi), 0.0)
 
 
-def _well_current(p: QubitCircuitParams) -> float:
-    """Read-out well current I* = x Phi0 / L at full barrier (phi_t = 0)."""
-    l_total = p.main_loop_inductance
-    x = float(_well_positions(np.array([l_total * 2.0 * p.ic / PHI0]))[0])
-    return x * PHI0 / l_total
+#: Read-out well current I* = x Phi0 / L at full barrier (phi_t = 0):
+#: 3.42 uA at x = 0.430 Phi0.
+I_STAR = float(_well_positions(np.array([L_LOOP * 2.0 * IC / PHI0]))[0]) * PHI0 / L_LOOP
 
-
-def _ix_per_unit_h(p: QubitCircuitParams) -> float:
-    """Bias current realizing |h| = 1 on qubits with params ``p``.  At
-    read-out a bias adds m_x I_x I* to a qubit's well energy and a mutual
-    adds |M| I*^2 to a pair's, so one unit of h equals one unit of J
-    (|M| = 8 pH) when I_x = |M| I* / m_x."""
-    return abs(MUTUAL_PER_UNIT_J) * _well_current(p) / p.m_x
-
-
-#: Bias current realizing |h| = 1 on the reference qubit: 6.84 uA at
-#: I* = 3.42 uA (x = 0.430 Phi0).
-IX_PER_UNIT_H = _ix_per_unit_h(QubitCircuitParams())
+#: Bias current realizing |h| = 1: 6.84 uA.  At read-out a bias adds
+#: M_X I_x I* to a qubit's well energy and a mutual adds |M| I*^2 to a
+#: pair's, so one unit of h equals one unit of J (|M| = 8 pH) when
+#: I_x = |M| I* / M_X.
+IX_PER_UNIT_H = abs(MUTUAL_PER_UNIT_J) * I_STAR / M_X
 
 
 #: Noise samples per second; each sample is held for 1 / NOISE_SAMPLE_RATE.
@@ -184,10 +166,9 @@ class RampSpec:
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Coupled-qubit layout: one qubit design ``params`` shared by every
-    qubit, one bias current per qubit, signed mutuals."""
+    """Coupled-qubit layout of the one qubit design: one bias current per
+    qubit, signed mutuals."""
 
-    params: QubitCircuitParams
     i_x: tuple[float, ...]
     mutuals: dict[tuple[int, int], float] = field(default_factory=dict)
     ramp: RampSpec = field(default_factory=RampSpec)
@@ -196,7 +177,7 @@ class NetworkLayout:
         for (i, j), m in self.mutuals.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"mutual key ({i},{j}) must satisfy 0 <= i < j < n")
-            if abs(m) >= self.params.main_loop_inductance:
+            if abs(m) >= L_LOOP:
                 raise ValueError(f"mutual ({i},{j}) not small against loop inductance")
 
     @property
@@ -204,13 +185,13 @@ class NetworkLayout:
         return len(self.i_x)
 
     def inductance_matrix(self) -> np.ndarray:
-        a = np.diag(np.full(self.n, self.params.main_loop_inductance))
+        a = np.diag(np.full(self.n, L_LOOP))
         for (i, j), m in self.mutuals.items():
             a[i, j] = a[j, i] = m
         return a
 
     def bias_flux(self) -> np.ndarray:
-        return BIAS_WINDING * self.params.m_x * np.array(self.i_x, dtype=float)
+        return BIAS_WINDING * M_X * np.array(self.i_x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -227,22 +208,20 @@ class ShotTrace:
 def logical_to_physical(
     h: Sequence[float],
     couplings: dict[tuple[int, int], float],
-    params: QubitCircuitParams | None = None,
 ) -> tuple[tuple[float, ...], dict[tuple[int, int], float]]:
     """Map dimensionless (h, J) onto bias currents and mutual inductances.
 
     M_ij = MUTUAL_PER_UNIT_J * J_ij, and the bias lines are sized so that
-    the read-out Hamiltonian of identical qubits with ``params`` (default:
-    the reference qubit, 260 pH loops) has h : J as given.  A qubit's
-    field is set by its loop's bias current A^-1 phi_bias,
-    A = diag(L) + M, so each bias flux also drives current through the
-    coupler mutuals into its neighbours.  With I_h the bias current per
-    unit of h for these qubits (``IX_PER_UNIT_H`` for the reference one),
-    the bias currents are therefore I_x = I_h (A / L) h, i.e.
+    the read-out Hamiltonian of qubits of the one design (``L_LOOP`` =
+    260 pH loops) has h : J as given.  A qubit's field is set by its
+    loop's bias current A^-1 phi_bias, A = diag(L) + M, so each bias flux
+    also drives current through the coupler mutuals into its neighbours.
+    With I_h = ``IX_PER_UNIT_H`` the bias current per unit of h, the bias
+    currents are therefore I_x = I_h (A / L) h, i.e.
 
         I_x,i = I_h * (h_i + sum_j M_ij h_j / L),
 
-    which leaves each loop's bias current at h_i * I_h m_x / L.
+    which leaves each loop's bias current at h_i * I_h M_X / L.
     Valid for the shipped gate range |h| <= 2, |J| <= 1.
     """
     for i, hv in enumerate(h):
@@ -256,25 +235,18 @@ def logical_to_physical(
         for (i, j), v in couplings.items()
         if v != 0.0
     }
-    params = params or QubitCircuitParams()
-    l_loop = params.main_loop_inductance
-    ix_unit = _ix_per_unit_h(params)
     drive = [float(hv) for hv in h]
     for (i, j), m in mutuals.items():
-        drive[i] += m * h[j] / l_loop
-        drive[j] += m * h[i] / l_loop
-    return tuple(d * ix_unit for d in drive), mutuals
+        drive[i] += m * h[j] / L_LOOP
+        drive[j] += m * h[i] / L_LOOP
+    return tuple(d * IX_PER_UNIT_H for d in drive), mutuals
 
 
-def layout_from_ising(
-    model: IsingModel,
-    params: QubitCircuitParams | None = None,
-    ramp: RampSpec | None = None,
-) -> NetworkLayout:
-    """Physical layout realizing an Ising model with identical qubits."""
-    params = params or QubitCircuitParams()
-    i_x, mutuals = logical_to_physical(model.h, model.couplings, params)
-    return NetworkLayout(params=params, i_x=i_x, mutuals=mutuals, ramp=ramp or RampSpec())
+def layout_from_ising(model: IsingModel, ramp: RampSpec | None = None) -> NetworkLayout:
+    """Physical layout realizing an Ising model with qubits of the one design
+    (see :func:`logical_to_physical`)."""
+    i_x, mutuals = logical_to_physical(model.h, model.couplings)
+    return NetworkLayout(i_x=i_x, mutuals=mutuals, ramp=ramp or RampSpec())
 
 
 def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkLayout:
@@ -383,10 +355,9 @@ def _integrate_batch(
     a_inv = np.linalg.inv(a)
     phi_b = layout.bias_flux()
     iq_bias = a_inv @ phi_b
-    p = layout.params
-    inv_c = 1.0 / (2.0 * p.c)
-    g_eff = 2.0 / p.r
-    ic2 = 2.0 * p.ic
+    inv_c = 1.0 / (2.0 * C_SHUNT)
+    g_eff = 2.0 / R_SHUNT
+    ic2 = 2.0 * IC
     w = 2.0 * math.pi / PHI0
 
     def barrier_cos(times: np.ndarray) -> np.ndarray:
@@ -396,7 +367,7 @@ def _integrate_batch(
     # waveform from the qubit design's well curve, interpolated in
     # cos(pi phi_t / Phi0); a static bias when the ramp never ends in a
     # bistable configuration.
-    beta_full = p.main_loop_inductance * 2.0 * p.ic / PHI0
+    beta_full = L_LOOP * 2.0 * IC / PHI0
     grid = np.linspace(0.0, 1.0, 513)
     x_grid = _well_positions(beta_full * grid)
     x_end = float(np.interp(barrier_cos(np.arange(n_steps - 1, n_steps) * dt)[0],
@@ -594,9 +565,7 @@ def static_potential(
     """
     if not 0 <= qubit < layout.n:
         raise ValueError("qubit index out of range")
-    p = layout.params
-    l_total = p.main_loop_inductance
-    ej = (PHI0 / (2.0 * math.pi)) * 2.0 * p.ic * math.cos(math.pi * phi_t / PHI0)
+    ej = (PHI0 / (2.0 * math.pi)) * 2.0 * IC * math.cos(math.pi * phi_t / PHI0)
     ext = phi_x
     if neighbor_iq is not None:
         if len(neighbor_iq) != layout.n:
@@ -608,7 +577,7 @@ def static_potential(
                 ext += m * neighbor_iq[i]
     span = abs(ext) + 1.5 * PHI0
     phi = np.linspace(-span, span, 3001)
-    u = (phi - ext) ** 2 / (2.0 * l_total) + ej * np.cos(2.0 * math.pi * phi / PHI0)
+    u = (phi - ext) ** 2 / (2.0 * L_LOOP) + ej * np.cos(2.0 * math.pi * phi / PHI0)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
     minima = tuple(float(x) for x in phi[1:-1][interior])
     return PotentialScan(phi=phi, u=u, minima_phi=minima)

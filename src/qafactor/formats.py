@@ -129,7 +129,8 @@ def parse_ports(text: str, n: int):
     """Ports, valid set and gap of a sidecar written for an ``n``-spin model.
 
     A ``valid`` line must hold exactly ``n`` values, each 0 or 1, and no
-    two the same; every port must name a spin in 0..n-1.
+    two the same; every port must name a spin in 0..n-1, no name twice.
+    At most one ``gap`` line, not NaN (``inf`` marks an all-ground block).
     """
     ports: dict[str, int] = {}
     valid: dict[tuple[int, ...], None] = {}  # insertion-ordered set
@@ -137,6 +138,8 @@ def parse_ports(text: str, n: int):
     for lineno, line, tokens in _directives(text):
         try:
             if tokens[0] == "port" and len(tokens) == 3:
+                if tokens[1] in ports:
+                    raise ValueError("repeated port name")
                 ports[tokens[1]] = int(tokens[2])
             elif tokens[0] == "valid":
                 bits = tuple(int(b) for b in tokens[1:])
@@ -146,7 +149,11 @@ def parse_ports(text: str, n: int):
                     raise ValueError("repeated valid vector")
                 valid[bits] = None
             elif tokens[0] == "gap" and len(tokens) == 2:
+                if gap is not None:
+                    raise ValueError("repeated gap line")
                 gap = float(tokens[1])
+                if math.isnan(gap):
+                    raise ValueError("gap is not a number")
             else:
                 raise ValueError("bad directive")
         except ValueError as exc:

@@ -253,8 +253,8 @@ def check_manifold(report: GroundReport, valid, gap: float | None) -> GateReport
     valid_match = gap_met = None
     offending = 0
     if valid is not None:
-        wanted = np.array([sum(b << k for k, b in enumerate(v)) for v in valid],
-                          dtype=np.int64)
+        wanted = np.array([sum(b << (report.n - 1 - k) for k, b in enumerate(v))
+                           for v in valid], dtype=np.int64)
         offending = int(np.count_nonzero(~np.isin(report.codes, wanted))
                         + np.count_nonzero(~np.isin(wanted, report.codes)))
         valid_match = offending == 0

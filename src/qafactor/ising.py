@@ -199,8 +199,9 @@ def merge_spins(n: int, clamps: Mapping[int, int], free_state: Sequence[int]) ->
 
 
 def state_from_code(n: int, code: int) -> SpinState:
-    """Spin state for an enumeration code; bit k of the code drives spin k."""
-    return tuple(1 if (code >> k) & 1 else -1 for k in range(n))
+    """Spin state for an enumeration code, spin 0 its most significant bit:
+    ascending codes list the states in bit-string order, spin 0 first."""
+    return tuple(1 if (code >> (n - 1 - k)) & 1 else -1 for k in range(n))
 
 
 #: log2 of the codes per chunk of :func:`code_energies` (8-MiB int64 arrays).
@@ -209,8 +210,8 @@ _CHUNK_BITS = 20
 
 def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(codes, energies)``: H at every enumeration code 0..2**n-1 in
-    ascending order, 2**_CHUNK_BITS codes at a time to bound memory.  Bit k
-    of a code drives spin k."""
+    ascending order, 2**_CHUNK_BITS codes at a time to bound memory.  Spin 0
+    is a code's most significant bit."""
     h = [(i, hv) for i, hv in enumerate(model.h) if hv != 0.0]
     couplings = [(i, j, v) for (i, j), v in model.couplings.items() if v != 0.0]
     used = {i for i, _ in h} | {i for c in couplings for i in c[:2]}
@@ -218,7 +219,8 @@ def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     chunk = 1 << min(_CHUNK_BITS, model.n)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        spin = {i: (((codes >> i) & 1) * 2 - 1).astype(np.int8) for i in used}
+        spin = {i: (((codes >> (model.n - 1 - i)) & 1) * 2 - 1).astype(np.int8)
+                for i in used}
         e = np.zeros(codes.shape[0], dtype=np.float64)
         for i, hv in h:
             e += hv * spin[i]
@@ -231,9 +233,9 @@ def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 class GroundReport:
     """Exhaustive ground-state search result over ``n`` spins.
 
-    ``codes`` holds every ground state as its enumeration code, an
-    ascending int64 array (bit k of a code drives spin k), 8 bytes per
-    state; ``states`` decodes them to spin tuples in the same order.
+    ``codes`` holds every ground state as its enumeration code (spin 0 the
+    most significant bit), an ascending int64 array in bit-string order,
+    8 bytes per state; ``states`` decodes them to spin tuples in that order.
     ``gap`` is the distance from e0 to the first level above the
     degeneracy tolerance, ``inf`` when every state is ground.
     """

@@ -169,21 +169,14 @@ def synthesize_penalty(
     prob = _build_problem(table, pairs, bound)
     nc = prob.n_coeff
 
-    # Phase 1: is the equal-energy system solvable at all?
-    feas = _solve(prob, np.zeros(nc + 1), {}, target_gap=0.0)
-    if feas is None:
-        raise SynthesisError(
-            f"{prob.a_valid.shape[0]} equal-energy constraints are inconsistent"
-        )
-
-    # Phase 2: maximize the gap.
+    # Maximize the gap.  Zero coefficients with e0 = 0 meet every constraint
+    # at gap 0, so this LP always has a solution.
     obj = np.zeros(nc + 2)
     obj[-1] = -1.0
     best = _solve(prob, obj, {}, target_gap=None)
-    best_gap = best[-1] if best is not None else 0.0
-    if best is None or best_gap < gap - 1e-7:
-        x = best if best is not None else feas
-        short = _count_short_constraints(prob, x, gap)
+    best_gap = best[-1]
+    if best_gap < gap - 1e-7:
+        short = _count_short_constraints(prob, best, gap)
         raise SynthesisError(
             f"gap {gap} unreachable on this coupling graph: {short} of "
             f"{prob.a_invalid.shape[0]} separation constraints fall short "

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qafactor.fluxsim import (
-    KB,
-    MUTUAL_PER_UNIT_J,
-    PHI0,
-    QubitCircuitParams,
-    _well_positions,
-)
+from qafactor.fluxsim import I_STAR, IC, KB, L_LOOP, MUTUAL_PER_UNIT_J, PHI0
 from qafactor.ising import IsingModel
 
 #: Noise temperature, K: the Johnson-Nyquist temperature of NoiseSpec's
@@ -25,17 +19,10 @@ def quarter_grid(lo=-2.0, hi=2.0):
     return st.integers(0, steps).map(lambda k: lo + 0.25 * k)
 
 
-def _bare_well_flux(p):
-    """Full-barrier well position x Phi0 of an unbiased, uncoupled qubit."""
-    beta = p.main_loop_inductance * 2.0 * p.ic / PHI0
-    return float(_well_positions(np.array([beta]))[0]) * PHI0
-
-
-def j_unit_kt(params=QubitCircuitParams()):
+def j_unit_kt():
     """Energy of one unit of J at read-out, |M| I*^2, in units of kT at the
     default noise temperature; I* is the bare full-barrier well current."""
-    i_star = _bare_well_flux(params) / params.main_loop_inductance
-    return abs(MUTUAL_PER_UNIT_J) * i_star ** 2 / (KB * T_NOISE)
+    return abs(MUTUAL_PER_UNIT_J) * I_STAR ** 2 / (KB * T_NOISE)
 
 
 def readout_wells(layout):
@@ -43,15 +30,16 @@ def readout_wells(layout):
 
     The potential is the one whose gradient drives the integrator, at full
     barrier (phi_t = 0) with the bias at its read-out value:
-    U = (phi - phi_b)^T A^-1 (phi - phi_b) / 2 + sum_i Ej_i cos(2 pi phi_i / Phi0),
-    Ej_i = 2 Ic_i Phi0 / 2 pi.  Each of the 2^n wells is located by Newton's
-    method from the bare wells at +-x Phi0 and keyed by its read-out bits.
+    U = (phi - phi_b)^T A^-1 (phi - phi_b) / 2 + sum_i Ej cos(2 pi phi_i / Phi0),
+    Ej = 2 Ic Phi0 / 2 pi.  Each of the 2^n wells is located by Newton's
+    method from the bare wells at +-x Phi0 = +-I* L and keyed by its
+    read-out bits.
     """
     a_inv = np.linalg.inv(layout.inductance_matrix())
     phi_b = layout.bias_flux()
-    ic2 = 2.0 * layout.params.ic
+    ic2 = 2.0 * IC
     w = 2.0 * math.pi / PHI0
-    start = np.full(layout.n, _bare_well_flux(layout.params))
+    start = np.full(layout.n, I_STAR * L_LOOP)
     kt = KB * T_NOISE
     wells = {}
     for bits in itertools.product((0, 1), repeat=layout.n):

@@ -19,7 +19,6 @@ from qafactor.fluxsim import (
     NoiseSpec,
     PHI0,
     NetworkLayout,
-    QubitCircuitParams,
     RampSpec,
     inverse_nor_layout,
     johnson_sigma,
@@ -278,7 +277,7 @@ def test_c07_circuit_inverse_nor(nor_ensembles):
 
 def test_c08_bistability_structure():
     start = time.time()
-    layout = NetworkLayout(params=QubitCircuitParams(), i_x=(0.0,))
+    layout = NetworkLayout(i_x=(0.0,))
     suppressed = static_potential(layout, PHI0 / 2, 0.0, 0)
     double = static_potential(layout, 0.0, 0.0, 0)
     elapsed = time.time() - start

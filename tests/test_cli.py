@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,35 @@ class TestVerify:
         assert code == 2
         assert f"line {lines}" in err and "repeated" in err
         assert out == ""
+
+    def test_nan_gap_is_data_error(self, capsys):
+        run(capsys, "gates", "emit", "nor")
+        sidecar = open("nor.ports").read()
+        assert "gap 2.0\n" in sidecar
+        with open("nor.ports", "w") as fh:
+            fh.write(sidecar.replace("gap 2.0\n", "gap nan\n"))
+        code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
+        assert code == 2
+        assert "not a number" in err
+        assert out == ""
+
+    def test_ground_listing_takes_no_reordered_copy(self, capsys):
+        # Every state of a term-free 22-spin model is ground: 32 MiB of
+        # codes, already in the bit-string order of the 32 lines printed.
+        with open("free.model", "w") as fh:
+            fh.write("n 22\n")
+        with open("free.ports", "w") as fh:
+            fh.write("port a 0\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "verify", "free.model", "--ports", "free.ports")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        ground = [line for line in out.splitlines() if line.startswith("ground ")]
+        assert ground == [f"ground {k:022b} a={k >> 21}" for k in range(32)]
+        assert peak < 88 * 2**20
 
     # One example per model, valid set and gap; each writes the two files
     # it reads into the shared working directory.  Models without terms

@@ -14,6 +14,7 @@ from qafactor.fluxsim import (
     BIAS_WINDING,
     DT_DEFAULT,
     IX_PER_UNIT_H,
+    L_LOOP,
     MAX_STEPS,
     MUTUAL_PER_UNIT_J,
     NOISE_SAMPLE_RATE,
@@ -21,7 +22,6 @@ from qafactor.fluxsim import (
     EnsembleResult,
     NetworkLayout,
     NoiseSpec,
-    QubitCircuitParams,
     RampSpec,
     ShotError,
     ShotTrace,
@@ -41,8 +41,7 @@ from qafactor.seeds import shot_seed
 
 
 def single_qubit_layout(i_x=0.0, ramp=None):
-    return NetworkLayout(params=QubitCircuitParams(), i_x=(i_x,),
-                         ramp=ramp or RampSpec())
+    return NetworkLayout(i_x=(i_x,), ramp=ramp or RampSpec())
 
 
 class TestJohnsonSigma:
@@ -74,7 +73,7 @@ class TestLogicalToPhysical:
         assert i_x == (0.0,)
 
     def test_over_biased_control(self):
-        # One unit of h equals one unit of J at read-out: m_x I_x I* = |M| I*^2,
+        # One unit of h equals one unit of J at read-out: M_X I_x I* = |M| I*^2,
         # with I* = x Phi0 / L and x = beta sin(2 pi x), beta = L 2 Ic / Phi0.
         beta = 260e-12 * 8e-6 / PHI0
         x = brentq(lambda v: v - beta * math.sin(2 * math.pi * v), 0.25, 0.5)
@@ -88,17 +87,6 @@ class TestLogicalToPhysical:
         # units above.  A bias unit unequal to the coupling unit splits them.
         wells = readout_wells(layout_from_ising(IsingModel(2, (1.0, 1.0), {(0, 1): 1.0})))
         j_unit = j_unit_kt()
-        ground = [wells[b] for b in ((0, 0), (0, 1), (1, 0))]
-        assert max(ground) - min(ground) <= 0.05 * j_unit
-        assert wells[(1, 1)] - max(ground) >= 2 * j_unit
-
-    def test_frustrated_pair_realises_h_to_j_with_stronger_junctions(self):
-        # The bias unit and the cross-talk term follow the qubit params, not
-        # the reference qubit's: Ic = 6 uA deepens the wells and raises I*.
-        params = QubitCircuitParams(ic=6e-6)
-        model = IsingModel(2, (1.0, 1.0), {(0, 1): 1.0})
-        wells = readout_wells(layout_from_ising(model, params=params))
-        j_unit = j_unit_kt(params)
         ground = [wells[b] for b in ((0, 0), (0, 1), (1, 0))]
         assert max(ground) - min(ground) <= 0.05 * j_unit
         assert wells[(1, 1)] - max(ground) >= 2 * j_unit
@@ -117,26 +105,18 @@ class TestLogicalToPhysical:
 
 class TestDataclasses:
     def test_main_loop_inductance_is_260_ph(self):
-        params = QubitCircuitParams()
-        assert params.main_loop_inductance == pytest.approx(260e-12)
+        assert L_LOOP == pytest.approx(260e-12)
 
     def test_every_layout_qubit_reports_260_ph(self):
         layout = inverse_nor_layout(0)
         assert layout.n == 4
-        assert layout.params.main_loop_inductance == pytest.approx(260e-12)
         assert np.diag(layout.inductance_matrix()) == pytest.approx([260e-12] * 4)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            QubitCircuitParams(ic=0.0)
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
-            NetworkLayout(params=QubitCircuitParams(), i_x=(0.0, 0.0),
-                          mutuals={(1, 0): 8e-12})
+            NetworkLayout(i_x=(0.0, 0.0), mutuals={(1, 0): 8e-12})
         with pytest.raises(ValueError):
-            NetworkLayout(params=QubitCircuitParams(), i_x=(0.0, 0.0),
-                          mutuals={(0, 1): 300e-12})
+            NetworkLayout(i_x=(0.0, 0.0), mutuals={(0, 1): 300e-12})
 
     def test_inductance_matrix_symmetric(self):
         layout = inverse_nor_layout(0)
@@ -432,7 +412,7 @@ class TestEnsemble:
 class TestInverseNorLayout:
     def test_bias_currents(self):
         # Each loop's own bias current A^-1 phi_bias carries h units of
-        # BIAS_WINDING m_x IX_PER_UNIT_H / L; the bias lines also cancel what
+        # BIAS_WINDING M_X IX_PER_UNIT_H / L; the bias lines also cancel what
         # their neighbours' bias fluxes push through the coupler mutuals.
         unit = BIAS_WINDING * 4e-12 * IX_PER_UNIT_H / 260e-12
         for clamp, h4 in ((0, 1.1), (1, -1.1)):

@@ -43,6 +43,9 @@ def test_random_ports_round_trip(template):
     ("gap 2.0\nfoo bar\n", 2),
     ("valid 0 0 2\n", 1),
     ("valid 0 0 1\nport out 2\nvalid 0 0 1\n", 3),
+    ("port out 2\nport out 1\n", 2),
+    ("gap 2.0\nvalid 0 0 1\ngap 5.0\n", 3),
+    ("port out 2\ngap nan\n", 2),
 ])
 def test_sidecar_errors_carry_line_numbers(text, line):
     with pytest.raises(ModelFormatError) as err:

@@ -226,8 +226,8 @@ class TestBruteForce:
 
     def test_state_from_code_order(self):
         assert state_from_code(3, 0) == (-1, -1, -1)
-        assert state_from_code(3, 1) == (1, -1, -1)
-        assert state_from_code(3, 6) == (-1, 1, 1)
+        assert state_from_code(3, 1) == (-1, -1, 1)
+        assert state_from_code(3, 6) == (1, 1, -1)
 
 
 class TestModelFormat:
