@@ -19,6 +19,9 @@ class CapacityInput:
     chips: int = 100
 
     def __post_init__(self):
+        for name in ("unit_w_um", "unit_h_um", "chip_mm", "margin_um"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.unit_w_um, self.unit_h_um, self.chip_mm) <= 0:
             raise ValueError("dimensions must be positive")
         if self.margin_um < 0:

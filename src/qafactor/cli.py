@@ -24,7 +24,8 @@ from .formats import (
     write_shot_csv,
     write_trace_csv,
 )
-from .gates import and_gate, check_manifold, half_adder_template, nor_gate, verify_gate
+from .gates import (NOR_TRUTH, and_gate, check_manifold, half_adder_template, nor_gate,
+                    verify_gate)
 from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_force_ground,
                     clamp_fold)
 from .multiplier import (
@@ -306,9 +307,8 @@ def cmd_circuit_nor_inverse(args) -> int:
                                   master_seed=args.seed, dt=dt, workers=args.workers,
                                   decimate=args.decimate if args.trace else 0)
     sys.stdout.write(result.to_text())
-    violations = sum(
-        c for bits, c in result.counts.items() if (1 - (bits[0] | bits[1])) != bits[2]
-    )
+    violations = sum(c for bits, c in result.counts.items()
+                     if bits[:3] not in NOR_TRUTH.valid)
     clamp_misses = sum(
         c for bits, c in result.counts.items()
         if bits[2] != args.clamp or bits[3] != args.clamp

@@ -43,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gates import nor_gate
 from .ising import IsingModel
 from .seeds import run_shot_ranges, shot_seed
 
@@ -196,11 +197,11 @@ class NetworkLayout:
 
 @dataclass(frozen=True)
 class ShotTrace:
-    """One shot's decimated loop currents, as ``--trace`` writes them, and
-    its read-out."""
+    """One circuit shot: its read-out and, when the run recorded them, its
+    decimated loop currents as ``--trace`` writes them (else ``None``)."""
 
-    t: np.ndarray            # (n_samples,) seconds
-    iq: np.ndarray           # (n_samples, n) circulating currents, A
+    t: np.ndarray | None     # (n_samples,) seconds
+    iq: np.ndarray | None    # (n_samples, n) circulating currents, A
     final_iq: tuple[float, ...]
     bits: tuple[int, ...]
 
@@ -250,7 +251,7 @@ def layout_from_ising(model: IsingModel, ramp: RampSpec | None = None) -> Networ
 
 
 def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkLayout:
-    """NOR gate plus an over-biased control qubit wired to its output.
+    """``gates.nor_gate`` plus an over-biased control qubit wired to its output.
 
     The control qubit Q4 carries |h| = 1.1 and a ferromagnetic (J = -1)
     coupling to the output Q3, so that the read-out Hamiltonian's lowest
@@ -264,18 +265,16 @@ def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkL
     """
     if clamp_bit not in (0, 1):
         raise ValueError("clamp bit must be 0 or 1")
-    h4 = 1.1 if clamp_bit == 0 else -1.1
-    model = IsingModel(
-        4, (0.5, 0.5, 1.0, h4),
-        {(0, 1): 0.5, (0, 2): 1.0, (1, 2): 1.0, (2, 3): -1.0},
-    )
+    nor = nor_gate().model
+    model = IsingModel(4, nor.h + (1.1 if clamp_bit == 0 else -1.1,),
+                       {**nor.couplings, (2, 3): -1.0})
     return layout_from_ising(model, ramp=ramp)
 
 
 #: Most integrator steps one run may take: a 500-ns ramp at the default step,
-#: 30 times the longest run in the repository (the 16-ns ramp of
-#: ``scripts/freeze_out_study.py``, 3.2e5 steps) and about 2.6 minutes per
-#: shot at batch 1 (15.6 us per step on a 2-core x86 machine).
+#: 30 times the longest run in the repository (the 16-ns ramp of the README's
+#: ramp sweep, 3.2e5 steps) and about 2.6 minutes per shot at batch 1
+#: (15.6 us per step on a 2-core x86 machine).
 MAX_STEPS = 10_000_000
 
 #: Steps whose barrier drive, bias share and noise-sample index are tabled
@@ -318,12 +317,12 @@ def _integrate_batch(
     """Fixed-step semi-implicit Euler integration of a batch of shots.
 
     Every shot carries its own noise generator, so results per shot are
-    independent of how shots are grouped into batches.  Returns
-    (final_iq[batch, n], bits list, traces).  With ``record_every`` > 0,
+    independent of how shots are grouped into batches.  Returns one
+    :class:`ShotTrace` per seed, in seed order.  With ``record_every`` > 0,
     the loop currents of every row of the batch are recorded at every
-    ``record_every``-th step and at the read-out step: traces is
-    (t[n_rec], iq[n_rec, n, batch]), a row's currents being the view
-    ``iq[:, :, row]``.  Otherwise traces is None and nothing is recorded.
+    ``record_every``-th step and at the read-out step, and a shot's ``iq``
+    is a view of the batch's recording.  Otherwise nothing is recorded and
+    ``t`` and ``iq`` are None.
 
     The run streams in blocks.  Each block of ``_STEP_BLOCK`` steps builds
     its own per-step inputs (barrier drive, bias share of the loop
@@ -404,7 +403,7 @@ def _integrate_batch(
         add_reduce(prod, axis=0, out=iq)
         return sub(iq, bias_row, out=iq)
 
-    traces = None
+    t = rec_iq = None
     if record_every > 0:
         rec_steps = np.append(np.arange(0, n_steps, record_every), n_steps)
         rec_iq = np.empty((len(rec_steps), n, batch))
@@ -450,21 +449,14 @@ def _integrate_batch(
 
     # The last step's bias scale is x_end / x_end = 1: read-out sees the
     # static bias.
-    final_iq = current_iq(iq_bias[:, None]).T.copy()
+    final_iq = current_iq(iq_bias[:, None]).T.tolist()
     if record_every > 0:
         rec_iq[-1] = iq
-        traces = (rec_steps * dt, rec_iq)
+        t = rec_steps * dt
 
-    bits = [tuple(1 if x > 0 else 0 for x in row) for row in final_iq]
-    return final_iq, bits, traces
-
-
-def _shot_traces(final_iq: np.ndarray, bits: list[tuple[int, ...]],
-                 traces: tuple[np.ndarray, np.ndarray]) -> list[ShotTrace]:
-    """One :class:`ShotTrace` per row of a recorded :func:`_integrate_batch`."""
-    t, iq = traces
-    return [ShotTrace(t, iq[:, :, b], tuple(final_iq[b].tolist()), row)
-            for b, row in enumerate(bits)]
+    return [ShotTrace(t, None if rec_iq is None else rec_iq[:, :, b], tuple(row),
+                      tuple(1 if x > 0 else 0 for x in row))
+            for b, row in enumerate(final_iq)]
 
 
 def simulate_shot(
@@ -474,12 +466,12 @@ def simulate_shot(
     dt: float = DT_DEFAULT,
     decimate: int = 10,
 ) -> ShotTrace:
-    """Integrate one annealing shot seeded ``noise.seed``: a batch of one
-    through the ensemble's kernel, recording the loop currents at every
-    ``decimate``-th step and at read-out."""
+    """Integrate one annealing shot seeded ``noise.seed``: the ensemble's
+    kernel at batch one, recording the loop currents at every
+    ``decimate``-th step and at read-out.  Returns the shot's record."""
     ramp = ramp or layout.ramp
-    return _shot_traces(*_integrate_batch(layout, noise, ramp, dt, [noise.seed],
-                                          record_every=max(1, decimate)))[0]
+    return _integrate_batch(layout, noise, ramp, dt, [noise.seed],
+                            record_every=max(1, decimate))[0]
 
 
 @dataclass(frozen=True)
@@ -500,13 +492,9 @@ class EnsembleResult:
 
 
 def _ensemble_chunk(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
-                    master_seed: int, decimate: int, lo: int, hi: int
-                    ) -> list[tuple[tuple[int, ...], ShotTrace | None]]:
+                    master_seed: int, decimate: int, lo: int, hi: int) -> list[ShotTrace]:
     seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
-    final_iq, bits, traces = _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
-    if traces is None:
-        return [(row, None) for row in bits]
-    return list(zip(bits, _shot_traces(final_iq, bits, traces)))
+    return _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
 
 
 def run_ensemble(
@@ -522,17 +510,17 @@ def run_ensemble(
     """Independent shots with derived per-shot noise seeds; deterministic
     counts regardless of worker count.  Each worker takes a contiguous
     range of shot indices and integrates it as one batch, each shot
-    driving its own noise stream.  With ``decimate`` > 0 the result also
-    holds every shot's loop currents at every ``decimate``-th step, the
-    same samples :func:`simulate_shot` records for that shot."""
+    driving its own noise stream, and counts its read-out bits.  With
+    ``decimate`` > 0 the result also keeps every shot's record: its loop
+    currents at every ``decimate``-th step, as :func:`simulate_shot`."""
     ramp = ramp or layout.ramp
     shots = run_shot_ranges(_ensemble_chunk,
                             (layout, noise, ramp, dt, master_seed, decimate),
                             n_shots, workers)
     counts: dict[tuple[int, ...], int] = {}
-    for bits, _ in shots:
-        counts[bits] = counts.get(bits, 0) + 1
-    traces = tuple(trace for _, trace in shots) if decimate > 0 else ()
+    for shot in shots:
+        counts[shot.bits] = counts.get(shot.bits, 0) + 1
+    traces = tuple(shots) if decimate > 0 else ()
     return EnsembleResult(shots=n_shots, counts=counts, traces=traces)
 
 

@@ -130,7 +130,7 @@ def parse_ports(text: str, n: int):
 
     A ``valid`` line must hold exactly ``n`` values, each 0 or 1, and no
     two the same; every port must name a spin in 0..n-1, no name twice.
-    At most one ``gap`` line, not NaN (``inf`` marks an all-ground block).
+    At most one ``gap`` line, a number >= 0 (``inf`` marks an all-ground block).
     """
     ports: dict[str, int] = {}
     valid: dict[tuple[int, ...], None] = {}  # insertion-ordered set
@@ -140,7 +140,10 @@ def parse_ports(text: str, n: int):
             if tokens[0] == "port" and len(tokens) == 3:
                 if tokens[1] in ports:
                     raise ValueError("repeated port name")
-                ports[tokens[1]] = int(tokens[2])
+                idx = int(tokens[2])
+                if not 0 <= idx < n:
+                    raise ValueError(f"port index {idx} out of range")
+                ports[tokens[1]] = idx
             elif tokens[0] == "valid":
                 bits = tuple(int(b) for b in tokens[1:])
                 if len(bits) != n or any(b not in (0, 1) for b in bits):
@@ -152,15 +155,12 @@ def parse_ports(text: str, n: int):
                 if gap is not None:
                     raise ValueError("repeated gap line")
                 gap = float(tokens[1])
-                if math.isnan(gap):
-                    raise ValueError("gap is not a number")
+                if not gap >= 0:
+                    raise ValueError(f"gap {gap!r} is not a number >= 0")
             else:
                 raise ValueError("bad directive")
         except ValueError as exc:
             raise ModelFormatError(f"bad sidecar line {line!r}: {exc}", lineno) from None
-    for name, idx in sorted(ports.items()):
-        if not 0 <= idx < n:
-            raise ModelFormatError(f"port {name!r} index {idx} out of range")
     return ports, tuple(valid), gap
 
 

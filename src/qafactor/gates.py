@@ -47,6 +47,8 @@ class GateTemplate:
         for name, idx in self.ports.items():
             if not 0 <= idx < self.n:
                 raise ValueError(f"port {name!r} index {idx} out of range")
+        if not self.gap >= 0:
+            raise ValueError(f"gap {self.gap!r} is not a number >= 0")
         TruthTable(self.n, self.valid_set)
 
 

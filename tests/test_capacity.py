@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,10 @@ def test_validation():
         CapacityInput(margin_um=9500.0)
     with pytest.raises(ValueError):
         CapacityInput(chips=0)
+    for field in ("unit_w_um", "unit_h_um", "chip_mm", "margin_um"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=field):
+                CapacityInput(**{field: value})
 
 
 @given(

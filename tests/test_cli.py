@@ -144,6 +144,16 @@ class TestVerify:
         assert "not a number" in err
         assert out == ""
 
+    def test_negative_gap_is_data_error(self, capsys):
+        run(capsys, "gates", "emit", "nor")
+        sidecar = open("nor.ports").read()
+        with open("nor.ports", "w") as fh:
+            fh.write(sidecar.replace("gap 2.0\n", "gap -5\n"))
+        code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
+        assert code == 2
+        assert "gap -5.0 is not a number >= 0" in err
+        assert out == ""
+
     def test_ground_listing_takes_no_reordered_copy(self, capsys):
         # Every state of a term-free 22-spin model is ground: 32 MiB of
         # codes, already in the bit-string order of the 32 lines printed.
@@ -430,6 +440,14 @@ class TestCapacity:
         code, out, _ = run(capsys, "capacity", "--chip-mm", "1", "--margin-um", "400")
         assert code == 0
         assert "units_side 0" in out
+
+    @pytest.mark.parametrize("flag,value", [("--unit-w", "inf"), ("--unit-w", "nan"),
+                                            ("--margin-um", "nan"), ("--chip-mm", "inf")])
+    def test_non_finite_size_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "capacity", flag, value)
+        assert code == 1
+        assert "must be finite" in err
+        assert out == ""
 
 
 class TestUsage:

@@ -299,16 +299,11 @@ class TestEnsemble:
 
     @staticmethod
     def assert_batch_equals_singles(layout, seeds):
-        batched_iq, batched, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp,
-                                                  DT_DEFAULT, seeds)
-        singles, singles_iq = [], []
-        for s in seeds:
-            final_iq, bits, _ = _integrate_batch(layout, NoiseSpec(seed=0), layout.ramp,
-                                                 DT_DEFAULT, [s])
-            singles.append(bits[0])
-            singles_iq.append(final_iq[0])
-        assert batched == singles
-        assert np.array_equal(batched_iq, np.array(singles_iq))
+        batched = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)
+        singles = [_integrate_batch(layout, NoiseSpec(seed=0), layout.ramp, DT_DEFAULT,
+                                    [s])[0] for s in seeds]
+        assert [shot.bits for shot in batched] == [shot.bits for shot in singles]
+        assert [shot.final_iq for shot in batched] == [shot.final_iq for shot in singles]
 
     def test_batching_matches_per_shot_integration(self):
         self.assert_batch_equals_singles(inverse_nor_layout(0),
@@ -327,8 +322,8 @@ class TestEnsemble:
         # integrator's arithmetic, its order or the noise streams shows here.
         ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
         layout = inverse_nor_layout(0, ramp=ramp)
-        final_iq, bits, _ = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT,
-                                             [shot_seed(42, k) for k in range(3)])
+        shots = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT,
+                                 [shot_seed(42, k) for k in range(3)])
         expected = np.array([
             (3.4390205201306814e-06, 3.368817935308684e-06,
              -3.1807981944566047e-06, 3.555966771360289e-06),
@@ -337,8 +332,8 @@ class TestEnsemble:
             (3.338178635601312e-06, 3.36353433060908e-06,
              -3.4322735873140537e-06, 3.5967097590213848e-06),
         ])
-        assert np.array_equal(final_iq, expected)
-        assert bits == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
+        assert np.array_equal(np.array([shot.final_iq for shot in shots]), expected)
+        assert [shot.bits for shot in shots] == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
 
     @pytest.mark.parametrize("dt", [DT_DEFAULT, 3e-14], ids=["default-dt", "dt-3e-14"])
     def test_block_sizes_do_not_change_results(self, monkeypatch, dt):
@@ -352,14 +347,16 @@ class TestEnsemble:
         def run():
             return _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds, record_every=3)
 
-        final_iq, bits, traces = run()
+        shots = run()
         monkeypatch.setattr(fluxsim, "_STEP_BLOCK", 7)
         monkeypatch.setattr(fluxsim, "_NOISE_BLOCK", 3)
-        small_iq, small_bits, small_traces = run()
-        assert np.array_equal(small_iq, final_iq)
-        assert small_bits == bits
-        for small, default in zip(small_traces, traces):
-            assert np.array_equal(small, default)
+        small_shots = run()
+        assert len(small_shots) == len(shots) == 3
+        for small, default in zip(small_shots, shots):
+            assert small.final_iq == default.final_iq
+            assert small.bits == default.bits
+            assert np.array_equal(small.t, default.t)
+            assert np.array_equal(small.iq, default.iq)
 
     def test_working_memory_does_not_grow_with_ramp(self, monkeypatch):
         """Beyond what it returns, a batch holds one block of step inputs
@@ -389,11 +386,9 @@ class TestEnsemble:
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)
         seeds = [shot_seed(314, k) for k in range(50)]
-        _, coarse, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp,
-                                        DT_DEFAULT, seeds)
-        _, fine, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp,
-                                      DT_DEFAULT / 2, seeds)
-        flips = sum(1 for x, y in zip(coarse, fine) if x != y)
+        coarse = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)
+        fine = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT / 2, seeds)
+        flips = sum(1 for x, y in zip(coarse, fine) if x.bits != y.bits)
         assert flips <= 1
 
     def test_text_layout(self):

@@ -27,7 +27,7 @@ def templates(draw):
     ports = {name: draw(st.integers(0, n - 1)) for name in names}
     valid = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8,
                          unique=True))
-    gap = draw(st.floats(allow_nan=False))
+    gap = draw(st.floats(min_value=0.0))
     return GateTemplate("random", IsingModel(n, (0.0,) * n, {}), ports, tuple(valid), gap)
 
 
@@ -46,6 +46,7 @@ def test_random_ports_round_trip(template):
     ("port out 2\nport out 1\n", 2),
     ("gap 2.0\nvalid 0 0 1\ngap 5.0\n", 3),
     ("port out 2\ngap nan\n", 2),
+    ("port out 2\ngap -5\n", 2),
 ])
 def test_sidecar_errors_carry_line_numbers(text, line):
     with pytest.raises(ModelFormatError) as err:
@@ -54,5 +55,6 @@ def test_sidecar_errors_carry_line_numbers(text, line):
 
 
 def test_port_outside_the_model_is_rejected():
-    with pytest.raises(ModelFormatError, match="index 3 out of range"):
+    with pytest.raises(ModelFormatError, match="index 3 out of range") as err:
         parse_ports("port out 3\n", 3)
+    assert err.value.line == 1

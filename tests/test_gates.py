@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qafactor.gates import (
@@ -235,3 +237,10 @@ class TestTruthTable:
         nor = nor_gate()
         with pytest.raises(ValueError, match="duplicate"):
             GateTemplate("nor", nor.model, nor.ports, nor.valid_set + nor.valid_set[:1], 2.0)
+
+
+@pytest.mark.parametrize("gap", [-5.0, -math.inf, math.nan])
+def test_template_gap_must_be_a_number_at_least_zero(gap):
+    nor = nor_gate()
+    with pytest.raises(ValueError, match="is not a number >= 0"):
+        GateTemplate("nor", nor.model, nor.ports, nor.valid_set, gap)
