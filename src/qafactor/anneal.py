@@ -9,8 +9,9 @@ visiting its spins one by one.
 
 :func:`run_shots` is batched: all shots of a batch advance together, one
 colour class per NumPy step, and local fields follow each step through a
-sparse (CSR) product over the class's couplings.  Batches are sized so
-that their spins, fields and uniforms fit :data:`BATCH_BYTES`.
+sparse (CSR) product over the class's couplings.  The shot runner
+(:func:`qafactor.seeds.run_shot_ranges`) sizes the batches so that their
+spins, fields and uniforms fit :data:`qafactor.seeds.BATCH_BYTES`.
 :func:`anneal_shot` is the scalar reference loop over the same order, and
 the faster path for a single shot.
 
@@ -53,10 +54,6 @@ LINEAR = "linear"
 
 #: Sweeps of uniforms drawn from a shot's stream at a time.
 SWEEP_BLOCK = 8
-
-#: Working-memory budget of one :func:`run_shots` batch: per shot, its
-#: spins, its fields and one block of uniforms in two layouts.
-BATCH_BYTES = 16 << 20
 
 #: Largest allowed gap between incrementally tracked and recomputed values.
 DRIFT_TOL = 1e-6
@@ -296,18 +293,6 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     return results
 
 
-def _shot_range(model: IsingModel, schedule: Schedule, master_seed: int,
-                lo: int, hi: int) -> list[ShotResult]:
-    plan = _sweep_plan(model)
-    per_shot = 8 * model.n * (2 + 2 * SWEEP_BLOCK)
-    size = max(1, BATCH_BYTES // per_shot)
-    results: list[ShotResult] = []
-    for start in range(lo, hi, size):
-        results += _anneal_batch(model, plan, schedule, master_seed,
-                                 range(start, min(start + size, hi)))
-    return results
-
-
 def run_shots(
     model: IsingModel,
     schedule: Schedule,
@@ -322,11 +307,11 @@ def run_shots(
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
     ``keep_shots`` is set; its ``hits`` are the package's one ground label
     per shot.  Histogram keys are the final states' bit strings (spin 0
-    first).  Each worker takes a contiguous range of
-    shot indices (:func:`qafactor.seeds.run_shot_ranges`).
+    first); the module docstring says how the shots are batched.
     """
-    results = run_shot_ranges(_shot_range, (model, schedule, master_seed),
-                              n_shots, workers)
+    plan = _sweep_plan(model)
+    results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
+                              n_shots, workers, 8 * model.n * (2 + 2 * SWEEP_BLOCK))
 
     histogram: dict[str, int] = {}
     for r in results:

@@ -27,11 +27,10 @@ from .formats import (
 from .gates import (NOR_TRUTH, and_gate, check_manifold, half_adder_template, nor_gate,
                     verify_gate)
 from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_force_ground,
-                    clamp_fold)
+                    clamp_fold, spins_to_bits, state_from_code)
 from .multiplier import (
     BIAS,
     FOLD,
-    bias_ground_energy,
     build_multiplier,
     clamp_product,
     decode_reduced,
@@ -194,12 +193,8 @@ def cmd_factor(args) -> int:
     net = build_multiplier(n1, n2, chains=args.chains)
     method = BIAS if args.method == "bias" else FOLD
     clamped, offset = clamp_product(net, args.p, method=method)
-    if method == FOLD:
-        reference = net.expected_e0 - offset
-        clamps = product_clamp_assignment(net, args.p)
-    else:
-        reference = bias_ground_energy(net)
-        clamps = {}
+    reference = net.expected_e0 - offset
+    clamps = product_clamp_assignment(net, args.p) if method == FOLD else {}
 
     print(f"master_seed {args.seed}")
     print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
@@ -276,9 +271,8 @@ def cmd_verify(args) -> int:
     if args.ports:
         # The first 32 ground states by bit string, spin 0 first: the
         # codes are already in that order.
-        n = model.n
         for code in report.codes[:32].tolist():
-            bits = "".join(str((code >> (n - 1 - k)) & 1) for k in range(n))
+            bits = "".join(map(str, spins_to_bits(state_from_code(model.n, code))))
             decoded = " ".join(f"{name}={bits[idx]}" for name, idx in sorted(ports.items()))
             print(f"ground {bits} {decoded}")
     check = check_manifold(report, valid or None, declared_gap)

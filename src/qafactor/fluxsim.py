@@ -206,11 +206,8 @@ class ShotTrace:
     bits: tuple[int, ...]
 
 
-def logical_to_physical(
-    h: Sequence[float],
-    couplings: dict[tuple[int, int], float],
-) -> tuple[tuple[float, ...], dict[tuple[int, int], float]]:
-    """Map dimensionless (h, J) onto bias currents and mutual inductances.
+def layout_from_ising(model: IsingModel, ramp: RampSpec | None = None) -> NetworkLayout:
+    """Physical layout realizing an Ising model with qubits of the one design.
 
     M_ij = MUTUAL_PER_UNIT_J * J_ij, and the bias lines are sized so that
     the read-out Hamiltonian of qubits of the one design (``L_LOOP`` =
@@ -225,29 +222,20 @@ def logical_to_physical(
     which leaves each loop's bias current at h_i * I_h M_X / L.
     Valid for the shipped gate range |h| <= 2, |J| <= 1.
     """
+    h = model.h
     for i, hv in enumerate(h):
         if abs(hv) > 2.0:
             raise ValueError(f"|h[{i}]| = {abs(hv)} outside the mapped range (<= 2)")
-    for (i, j), v in couplings.items():
+    for (i, j), v in model.couplings.items():
         if abs(v) > 1.0:
             raise ValueError(f"|J[{i},{j}]| = {abs(v)} outside the mapped range (<= 1)")
-    mutuals = {
-        (min(i, j), max(i, j)): MUTUAL_PER_UNIT_J * v
-        for (i, j), v in couplings.items()
-        if v != 0.0
-    }
-    drive = [float(hv) for hv in h]
+    mutuals = {key: MUTUAL_PER_UNIT_J * v for key, v in model.couplings.items() if v != 0.0}
+    drive = list(h)
     for (i, j), m in mutuals.items():
         drive[i] += m * h[j] / L_LOOP
         drive[j] += m * h[i] / L_LOOP
-    return tuple(d * IX_PER_UNIT_H for d in drive), mutuals
-
-
-def layout_from_ising(model: IsingModel, ramp: RampSpec | None = None) -> NetworkLayout:
-    """Physical layout realizing an Ising model with qubits of the one design
-    (see :func:`logical_to_physical`)."""
-    i_x, mutuals = logical_to_physical(model.h, model.couplings)
-    return NetworkLayout(i_x=i_x, mutuals=mutuals, ramp=ramp or RampSpec())
+    return NetworkLayout(i_x=tuple(d * IX_PER_UNIT_H for d in drive), mutuals=mutuals,
+                         ramp=ramp or RampSpec())
 
 
 def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkLayout:
@@ -491,9 +479,9 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
-def _ensemble_chunk(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
-                    master_seed: int, decimate: int, lo: int, hi: int) -> list[ShotTrace]:
-    seeds = [shot_seed(master_seed, k) for k in range(lo, hi)]
+def _ensemble_batch(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
+                    master_seed: int, decimate: int, shots: range) -> list[ShotTrace]:
+    seeds = [shot_seed(master_seed, k) for k in shots]
     return _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
 
 
@@ -507,16 +495,18 @@ def run_ensemble(
     workers: int = 1,
     decimate: int = 0,
 ) -> EnsembleResult:
-    """Independent shots with derived per-shot noise seeds; deterministic
-    counts regardless of worker count.  Each worker takes a contiguous
-    range of shot indices and integrates it as one batch, each shot
-    driving its own noise stream, and counts its read-out bits.  With
-    ``decimate`` > 0 the result also keeps every shot's record: its loop
-    currents at every ``decimate``-th step, as :func:`simulate_shot`."""
+    """Independent shots with derived per-shot noise seeds, their read-out
+    bits counted; the counts do not depend on worker count or batch size.
+    The shot runner (:func:`qafactor.seeds.run_shot_ranges`) batches the
+    shots by the integrator's per-shot buffers: five state rows, two n x n
+    mat-vec arrays and one noise block.  With ``decimate`` > 0 the result
+    also keeps every shot's record: its loop currents at every
+    ``decimate``-th step, as :func:`simulate_shot`."""
     ramp = ramp or layout.ramp
-    shots = run_shot_ranges(_ensemble_chunk,
+    n = layout.n
+    shots = run_shot_ranges(_ensemble_batch,
                             (layout, noise, ramp, dt, master_seed, decimate),
-                            n_shots, workers)
+                            n_shots, workers, 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n))
     counts: dict[tuple[int, ...], int] = {}
     for shot in shots:
         counts[shot.bits] = counts.get(shot.bits, 0) + 1

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ising import GROUND_TOL, GroundReport, IsingModel, brute_force_ground
+from .ising import (GROUND_TOL, GroundReport, IsingModel, bits_to_spins, brute_force_ground,
+                    code_from_state)
 
 WIRE = "wire"
 NOT = "not"
@@ -255,8 +256,7 @@ def check_manifold(report: GroundReport, valid, gap: float | None) -> GateReport
     valid_match = gap_met = None
     offending = 0
     if valid is not None:
-        wanted = np.array([sum(b << (report.n - 1 - k) for k, b in enumerate(v))
-                           for v in valid], dtype=np.int64)
+        wanted = np.array([code_from_state(bits_to_spins(v)) for v in valid], dtype=np.int64)
         offending = int(np.count_nonzero(~np.isin(report.codes, wanted))
                         + np.count_nonzero(~np.isin(wanted, report.codes)))
         valid_match = offending == 0

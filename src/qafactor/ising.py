@@ -204,6 +204,11 @@ def state_from_code(n: int, code: int) -> SpinState:
     return tuple(1 if (code >> (n - 1 - k)) & 1 else -1 for k in range(n))
 
 
+def code_from_state(state: Sequence[int]) -> int:
+    """Enumeration code of a spin state; the inverse of :func:`state_from_code`."""
+    return sum(b << k for k, b in enumerate(reversed(spins_to_bits(state))))
+
+
 #: log2 of the codes per chunk of :func:`code_energies` (8-MiB int64 arrays).
 _CHUNK_BITS = 20
 
@@ -254,6 +259,12 @@ class GroundReport:
         return tuple(state_from_code(self.n, c) for c in self.codes.tolist())
 
 
+def _floor(e: np.ndarray) -> tuple[float, int]:
+    """A chunk's lowest energy, and its states within GROUND_TOL of it."""
+    low = float(e.min())
+    return low, int(np.count_nonzero(e <= low + GROUND_TOL))
+
+
 def brute_force_ground(model: IsingModel, cap: int = BRUTE_FORCE_CAP) -> GroundReport:
     """Enumerate all 2**n states; exact e0, every ground code, and gap.
 
@@ -265,15 +276,21 @@ def brute_force_ground(model: IsingModel, cap: int = BRUTE_FORCE_CAP) -> GroundR
     if model.n == 0:
         return GroundReport(0, 0.0, np.zeros(1, dtype=np.int64), math.inf)
 
-    e0 = min(float(e.min()) for _, e in code_energies(model))
+    # First pass: e0, and the ground codes' count, bounded from above by
+    # each chunk's count of states within the tolerance of its own minimum.
+    floors = [_floor(e) for _, e in code_energies(model)]
+    e0 = min(low for low, _ in floors)
+    size = sum(count for low, count in floors if low <= e0 + GROUND_TOL)
 
-    ground_codes: list[np.ndarray] = []
+    # Second pass: every ground code, written once into one array.
+    ground = np.empty(size, dtype=np.int64)
+    filled = 0
     e1 = math.inf
     for codes, e in code_energies(model):
         mask = e <= e0 + GROUND_TOL
-        ground_codes.append(codes[mask])
-        above = e[~mask]
-        if above.size:
-            e1 = min(e1, float(above.min()))
+        k = int(np.count_nonzero(mask))
+        ground[filled:filled + k] = codes[mask]
+        filled += k
+        e1 = min(e1, float(np.min(e, where=~mask, initial=math.inf)))
     gap = math.inf if math.isinf(e1) else e1 - e0
-    return GroundReport(model.n, e0, np.concatenate(ground_codes), gap)
+    return GroundReport(model.n, e0, ground[:filled], gap)

@@ -166,7 +166,9 @@ def clamp_product(net: MultiplierNetwork, p: int,
 
     BIAS leaves the product spins free and adds -BIAS_STRENGTH to h for a
     target bit 1 and +BIAS_STRENGTH for a target bit 0, the hardware-style
-    over-bias mechanism.  FOLD removes them algebraically.
+    over-bias mechanism.  FOLD removes them algebraically.  Either way,
+    clamped energy + offset = network energy wherever the product reads
+    ``p``, so ``net.expected_e0 - offset`` is the clamped ground reference.
     """
     clamps = product_clamp_assignment(net, p)
     if method == FOLD:
@@ -175,14 +177,9 @@ def clamp_product(net: MultiplierNetwork, p: int,
         h = list(net.model.h)
         for spin, bit in clamps.items():
             h[spin] += -BIAS_STRENGTH if bit else BIAS_STRENGTH
-        return IsingModel(net.model.n, tuple(h), dict(net.model.couplings)), 0.0
+        return (IsingModel(net.model.n, tuple(h), dict(net.model.couplings)),
+                BIAS_STRENGTH * len(net.product))
     raise ValueError(f"unknown clamp method {method!r}")
-
-
-def bias_ground_energy(net: MultiplierNetwork) -> float:
-    """Ground reference for a BIAS-clamped model whose product is attainable:
-    every biased spin aligns, each contributing -BIAS_STRENGTH."""
-    return net.expected_e0 - BIAS_STRENGTH * len(net.product)
 
 
 def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:

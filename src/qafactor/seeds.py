@@ -9,13 +9,14 @@ splitmix64 (Steele, Lea & Flood's SplittableRandom finalizer) mixes the
 result.  Identical (master seed, shot index) pairs therefore yield
 identical shots regardless of worker count or execution order.
 
-:func:`run_shot_ranges` is the one parallel runner of the stochastic
-solvers.  It cuts shots ``0 .. n_shots-1`` into contiguous ranges, one per
-process (:func:`shot_ranges`), runs a task on each range and returns the
-per-shot results in shot order.  Because every shot seeds itself from its
-index, the result does not depend on the split.  One range runs in the
-calling process; ``concurrent.futures`` is imported, and a process pool
-started, only when there are two or more.
+:func:`run_shot_ranges` is the one place that decides how the shots of
+either solver run.  It cuts shots ``0 .. n_shots-1`` into contiguous
+ranges, one per process (:func:`shot_ranges`), and each range into batches
+whose per-shot working memory fits :data:`BATCH_BYTES`, whatever the shot
+count.  Because every shot seeds itself from its index, the per-shot
+results, returned in shot order, do not depend on the split.  One range
+runs in the calling process; ``concurrent.futures`` is imported, and a
+process pool started, only when there are two or more.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ import os
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+#: Working-memory budget of one batch of shots, in bytes.
+BATCH_BYTES = 16 << 20
 
 
 def splitmix64(x: int) -> int:
@@ -62,17 +66,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_shot_ranges(task, args: tuple, n_shots: int, workers: int) -> list:
-    """``task(*args, lo, hi)`` over the ranges of :func:`shot_ranges`.
+def _run_range(batch, args: tuple, size: int, lo: int, hi: int) -> list:
+    """``batch(*args, shots)`` over shots ``lo .. hi-1``, ``size`` at a time."""
+    results: list = []
+    for start in range(lo, hi, size):
+        results += batch(*args, range(start, min(start + size, hi)))
+    return results
 
-    ``task`` returns one result per shot of its range, in shot order, and
-    must be picklable (a module-level function) when ``workers`` > 1.
+
+def run_shot_ranges(batch, args: tuple, n_shots: int, workers: int,
+                    shot_bytes: int) -> list:
+    """``batch(*args, shots)`` over batches of the ranges of :func:`shot_ranges`.
+
+    ``shots`` is a ``range`` of shot indices; ``batch`` returns one result
+    per shot of it, in shot order, and must be picklable (a module-level
+    function) when ``workers`` > 1.  A batch holds at most
+    ``max(1, BATCH_BYTES // shot_bytes)`` shots.
     """
     ranges = shot_ranges(n_shots, workers, _usable_cpus())
+    size = max(1, BATCH_BYTES // shot_bytes)
     if len(ranges) == 1:
-        return task(*args, 0, n_shots)
+        return _run_range(batch, args, size, 0, n_shots)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        parts = [pool.submit(task, *args, lo, hi) for lo, hi in ranges]
+        parts = [pool.submit(_run_range, batch, args, size, lo, hi) for lo, hi in ranges]
         return [r for part in parts for r in part.result()]

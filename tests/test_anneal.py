@@ -30,6 +30,11 @@ def factor_model(bits: int, p: int) -> IsingModel:
     return clamp_product(build_multiplier(bits, bits), p, method=FOLD)[0]
 
 
+def batch_of_each_shot(shots: range) -> list[range]:
+    """A shot-runner batch whose result per shot is the batch it ran in."""
+    return [shots] * len(shots)
+
+
 def random_model(n: int, seed: int) -> IsingModel:
     """Dense-ish model with non-dyadic coefficients, so field sums round."""
     rng = random.Random(seed)
@@ -221,7 +226,7 @@ class TestBatchedOracle:
         assert few == many[:7]
         assert three == many
         # A budget of a few shots per batch: still the same shots.
-        monkeypatch.setattr(anneal, "BATCH_BYTES", 3 * 8 * model.n * (2 + 2 * anneal.SWEEP_BLOCK))
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 3 * 8 * model.n * (2 + 2 * anneal.SWEEP_BLOCK))
         _, small = run_shots(model, schedule, 50, master_seed=2, keep_shots=True)
         assert small == many
 
@@ -248,7 +253,7 @@ class TestBatchedOracle:
         """Beyond the results it returns, run_shots holds one batch at a time."""
         model = factor_model(4, 15)
         schedule = Schedule(sweeps=16)
-        monkeypatch.setattr(anneal, "BATCH_BYTES", 1 << 18)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 18)
         run_shots(model, schedule, 2, master_seed=1)
 
         def transient_peak(n_shots):
@@ -312,10 +317,23 @@ class TestShotRanges:
     def test_one_range_runs_in_process(self, monkeypatch):
         # A lambda cannot be pickled, so these calls fail if a pool starts.
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
-        task = lambda tag, lo, hi: [(tag, k) for k in range(lo, hi)]  # noqa: E731
-        assert run_shot_ranges(task, ("x",), 5, 10**6) == [("x", k) for k in range(5)]
+        task = lambda tag, shots: [(tag, k) for k in shots]  # noqa: E731
+        assert run_shot_ranges(task, ("x",), 5, 10**6, 1) == [("x", k) for k in range(5)]
         monkeypatch.undo()
-        assert run_shot_ranges(task, ("y",), 1, 10**6) == [("y", 0)]
+        assert run_shot_ranges(task, ("y",), 1, 10**6, 1) == [("y", 0)]
+
+    def test_batches_fit_the_budget(self, monkeypatch):
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 100)
+        assert run_shot_ranges(batch_of_each_shot, (), 7, 1, 30) == (
+            [range(0, 3)] * 3 + [range(3, 6)] * 3 + [range(6, 7)])
+        # A shot larger than the budget still runs, one per batch.
+        assert run_shot_ranges(batch_of_each_shot, (), 2, 1, 10**9) == [range(0, 1), range(1, 2)]
+
+    def test_batches_stay_inside_worker_ranges(self, monkeypatch):
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 2)
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert run_shot_ranges(batch_of_each_shot, (), 6, 2, 1) == (
+            [range(0, 2)] * 2 + [range(2, 3)] + [range(3, 5)] * 2 + [range(5, 6)])
 
 
 class TestReporting:

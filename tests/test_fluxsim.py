@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import j_unit_kt, readout_wells
-from qafactor import fluxsim
+from qafactor import fluxsim, seeds
 from qafactor.fluxsim import (
     BIAS_WINDING,
     DT_DEFAULT,
@@ -29,7 +29,6 @@ from qafactor.fluxsim import (
     inverse_nor_layout,
     johnson_sigma,
     layout_from_ising,
-    logical_to_physical,
     run_ensemble,
     simulate_shot,
     static_potential,
@@ -65,12 +64,11 @@ class TestJohnsonSigma:
 
 class TestLogicalToPhysical:
     def test_unit_coupling_magnitude(self):
-        _, mutuals = logical_to_physical((0.0, 0.0), {(0, 1): 1.0})
+        mutuals = layout_from_ising(IsingModel(2, (0.0, 0.0), {(0, 1): 1.0})).mutuals
         assert abs(mutuals[(0, 1)]) == pytest.approx(8e-12)
 
     def test_zero_bias(self):
-        i_x, _ = logical_to_physical((0.0,), {})
-        assert i_x == (0.0,)
+        assert layout_from_ising(IsingModel(1, (0.0,), {})).i_x == (0.0,)
 
     def test_over_biased_control(self):
         # One unit of h equals one unit of J at read-out: M_X I_x I* = |M| I*^2,
@@ -78,7 +76,7 @@ class TestLogicalToPhysical:
         beta = 260e-12 * 8e-6 / PHI0
         x = brentq(lambda v: v - beta * math.sin(2 * math.pi * v), 0.25, 0.5)
         i_star = x * PHI0 / 260e-12
-        i_x, _ = logical_to_physical((1.1,), {})
+        i_x = layout_from_ising(IsingModel(1, (1.1,), {})).i_x
         assert i_x[0] == pytest.approx(1.1 * 8e-12 * i_star / 4e-12, rel=1e-9)
         assert i_x[0] == pytest.approx(7.52e-6, abs=0.01e-6)
 
@@ -92,15 +90,15 @@ class TestLogicalToPhysical:
         assert wells[(1, 1)] - max(ground) >= 2 * j_unit
 
     def test_ferromagnetic_sign_convention(self):
-        _, mutuals = logical_to_physical((0.0, 0.0), {(0, 1): -1.0})
+        mutuals = layout_from_ising(IsingModel(2, (0.0, 0.0), {(0, 1): -1.0})).mutuals
         assert mutuals[(0, 1)] == pytest.approx(+8e-12)
         assert MUTUAL_PER_UNIT_J == -8e-12
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            logical_to_physical((2.5,), {})
+            layout_from_ising(IsingModel(1, (2.5,), {}))
         with pytest.raises(ValueError):
-            logical_to_physical((0.0, 0.0), {(0, 1): 1.5})
+            layout_from_ising(IsingModel(2, (0.0, 0.0), {(0, 1): 1.5}))
 
 
 class TestDataclasses:
@@ -382,6 +380,52 @@ class TestEnsemble:
         short = transient_peak(0.025e-9)
         ten_times_longer = transient_peak(0.25e-9)
         assert ten_times_longer < 1.25 * short + (32 << 10)
+
+    @staticmethod
+    def batch_bytes_for(layout, shots):
+        """A ``seeds.BATCH_BYTES`` that fits ``shots`` shots of ``layout`` per batch."""
+        n = layout.n
+        return shots * 8 * (5 * n + 2 * n * n + fluxsim._NOISE_BLOCK * n)
+
+    def test_batches_and_workers_do_not_change_shots(self, monkeypatch):
+        layout = inverse_nor_layout(1, ramp=RampSpec(ramp_s=0.1e-9, hold_s=0.02e-9))
+
+        def run(workers):
+            return run_ensemble(layout, NoiseSpec(), n_shots=7, master_seed=3,
+                                workers=workers, decimate=5)
+
+        whole = run(1)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 2))
+        for workers in (1, 2):
+            split = run(workers)
+            assert split.counts == whole.counts
+            assert len(split.traces) == len(whole.traces) == 7
+            for a, b in zip(split.traces, whole.traces):
+                assert np.array_equal(a.t, b.t)
+                assert np.array_equal(a.iq, b.iq)
+                assert a.final_iq == b.final_iq
+
+    def test_working_memory_does_not_grow_with_shots(self, monkeypatch):
+        """Beyond the records it returns, run_ensemble holds one batch at a
+        time: ten times the shots, the same transient peak."""
+        layout = inverse_nor_layout(0, ramp=RampSpec(ramp_s=0.02e-9, hold_s=0.005e-9))
+        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 4))
+
+        def transient_peak(n_shots):
+            tracemalloc.start()
+            try:
+                kept = run_ensemble(layout, NoiseSpec(), n_shots=n_shots, master_seed=1,
+                                    decimate=50)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del kept
+            return peak - current
+
+        transient_peak(2)
+        one_batch_scale = transient_peak(20)
+        ten_times_the_shots = transient_peak(200)
+        assert ten_times_the_shots < 1.25 * one_batch_scale + (32 << 10)
 
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)

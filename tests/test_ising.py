@@ -16,6 +16,7 @@ from qafactor.ising import (
     bits_to_spins,
     brute_force_ground,
     clamp_fold,
+    code_from_state,
     energy,
     free_indices,
     merge_spins,
@@ -224,10 +225,32 @@ class TestBruteForce:
         assert report.codes.tolist() == list(range(1 << 16))
         assert peak < 6 * 2**20
 
+    def test_ground_codes_held_once(self, monkeypatch):
+        # 16 chunks of 2**16 codes, every one ground: beyond the 8-MiB result,
+        # the search holds a few chunks, not a second copy of the codes.
+        monkeypatch.setattr(ising, "_CHUNK_BITS", 16)
+        tracemalloc.start()
+        try:
+            report = brute_force_ground(IsingModel(20, (0.0,) * 20, {}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.degeneracy == 1 << 20
+        assert peak < report.codes.nbytes + 8 * (8 << 16)
+
+    def test_ground_codes_trimmed_to_the_tolerance_band(self, monkeypatch):
+        # The second chunk's minimum lies inside e0's tolerance band, and its
+        # count at its own minimum takes in code 3, which lies above the band.
+        monkeypatch.setattr(ising, "_CHUNK_BITS", 1)
+        report = brute_force_ground(IsingModel(2, (0.4e-9, 0.4e-9), {}))
+        assert report.codes.tolist() == [0, 1, 2]
+        assert report.gap == pytest.approx(1.6e-9)
+
     def test_state_from_code_order(self):
         assert state_from_code(3, 0) == (-1, -1, -1)
         assert state_from_code(3, 1) == (-1, -1, 1)
         assert state_from_code(3, 6) == (1, 1, -1)
+        assert [code_from_state(state_from_code(5, c)) for c in range(32)] == list(range(32))
 
 
 class TestModelFormat:

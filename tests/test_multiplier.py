@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from qafactor.ising import brute_force_ground, clamp_fold
+from qafactor.ising import brute_force_ground, clamp_fold, energy, free_indices, merge_spins
 from qafactor.multiplier import (
     BIAS,
-    bias_ground_energy,
+    FOLD,
+    BIAS_STRENGTH,
     build_multiplier,
     clamp_product,
     decode,
@@ -127,15 +129,28 @@ class TestInverse:
     def test_fold_vs_bias_same_factor_sets(self, net22):
         fold_pairs = ground_factor_pairs(net22, 9)
         biased, offset = clamp_product(net22, 9, method=BIAS)
-        assert offset == 0.0
+        assert offset == BIAS_STRENGTH * len(net22.product)
         report = brute_force_ground(biased)
-        assert report.e0 == pytest.approx(bias_ground_energy(net22), abs=1e-9)
+        assert report.e0 == pytest.approx(net22.expected_e0 - offset, abs=1e-9)
         bias_pairs = set()
         for state in report.states:
             out = decode(net22, state)
             assert out.p == 9
             bias_pairs.add((out.m, out.n))
         assert bias_pairs == fold_pairs
+
+    @pytest.mark.parametrize("method", [FOLD, BIAS])
+    def test_clamp_offset_contract(self, net22, method):
+        # Clamped energy + offset = network energy wherever the product reads p.
+        clamps = product_clamp_assignment(net22, 9)
+        clamped, offset = clamp_product(net22, 9, method=method)
+        rng = random.Random(9)
+        for _ in range(20):
+            free = [rng.choice((-1, 1)) for _ in free_indices(net22.model.n, clamps)]
+            state = merge_spins(net22.model.n, clamps, free)
+            reduced = free if method == FOLD else state
+            assert energy(clamped, reduced) + offset == pytest.approx(
+                energy(net22.model, state), abs=1e-9)
 
     def test_chains_do_not_change_factor_sets(self):
         plain = build_multiplier(2, 2)
