@@ -9,7 +9,6 @@ from .anneal import Schedule, ShotResult, RunSummary, anneal_shot, run_shots
 from .capacity import CapacityInput, CapacityReport, capacity_estimate
 from .formats import format_model, parse_model
 from .gates import (
-    CircuitGraph,
     GateTemplate,
     TruthTable,
     and_gate,

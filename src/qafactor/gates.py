@@ -7,9 +7,11 @@ a spin across gates, a NOT coupling (J = +1) copies and inverts.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +23,7 @@ NOT = "not"
 
 
 class CompositionError(ValueError):
-    """Ill-formed circuit graph (dangling reference, duplicate coupling...)."""
+    """Ill-formed composition (dangling reference, duplicate coupling...)."""
 
 
 @dataclass(frozen=True)
@@ -96,84 +98,35 @@ def free_spin() -> GateTemplate:
     return GateTemplate("spin", model, {"pin": 0}, ((0,), (1,)), math.inf)
 
 
-@dataclass
-class CircuitGraph:
-    """Gate instances plus inter-gate couplings on global spin indices.
+def compose(gates: Sequence[GateTemplate],
+            links: Iterable[tuple[int, int, str, float]]) -> tuple[IsingModel, list[int]]:
+    """Concatenate gate blocks and add the inter-gate links.
 
-    Global spins are assigned by concatenation: the k-th added gate
-    occupies indices [offsets[k], offsets[k] + gate.n); :meth:`add_gate`,
-    the only way to add a gate, records its offset, and :meth:`couple`, the
-    only way to add a coupling, checks its kind and strength.  WIRE
-    couplings emit J = -strength, NOT couplings J = +strength (strength
-    defaults to 1).
+    Gate k occupies global spins [offsets[k], offsets[k] + gates[k].n).  A
+    link ``(a, b, kind, strength)`` joins global spins of two distinct gate
+    instances: WIRE emits J = -strength, NOT J = +strength.  Ground states
+    of the result restrict to each gate's valid set and satisfy every link
+    (s_a s_b = +1 for WIRE, -1 for NOT).  Returns the model and the offsets.
     """
+    offsets = list(itertools.accumulate((g.n for g in gates), initial=0))
+    total = offsets.pop()
 
-    gates: list[GateTemplate] = field(default_factory=list, init=False)
-    offsets: list[int] = field(default_factory=list, init=False)
-    couplings: list[tuple[int, int, str, float]] = field(default_factory=list, init=False)
-    exports: dict[str, int] = field(default_factory=dict, init=False)
-
-    def add_gate(self, gate: GateTemplate) -> int:
-        """Append a gate instance; returns its global spin offset."""
-        offset = self.n_spins
-        self.gates.append(gate)
-        self.offsets.append(offset)
-        return offset
-
-    @property
-    def n_spins(self) -> int:
-        return sum(g.n for g in self.gates)
-
-    def spin(self, gate_index: int, port: str) -> int:
-        """Global index of a named port on one gate instance."""
-        if not 0 <= gate_index < len(self.gates):
-            raise CompositionError(f"no gate instance {gate_index}")
-        gate = self.gates[gate_index]
-        if port not in gate.ports:
-            raise CompositionError(f"gate {gate.name!r} has no port {port!r}")
-        return self.offsets[gate_index] + gate.ports[port]
-
-    def couple(self, a: int, b: int, kind: str, strength: float = 1.0) -> None:
-        if kind not in (WIRE, NOT):
-            raise CompositionError(f"unknown coupling kind {kind!r}")
-        if strength <= 0:
-            raise CompositionError("coupling strength must be positive")
-        self.couplings.append((a, b, kind, float(strength)))
-
-    def export(self, name: str, global_spin: int) -> None:
-        self.exports[name] = global_spin
-
-
-def _gate_block_of(offsets: list[int], sizes: list[int], spin: int) -> int:
-    for k, (off, size) in enumerate(zip(offsets, sizes)):
-        if off <= spin < off + size:
-            return k
-    return -1
-
-
-def compose(graph: CircuitGraph) -> tuple[IsingModel, dict[str, int]]:
-    """Concatenate gate blocks and add the inter-gate couplings.
-
-    Ground states of the result restrict to each gate's valid set and
-    satisfy every coupling (s_a s_b = +1 for WIRE, -1 for NOT).
-    """
-    offsets, total = graph.offsets, graph.n_spins
-    sizes = [g.n for g in graph.gates]
-
-    h = [0.0] * total
+    h: list[float] = []
     couplings: dict[tuple[int, int], float] = {}
-    for off, gate in zip(offsets, graph.gates):
-        for i, hv in enumerate(gate.model.h):
-            h[off + i] = hv
+    for off, gate in zip(offsets, gates):
+        h.extend(gate.model.h)
         for (i, j), v in gate.model.couplings.items():
             couplings[(off + i, off + j)] = v
 
     seen_pairs = set()
-    for a, b, kind, strength in graph.couplings:
+    for a, b, kind, strength in links:
+        if kind not in (WIRE, NOT):
+            raise CompositionError(f"unknown coupling kind {kind!r}")
+        if strength <= 0:
+            raise CompositionError("coupling strength must be positive")
         if not (0 <= a < total and 0 <= b < total):
             raise CompositionError(f"coupling endpoint out of range: ({a},{b})")
-        ga, gb = _gate_block_of(offsets, sizes, a), _gate_block_of(offsets, sizes, b)
-        if ga == gb:
+        if bisect.bisect_right(offsets, a) == bisect.bisect_right(offsets, b):
             raise CompositionError(
                 f"coupling ({a},{b}) must join distinct gate instances"
             )
@@ -181,13 +134,8 @@ def compose(graph: CircuitGraph) -> tuple[IsingModel, dict[str, int]]:
         if key in seen_pairs:
             raise CompositionError(f"duplicate coupling on pair {key}")
         seen_pairs.add(key)
-        couplings[key] = -strength if kind == WIRE else strength
-
-    ports = dict(graph.exports)
-    for name, spin in ports.items():
-        if not 0 <= spin < total:
-            raise CompositionError(f"exported port {name!r} out of range")
-    return IsingModel(total, tuple(h), couplings), ports
+        couplings[key] = -float(strength) if kind == WIRE else float(strength)
+    return IsingModel(total, tuple(h), couplings), offsets
 
 
 def half_adder() -> tuple[IsingModel, dict[str, int]]:
@@ -199,19 +147,21 @@ def half_adder() -> tuple[IsingModel, dict[str, int]]:
     sum = NOR(NOR(a, b), carry) through two WIRE couplings
     (J38 = J67 = -1).
     """
-    graph = CircuitGraph()
-    graph.add_gate(nor_gate())  # NOR(a, b)
-    graph.add_gate(nor_gate())  # NOR(not a, not b) = AND(a, b)
-    graph.add_gate(nor_gate())  # NOR(carry, NOR(a, b)) = XOR(a, b)
-    graph.couple(graph.spin(0, "in_a"), graph.spin(1, "in_a"), NOT)
-    graph.couple(graph.spin(0, "in_b"), graph.spin(1, "in_b"), NOT)
-    graph.couple(graph.spin(0, "out"), graph.spin(2, "in_b"), WIRE)
-    graph.couple(graph.spin(1, "out"), graph.spin(2, "in_a"), WIRE)
-    graph.export("a", graph.spin(0, "in_a"))
-    graph.export("b", graph.spin(0, "in_b"))
-    graph.export("carry", graph.spin(1, "out"))
-    graph.export("sum", graph.spin(2, "out"))
-    return compose(graph)
+    nor = nor_gate()
+
+    def port(k: int, name: str) -> int:
+        return k * nor.n + nor.ports[name]
+
+    # Block 0: NOR(a, b); block 1: NOR(not a, not b) = AND(a, b);
+    # block 2: NOR(carry, NOR(a, b)) = XOR(a, b).
+    model, _ = compose([nor] * 3, [
+        (port(0, "in_a"), port(1, "in_a"), NOT, 1.0),
+        (port(0, "in_b"), port(1, "in_b"), NOT, 1.0),
+        (port(0, "out"), port(2, "in_b"), WIRE, 1.0),
+        (port(1, "out"), port(2, "in_a"), WIRE, 1.0),
+    ])
+    return model, {"a": port(0, "in_a"), "b": port(0, "in_b"),
+                   "carry": port(1, "out"), "sum": port(2, "out")}
 
 
 def half_adder_template() -> GateTemplate:

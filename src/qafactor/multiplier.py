@@ -12,10 +12,12 @@ with the product clamped the ground manifold encodes every factor pair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .gates import WIRE, CircuitGraph, compose, free_spin
+from .formats import MAX_MODEL_SPINS
+from .gates import WIRE, compose, free_spin
 from .ising import (
     GROUND_TOL,
     IsingModel,
@@ -56,7 +58,6 @@ class MultiplierNetwork:
     product: tuple[int, ...]                # spin per product bit, LSB first
     expected_e0: float
     n_chain_spins: int
-    n_couplings: int
 
     @property
     def n_cells(self) -> int:
@@ -78,15 +79,19 @@ def build_multiplier(
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("factor widths must be >= 1")
-    if chain_strength <= 0:
-        raise ValueError("chain strength must be positive")
+    if not (math.isfinite(chain_strength) and chain_strength > 0):
+        raise ValueError(f"chain strength must be finite and positive, got {chain_strength!r}")
     cell = mult_unit_gate()
-
-    graph = CircuitGraph()
-    offsets = [[graph.add_gate(cell) for _i in range(n1)] for _j in range(n2)]
+    # Each cell less the folded boundary addends, plus one spin per wire
+    # when chained: checked before any wire or model is built.
+    n_wires = 2 * n1 * (n2 - 1) + 2 * n2 * (n1 - 1)
+    n_spins = cell.n * n1 * n2 - n1 - n2 + (n_wires if chains else 0)
+    if n_spins > MAX_MODEL_SPINS:
+        raise ValueError(f"a {n1}x{n2} network has {n_spins} spins, "
+                         f"above the model-file limit of {MAX_MODEL_SPINS}")
 
     def port(i: int, j: int, name: str) -> int:
-        return offsets[j][i] + cell.ports[name]
+        return (j * n1 + i) * cell.n + cell.ports[name]
 
     wires: list[tuple[int, int]] = []
     for i in range(n1):                      # factor-A fan-out down columns
@@ -103,18 +108,17 @@ def build_multiplier(
             wires.append((port(i + 1, j - 1, "out_sum"), port(i, j, "in_c")))
         wires.append((port(n1 - 1, j - 1, "out_carry"), port(n1 - 1, j, "in_c")))
 
-    n_chain = 0
-    for a, b in wires:
-        if chains:
-            mid = graph.add_gate(free_spin())
-            graph.couple(a, mid, WIRE, chain_strength)
-            graph.couple(mid, b, WIRE, chain_strength)
-            n_chain += 1
-        else:
-            graph.couple(a, b, WIRE, chain_strength)
-
-    full_model, _ = compose(graph)
-    n_couplings = len(graph.couplings)
+    gates = [cell] * (n1 * n2)
+    if chains:
+        # Chain spin k follows the cells and splits wire k into two links.
+        first = len(gates) * cell.n
+        gates += [free_spin()] * len(wires)
+        links = [link for k, (a, b) in enumerate(wires)
+                 for link in ((a, first + k, WIRE, chain_strength),
+                              (first + k, b, WIRE, chain_strength))]
+    else:
+        links = [(a, b, WIRE, chain_strength) for a, b in wires]
+    full_model, _ = compose(gates, links)
 
     # Boundary addends are constants: row 0 has no incoming partial sum and
     # column 0 no incoming carry.  Fold them in as zeros.
@@ -134,12 +138,12 @@ def build_multiplier(
     product.append(remap[port(n1 - 1, n2 - 1, "out_carry")])
 
     cell_e0 = brute_force_ground(cell.model).e0
-    expected_e0 = n1 * n2 * cell_e0 - chain_strength * n_couplings - offset
+    expected_e0 = n1 * n2 * cell_e0 - chain_strength * len(links) - offset
 
     return MultiplierNetwork(
         n1=n1, n2=n2, model=reduced, factor_a=factor_a, factor_b=factor_b,
         product=tuple(product), expected_e0=expected_e0,
-        n_chain_spins=n_chain, n_couplings=n_couplings,
+        n_chain_spins=len(wires) if chains else 0,
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_models
-from qafactor import cli, fluxsim
+from qafactor import cli, fluxsim, multiplier
 from qafactor.cli import main
 from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
 from qafactor.gates import GateTemplate, nor_gate, verify_gate
@@ -215,6 +215,24 @@ class TestSynthMult:
         assert code == 0
         assert "chain_spins 2" in out
 
+    @pytest.mark.parametrize("bits", ["1", "2"])
+    @pytest.mark.parametrize("strength", ["nan", "inf"])
+    def test_non_finite_chain_strength_is_usage_error(self, capsys, bits, strength):
+        code, out, err = run(capsys, "synth", "mult", "--bits-a", bits, "--bits-b", "1",
+                             "--chain-strength", strength)
+        assert code == 1
+        assert "finite and positive" in err
+        assert out == ""
+        assert not Path(f"mult{bits}x1.model").exists()
+
+    def test_network_above_model_file_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(multiplier, "MAX_MODEL_SPINS", 87)
+        code, out, err = run(capsys, "synth", "mult", "--bits-a", "4", "--bits-b", "4")
+        assert code == 1
+        assert "88 spins" in err
+        assert out == ""
+        assert not Path("mult4x4.model").exists()
+
 
 class TestAnnealCommand:
     def test_runs_on_emitted_model(self, capsys):
@@ -407,6 +425,10 @@ _WRITTEN = {
     "synth-mult": (("synth", "mult", "--bits-a", "2", "--bits-b", "2"), {
         "mult2x2.model": "ef3f1da81c63998331cb203e843f8439d92ad35dfe6ec87507335ba1fa3d20d4",
         "mult2x2.roles": "6190bf4226f65bc4d567d6103b863d3d677c611e86bf71b3d6febedb7b94f69d"}),
+    "synth-mult-chained": (("synth", "mult", "--bits-a", "3", "--bits-b", "2", "--chains",
+                            "--chain-strength", "0.5"), {
+        "mult3x2.model": "68243fed2b9e158d5b3105eb3dd5ef20ebde81742f7e20061a91ebb288b914e8",
+        "mult3x2.roles": "425ccc1cc92ee27bbe5723470e8f2708e07bd8c4d412dd94d3e38bc4e91ba13d"}),
     "factor-csv": (("factor", "15", "--shots", "5", "--sweeps", "50", "--csv", "f.csv"), {
         "f.csv": "ae87f21fb1ba94a8a3618b5f682700e3db5fb058f5dd1a9756fd9516fe956e50"}),
     "multiply-csv": (("multiply", "3", "5", "--shots", "5", "--csv", "m.csv"), {

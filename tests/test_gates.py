@@ -5,7 +5,6 @@ import pytest
 from qafactor.gates import (
     NOT,
     WIRE,
-    CircuitGraph,
     CompositionError,
     GateReport,
     GateTemplate,
@@ -96,88 +95,87 @@ class TestVerifyGate:
 
 
 class TestCompose:
+    # Global spins: gate k starts where gate k-1 ends, so with two NORs
+    # in_a, in_b, out are spins 0, 1, 2 and 3, 4, 5.
+    _BLOCKS = [nor_gate(), free_spin(), half_adder_template(), and_gate()]
+
     def test_single_gate_identity(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        model, _ = compose(graph)
+        model, offsets = compose([nor_gate()], [])
         assert model == nor_gate().model
+        assert offsets == [0]
+
+    def test_offsets_concatenate_gate_sizes(self):
+        model, offsets = compose(self._BLOCKS, [])
+        assert offsets == [0, 3, 4, 13]
+        assert model.n == 16
 
     def test_two_nors_one_wire(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        graph.add_gate(nor_gate())
-        graph.couple(graph.spin(0, "out"), graph.spin(1, "in_a"), WIRE)
-        model, _ = compose(graph)
+        model, _ = compose([nor_gate()] * 2, [(2, 3, WIRE, 1.0)])  # out -> in_a
         report = brute_force_ground(model)
         assert report.e0 == -4.0
         for state in report.states:
             assert state[2] == state[3]  # wire satisfied
 
     def test_not_of_nor_is_or(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        graph.add_gate(free_spin())
-        graph.couple(graph.spin(0, "out"), graph.spin(1, "pin"), NOT)
-        model, _ = compose(graph)
+        model, _ = compose([nor_gate(), free_spin()], [(2, 3, NOT, 1.0)])
         for state in brute_force_ground(model).states:
             a, b, _, far = spins_to_bits(state)
             assert far == (a | b)
 
     def test_wire_and_not_coupling_values(self):
-        graph = CircuitGraph()
-        graph.add_gate(free_spin())
-        graph.add_gate(free_spin())
-        graph.add_gate(free_spin())
-        graph.couple(0, 1, WIRE)
-        graph.couple(1, 2, NOT)
-        model, _ = compose(graph)
+        model, _ = compose([free_spin()] * 3, [(0, 1, WIRE, 1.0), (1, 2, NOT, 1.0)])
         assert model.coupling(0, 1) == -1.0
         assert model.coupling(1, 2) == 1.0
 
+    def test_links_follow_gate_couplings_in_order(self):
+        model, _ = compose([nor_gate()] * 2, [(5, 0, WIRE, 0.5), (2, 3, NOT, 2.0)])
+        assert list(model.couplings.items()) == [
+            ((0, 1), 0.5), ((0, 2), 1.0), ((1, 2), 1.0),
+            ((3, 4), 0.5), ((3, 5), 1.0), ((4, 5), 1.0),
+            ((0, 5), -0.5), ((2, 3), 2.0)]
+
     def test_ground_couplings_all_satisfied(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        graph.add_gate(and_gate())
-        graph.couple(graph.spin(0, "out"), graph.spin(1, "in_b"), WIRE)
-        graph.couple(graph.spin(0, "in_a"), graph.spin(1, "in_a"), NOT)
-        model, _ = compose(graph)
+        # NOR out (2) wired to AND in_b (4); NOR in_a (0) inverted into AND in_a (3).
+        model, _ = compose([nor_gate(), and_gate()], [(2, 4, WIRE, 1.0), (0, 3, NOT, 1.0)])
         for state in brute_force_ground(model).states:
             assert state[2] * state[4] == 1
             assert state[0] * state[3] == -1
 
     def test_duplicate_coupling_rejected(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        graph.add_gate(nor_gate())
-        graph.couple(2, 3, WIRE)
-        graph.couple(3, 2, NOT)
-        with pytest.raises(CompositionError):
-            compose(graph)
+        with pytest.raises(CompositionError, match="duplicate"):
+            compose([nor_gate()] * 2, [(2, 3, WIRE, 1.0), (3, 2, NOT, 1.0)])
 
     def test_same_gate_coupling_rejected(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        graph.add_gate(nor_gate())
-        graph.couple(0, 1, WIRE)
-        with pytest.raises(CompositionError):
-            compose(graph)
+        with pytest.raises(CompositionError, match="distinct gate instances"):
+            compose([nor_gate()] * 2, [(0, 1, WIRE, 1.0)])
 
     def test_dangling_references(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        with pytest.raises(CompositionError):
-            graph.spin(0, "nonexistent")
-        with pytest.raises(CompositionError):
-            graph.spin(3, "out")
-        graph.couple(0, 99, WIRE)
-        with pytest.raises(CompositionError):
-            compose(graph)
+        for a, b in ((0, 99), (-1, 2), (0, 3)):
+            with pytest.raises(CompositionError, match="out of range"):
+                compose([nor_gate()], [(a, b, WIRE, 1.0)])
 
     def test_unknown_kind_rejected(self):
-        graph = CircuitGraph()
-        graph.add_gate(nor_gate())
-        with pytest.raises(CompositionError):
-            graph.couple(0, 1, "xor")
+        with pytest.raises(CompositionError, match="unknown coupling kind"):
+            compose([nor_gate()] * 2, [(0, 3, "xor", 1.0)])
+
+    @pytest.mark.parametrize("strength", [0.0, -1.0])
+    def test_non_positive_strength_rejected(self, strength):
+        with pytest.raises(CompositionError, match="must be positive"):
+            compose([nor_gate()] * 2, [(0, 3, WIRE, strength)])
+
+    @pytest.mark.parametrize("k", range(len(_BLOCKS) - 1))
+    def test_link_across_a_block_boundary_accepted(self, k):
+        _, offsets = compose(self._BLOCKS, [])
+        last, first = offsets[k + 1] - 1, offsets[k + 1]
+        model, _ = compose(self._BLOCKS, [(last, first, WIRE, 1.0)])
+        assert model.coupling(last, first) == -1.0
+
+    @pytest.mark.parametrize("k", range(len(_BLOCKS)))
+    def test_link_within_one_block_rejected(self, k):
+        _, offsets = compose(self._BLOCKS, [])
+        first, last = offsets[k], offsets[k] + self._BLOCKS[k].n - 1
+        with pytest.raises(CompositionError, match="distinct gate instances"):
+            compose(self._BLOCKS, [(first, last, NOT, 1.0)])
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from qafactor import multiplier
 from qafactor.ising import brute_force_ground, clamp_fold, energy, free_indices, merge_spins
 from qafactor.multiplier import (
     BIAS,
@@ -45,7 +47,8 @@ class TestBuild:
     def test_expected_e0_with_chains(self):
         plain = build_multiplier(1, 2)
         chained = build_multiplier(1, 2, chains=True)
-        extra_couplings = chained.n_couplings - plain.n_couplings
+        # Each chain spin turns one wire coupling into two.
+        extra_couplings = chained.n_chain_spins
         assert chained.expected_e0 == pytest.approx(
             plain.expected_e0 - extra_couplings, abs=1e-9
         )
@@ -64,6 +67,27 @@ class TestBuild:
             build_multiplier(0, 1)
         with pytest.raises(ValueError):
             build_multiplier(1, 1, chain_strength=0.0)
+
+    @pytest.mark.parametrize("strength", [math.nan, math.inf, -math.inf])
+    def test_non_finite_chain_strength_rejected(self, strength):
+        # A 1x1 network has no wires, so no coupling would ever see the value.
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_multiplier(1, 1, chain_strength=strength)
+
+    @pytest.mark.parametrize("n1,n2,chains,n_spins", [
+        (4, 4, False, 88), (2, 2, True, 28), (3, 2, True, 45)])
+    def test_spin_count_bounded_by_model_file_limit(self, monkeypatch, n1, n2, chains,
+                                                     n_spins):
+        monkeypatch.setattr(multiplier, "MAX_MODEL_SPINS", n_spins)
+        assert build_multiplier(n1, n2, chains=chains).model.n == n_spins
+
+        def no_build(*_args):
+            raise AssertionError("network composed before the size check")
+
+        monkeypatch.setattr(multiplier, "MAX_MODEL_SPINS", n_spins - 1)
+        monkeypatch.setattr(multiplier, "compose", no_build)
+        with pytest.raises(ValueError, match=f"{n_spins} spins, above the model-file limit"):
+            build_multiplier(n1, n2, chains=chains)
 
 
 class TestForward:
