@@ -405,7 +405,9 @@ def build_parser() -> _Parser:
     p_nor.add_argument("--shots", type=_positive_int, default=200)
     p_nor.add_argument("--ramp-ns", type=float, default=fluxsim.RAMP_DEFAULT * 1e9)
     p_nor.add_argument("--hold-ns", type=float, default=fluxsim.HOLD_DEFAULT * 1e9)
-    p_nor.add_argument("--dt-fs", type=float, default=fluxsim.DT_DEFAULT * 1e15)
+    p_nor.add_argument("--dt-fs", type=float, default=fluxsim.DT_DEFAULT * 1e15,
+                       help="integrator step in fs (default %(default)g); at most 500,"
+                            " the noise hold")
     p_nor.add_argument("--noise-sigma", type=float, default=0.13,
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", default=None)

@@ -405,6 +405,12 @@ class TestCircuit:
         seeds = [line for line in out.splitlines() if line.startswith("master_seed")]
         assert seeds == ["master_seed 5"]
 
+    def test_step_help_names_default_and_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["circuit", "nor-inverse", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "integrator step in fs (default 100); at most 500, the noise hold" in help_text
+
 
 #: sha256 of every file each command writes.  A writer whose bytes change
 #: must change these on purpose.  The trace digest also pins NumPy's float64
@@ -434,8 +440,12 @@ _WRITTEN = {
     "multiply-csv": (("multiply", "3", "5", "--shots", "5", "--csv", "m.csv"), {
         "m.csv": "5ebfae6a8f144dd1b657337e52edf0922a0ded6a534d7e1fbcf3218be98a24a4"}),
     "circuit-trace": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
-                       "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
+                       "--ramp-ns", "0.2", "--hold-ns", "0.05", "--dt-fs", "50",
+                       "--trace", "t.csv"), {
         "t.csv": "1968c330f58a650a9c98305e695307aa288373f1e389cca0e49d4e5599db74bc"}),
+    "circuit-trace-default": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
+                               "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
+        "t.csv": "680ff1a678ab7101cdb82330c287153ddfbdaabdc5fc7fdba7cf62cfb201f916"}),
 }
 
 

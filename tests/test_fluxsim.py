@@ -144,8 +144,10 @@ class TestDataclasses:
             step_count(RampSpec(), dt)
 
     def test_step_count(self):
-        # 2.2 ns / 0.05 ps is a hair above 44000 in floats.
-        assert step_count(RampSpec(), DT_DEFAULT) == 44001
+        # The default 2.2 ns is a hair above 2.2e-9 in floats: 44001 steps of
+        # 0.05 ps, 22001 of the default 0.1 ps.
+        assert step_count(RampSpec(), 5e-14) == 44001
+        assert step_count(RampSpec(), DT_DEFAULT) == 22001
         assert step_count(RampSpec(ramp_s=0.3e-9, hold_s=0.0), 7e-14) == 4286
         assert step_count(RampSpec(ramp_s=1e-13, hold_s=0.0), 5e-13) == 1
 
@@ -316,11 +318,12 @@ class TestEnsemble:
         self.assert_batch_equals_singles(layout, [shot_seed(5, k) for k in range(3)])
 
     def test_final_currents_golden(self):
-        # Exact floats of a short 3-shot inverse-NOR run: any change to the
-        # integrator's arithmetic, its order or the noise streams shows here.
+        # Exact floats of a short 3-shot inverse-NOR run at a 0.05-ps step:
+        # any change to the integrator's arithmetic, its order or the noise
+        # streams shows here.
         ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
         layout = inverse_nor_layout(0, ramp=ramp)
-        shots = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT,
+        shots = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14,
                                  [shot_seed(42, k) for k in range(3)])
         expected = np.array([
             (3.4390205201306814e-06, 3.368817935308684e-06,
@@ -369,7 +372,7 @@ class TestEnsemble:
             layout = inverse_nor_layout(0, ramp=ramp)
             tracemalloc.start()
             try:
-                kept = _integrate_batch(layout, NoiseSpec(), ramp, DT_DEFAULT, seeds)
+                kept = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14, seeds)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
