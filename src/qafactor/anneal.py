@@ -38,6 +38,7 @@ should not pay for it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -75,10 +76,17 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in (GEOMETRIC, LINEAR):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (self.t_hot >= self.t_cold > 0):
-            raise ValueError("require t_hot >= t_cold > 0")
+        if not (math.isfinite(self.t_hot) and self.t_hot >= self.t_cold > 0):
+            raise ValueError("require finite t_hot >= t_cold > 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        # Finite end points can still round to 0 or below along the way,
+        # as geometric 1e200 -> 1e-200 over 3 sweeps does.
+        for k, t in enumerate(self.temperatures()):
+            if not 0.0 < t < math.inf:
+                raise ValueError(
+                    f"t_hot {self.t_hot!r} to t_cold {self.t_cold!r} over {self.sweeps} "
+                    f"sweeps gives temperature {t!r} at sweep {k}; each must be finite and > 0")
 
     def temperatures(self) -> list[float]:
         if self.sweeps == 1:
@@ -95,7 +103,6 @@ class ShotResult:
     state: tuple[int, ...]
     energy: float
     index: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -249,7 +256,7 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
         raise ArithmeticError(
             f"incremental energy drifted: tracked {tracked!r} vs exact {exact!r}"
         )
-    return ShotResult(final, exact, index, seed)
+    return ShotResult(final, exact, index)
 
 
 def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
@@ -262,8 +269,7 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     from scipy.sparse._sparsetools import csr_matvecs
 
     n, shots = model.n, len(indices)
-    seeds = [shot_seed(master_seed, k) for k in indices]
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    rngs = [np.random.Generator(np.random.PCG64(shot_seed(master_seed, k))) for k in indices]
     bits = np.array([rng.integers(0, 2, n) for rng in rngs])
     # delta = -2 s: the change a flip makes to each spin.
     delta = 2.0 - 4.0 * bits.T[plan.order]
@@ -287,9 +293,9 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     final = np.empty((n, shots), dtype=np.int64)
     final[plan.order] = spins
     results = []
-    for k, seed, state in zip(indices, seeds, final.T.tolist()):
+    for k, state in zip(indices, final.T.tolist()):
         state = tuple(state)
-        results.append(ShotResult(state, energy(model, state), k, seed))
+        results.append(ShotResult(state, energy(model, state), k))
     return results
 
 
@@ -309,6 +315,8 @@ def run_shots(
     per shot.  Histogram keys are the final states' bit strings (spin 0
     first); the module docstring says how the shots are batched.
     """
+    if reference_e0 is not None and not math.isfinite(reference_e0):
+        raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
     plan = _sweep_plan(model)
     results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
                               n_shots, workers, 8 * model.n * (2 + 2 * SWEEP_BLOCK))

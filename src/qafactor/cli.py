@@ -24,8 +24,7 @@ from .formats import (
     write_shot_csv,
     write_trace_csv,
 )
-from .gates import (NOR_TRUTH, and_gate, check_manifold, half_adder_template, nor_gate,
-                    verify_gate)
+from .gates import NOR_TRUTH, and_gate, check_manifold, half_adder, nor_gate, verify_gate
 from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_force_ground,
                     clamp_fold, spins_to_bits, state_from_code)
 from .multiplier import (
@@ -37,7 +36,7 @@ from .multiplier import (
     factor_clamp_assignment,
     product_clamp_assignment,
 )
-from .synth import SynthesisError, mult_unit_gate
+from .synth import mult_unit_gate
 
 DEFAULT_SEED = 1
 
@@ -69,7 +68,7 @@ def _write(path: str, text: str) -> None:
 # gates emit
 # ---------------------------------------------------------------------------
 
-_GATES = {"nor": nor_gate, "and": and_gate, "half-adder": half_adder_template,
+_GATES = {"nor": nor_gate, "and": and_gate, "half-adder": half_adder,
          "mult-unit": mult_unit_gate}
 
 
@@ -152,11 +151,13 @@ def cmd_anneal(args) -> int:
     reference = args.reference_e0
     if args.brute_force_reference:
         reference = brute_force_ground(model, cap=args.cap).e0
-    print(f"master_seed {args.seed}")
+    # Printed after the run, so that a model or reference the annealer
+    # rejects leaves stdout empty.
     summary, shots = annealing.run_shots(
         model, schedule, args.shots, args.seed,
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
+    print(f"master_seed {args.seed}")
     if args.csv:
         _save_shot_csv(args.csv, shots, summary.hits)
     sys.stdout.write(summary.to_text())
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ModelFormatError, SizeCapError, SynthesisError, FileNotFoundError) as exc:
+    except (ModelFormatError, SizeCapError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

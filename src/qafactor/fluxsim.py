@@ -125,7 +125,8 @@ class NoiseSpec:
     seeded ``seed`` draws its samples in order from ``PCG64(seed)``, two
     junction values per qubit per sample, so sample i's values depend on
     i and the seed alone, not on how many samples the integrator draws
-    at a time.
+    at a time.  Only :func:`simulate_shot` reads ``seed``;
+    :func:`run_ensemble` seeds each shot from its master seed.
     """
 
     sigma: float = 0.13e-6
@@ -143,17 +144,23 @@ def johnson_sigma(r: float, temperature: float, bandwidth: float) -> float:
     return math.sqrt(4.0 * KB * temperature * bandwidth / r)
 
 
+#: Transverse flux at the start of the ramp (barrier off, one well) and at
+#: its end (full barrier, double well).
+_PHI_T_START = PHI0 / 2
+_PHI_T_END = 0.0
+
+
 @dataclass(frozen=True)
 class RampSpec:
-    """Shared transverse-flux waveform: linear phi_t ramp, then a hold."""
+    """Shared transverse-flux waveform: phi_t ramps linearly from Phi0/2
+    (barrier off) to 0 (full barrier) over ``ramp_s``, then holds at 0 for
+    ``hold_s``."""
 
     ramp_s: float = RAMP_DEFAULT
     hold_s: float = HOLD_DEFAULT
-    phi_t_start: float = PHI0 / 2
-    phi_t_end: float = 0.0
 
     def __post_init__(self):
-        values = (self.ramp_s, self.hold_s, self.phi_t_start, self.phi_t_end)
+        values = (self.ramp_s, self.hold_s)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"ramp values must be finite, got {values!r}")
         if self.ramp_s <= 0 or self.hold_s < 0:
@@ -166,8 +173,8 @@ class RampSpec:
     def phi_t(self, t):
         """Transverse flux at time ``t``: a float or an array of times."""
         t = np.asarray(t, dtype=float)
-        ramped = self.phi_t_start + (self.phi_t_end - self.phi_t_start) * (t / self.ramp_s)
-        return np.where(t >= self.ramp_s, self.phi_t_end, ramped)
+        ramped = _PHI_T_START + (_PHI_T_END - _PHI_T_START) * (t / self.ramp_s)
+        return np.where(t >= self.ramp_s, _PHI_T_END, ramped)
 
 
 @dataclass(frozen=True)
@@ -461,7 +468,10 @@ def simulate_shot(
 ) -> ShotTrace:
     """Integrate one annealing shot seeded ``noise.seed``: the ensemble's
     kernel at batch one, recording the loop currents at every
-    ``decimate``-th step and at read-out.  Returns the shot's record."""
+    ``decimate``-th step and at read-out.  Returns the shot's record.
+
+    A ``ramp`` argument overrides ``layout.ramp``; without one the layout's
+    ramp is used."""
     ramp = ramp or layout.ramp
     return _integrate_batch(layout, noise, ramp, dt, [noise.seed],
                             record_every=max(1, decimate))[0]
@@ -506,7 +516,12 @@ def run_ensemble(
     shots by the integrator's per-shot buffers: five state rows, two n x n
     mat-vec arrays and one noise block.  With ``decimate`` > 0 the result
     also keeps every shot's record: its loop currents at every
-    ``decimate``-th step, as :func:`simulate_shot`."""
+    ``decimate``-th step, as :func:`simulate_shot`.
+
+    Shot k draws its noise from ``shot_seed(master_seed, k)``;
+    ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A ``ramp``
+    argument overrides ``layout.ramp``; without one the layout's ramp is
+    used."""
     ramp = ramp or layout.ramp
     n = layout.n
     shots = run_shot_ranges(_ensemble_batch,
@@ -519,48 +534,16 @@ def run_ensemble(
     return EnsembleResult(shots=n_shots, counts=counts, traces=traces)
 
 
-@dataclass(frozen=True)
-class PotentialScan:
-    """Sampled single-qubit potential and its local minima."""
+def potential_minima(phi_t: float) -> tuple[float, ...]:
+    """Main-loop fluxes (Wb) at the local minima of a bare qubit's potential
+    at transverse flux ``phi_t``: one at Phi0/2, where the barrier is off,
+    two (+-0.43 Phi0) at 0, the full barrier.
 
-    phi: np.ndarray
-    u: np.ndarray
-    minima_phi: tuple[float, ...]
-
-    @property
-    def n_minima(self) -> int:
-        return len(self.minima_phi)
-
-
-def static_potential(
-    layout: NetworkLayout,
-    phi_t: float,
-    phi_x: float,
-    qubit: int,
-    neighbor_iq: Sequence[float] | None = None,
-) -> PotentialScan:
-    """Effective 1-D potential of one qubit with neighbors frozen.
-
-    ``phi_x`` is the externally applied main-loop flux; frozen neighbor
-    circulating currents add their mutual flux on top.  Counts strict
-    local minima over 3001 grid points spanning the applied flux plus 1.5
-    flux quanta on either side.
+    Counts strict local minima over 3001 grid points spanning 1.5 flux
+    quanta on either side of zero applied flux.
     """
-    if not 0 <= qubit < layout.n:
-        raise ValueError("qubit index out of range")
     ej = (PHI0 / (2.0 * math.pi)) * 2.0 * IC * math.cos(math.pi * phi_t / PHI0)
-    ext = phi_x
-    if neighbor_iq is not None:
-        if len(neighbor_iq) != layout.n:
-            raise ValueError("one frozen current per qubit required")
-        for (i, j), m in layout.mutuals.items():
-            if i == qubit:
-                ext += m * neighbor_iq[j]
-            elif j == qubit:
-                ext += m * neighbor_iq[i]
-    span = abs(ext) + 1.5 * PHI0
-    phi = np.linspace(-span, span, 3001)
-    u = (phi - ext) ** 2 / (2.0 * L_LOOP) + ej * np.cos(2.0 * math.pi * phi / PHI0)
+    phi = np.linspace(-1.5 * PHI0, 1.5 * PHI0, 3001)
+    u = phi ** 2 / (2.0 * L_LOOP) + ej * np.cos(2.0 * math.pi * phi / PHI0)
     interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
-    minima = tuple(float(x) for x in phi[1:-1][interior])
-    return PotentialScan(phi=phi, u=u, minima_phi=minima)
+    return tuple(float(x) for x in phi[1:-1][interior])

@@ -36,7 +36,6 @@ class GateTemplate:
     ``valid_set`` exactly, which :func:`verify_gate` checks by enumeration.
     """
 
-    name: str
     model: IsingModel
     ports: dict[str, int]
     valid_set: tuple[tuple[int, ...], ...]
@@ -83,30 +82,30 @@ AND_TRUTH = TruthTable(3, ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)))
 def nor_gate() -> GateTemplate:
     """3-spin NOR: h = (0.5, 0.5, 1), J12 = 0.5, J13 = J23 = 1, gap 2."""
     model = IsingModel(3, (0.5, 0.5, 1.0), {(0, 1): 0.5, (0, 2): 1.0, (1, 2): 1.0})
-    return GateTemplate("nor", model, {"in_a": 0, "in_b": 1, "out": 2}, NOR_TRUTH.valid, 2.0)
+    return GateTemplate(model, {"in_a": 0, "in_b": 1, "out": 2}, NOR_TRUTH.valid, 2.0)
 
 
 def and_gate() -> GateTemplate:
     """NOR with the signs of h1, h2, J13, J23 flipped; equals AND, gap 2."""
     model = IsingModel(3, (-0.5, -0.5, 1.0), {(0, 1): 0.5, (0, 2): -1.0, (1, 2): -1.0})
-    return GateTemplate("and", model, {"in_a": 0, "in_b": 1, "out": 2}, AND_TRUTH.valid, 2.0)
+    return GateTemplate(model, {"in_a": 0, "in_b": 1, "out": 2}, AND_TRUTH.valid, 2.0)
 
 
 def free_spin() -> GateTemplate:
     """A single unconstrained spin (interconnect/chain qubit)."""
     model = IsingModel(1, (0.0,), {})
-    return GateTemplate("spin", model, {"pin": 0}, ((0,), (1,)), math.inf)
+    return GateTemplate(model, {"pin": 0}, ((0,), (1,)), math.inf)
 
 
 def compose(gates: Sequence[GateTemplate],
-            links: Iterable[tuple[int, int, str, float]]) -> tuple[IsingModel, list[int]]:
+            links: Iterable[tuple[int, int, str, float]]) -> IsingModel:
     """Concatenate gate blocks and add the inter-gate links.
 
-    Gate k occupies global spins [offsets[k], offsets[k] + gates[k].n).  A
+    Gate k occupies the global spins that follow those of gates 0..k-1.  A
     link ``(a, b, kind, strength)`` joins global spins of two distinct gate
     instances: WIRE emits J = -strength, NOT J = +strength.  Ground states
     of the result restrict to each gate's valid set and satisfy every link
-    (s_a s_b = +1 for WIRE, -1 for NOT).  Returns the model and the offsets.
+    (s_a s_b = +1 for WIRE, -1 for NOT).
     """
     offsets = list(itertools.accumulate((g.n for g in gates), initial=0))
     total = offsets.pop()
@@ -135,17 +134,17 @@ def compose(gates: Sequence[GateTemplate],
             raise CompositionError(f"duplicate coupling on pair {key}")
         seen_pairs.add(key)
         couplings[key] = -float(strength) if kind == WIRE else float(strength)
-    return IsingModel(total, tuple(h), couplings), offsets
+    return IsingModel(total, tuple(h), couplings)
 
 
-def half_adder() -> tuple[IsingModel, dict[str, int]]:
+def half_adder() -> GateTemplate:
     """Three NOR blocks wired as a half adder: sum = a XOR b, carry = a AND b.
 
     Blocks are Q1-Q3, Q4-Q6, Q7-Q9 in circuit-diagram numbering (spins
     0-8 here).  The second block computes carry = NOR(not a, not b)
     through two NOT couplings (J14 = J25 = +1), the third computes
     sum = NOR(NOR(a, b), carry) through two WIRE couplings
-    (J38 = J67 = -1).
+    (J38 = J67 = -1).  The valid set holds the four logical states, gap 2.
     """
     nor = nor_gate()
 
@@ -154,19 +153,14 @@ def half_adder() -> tuple[IsingModel, dict[str, int]]:
 
     # Block 0: NOR(a, b); block 1: NOR(not a, not b) = AND(a, b);
     # block 2: NOR(carry, NOR(a, b)) = XOR(a, b).
-    model, _ = compose([nor] * 3, [
+    model = compose([nor] * 3, [
         (port(0, "in_a"), port(1, "in_a"), NOT, 1.0),
         (port(0, "in_b"), port(1, "in_b"), NOT, 1.0),
         (port(0, "out"), port(2, "in_b"), WIRE, 1.0),
         (port(1, "out"), port(2, "in_a"), WIRE, 1.0),
     ])
-    return model, {"a": port(0, "in_a"), "b": port(0, "in_b"),
-                   "carry": port(1, "out"), "sum": port(2, "out")}
-
-
-def half_adder_template() -> GateTemplate:
-    """Half adder as a gate template with its 4-state logical valid set."""
-    model, ports = half_adder()
+    ports = {"a": port(0, "in_a"), "b": port(0, "in_b"),
+             "carry": port(1, "out"), "sum": port(2, "out")}
     valid = []
     for a, b in itertools.product((0, 1), repeat=2):
         bits = [0] * 9
@@ -178,7 +172,7 @@ def half_adder_template() -> GateTemplate:
         bits[7] = bits[2]              # wire copy of NOR(a, b)
         bits[8] = a ^ b                # sum
         valid.append(tuple(bits))
-    return GateTemplate("half-adder", model, ports, tuple(sorted(valid)), 2.0)
+    return GateTemplate(model, ports, tuple(sorted(valid)), 2.0)
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,6 @@ class IsingModel:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "couplings", _canonical_couplings(self.n, self.couplings))
 
-    def coupling(self, i: int, j: int) -> float:
-        """Coupling for the unordered pair {i,j}; 0.0 if absent."""
-        if i > j:
-            i, j = j, i
-        return self.couplings.get((i, j), 0.0)
-
 
 def check_state(model: IsingModel, state: Sequence[int]) -> SpinState:
     if len(state) != model.n:

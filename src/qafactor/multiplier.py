@@ -118,7 +118,7 @@ def build_multiplier(
                               (first + k, b, WIRE, chain_strength))]
     else:
         links = [(a, b, WIRE, chain_strength) for a, b in wires]
-    full_model, _ = compose(gates, links)
+    full_model = compose(gates, links)
 
     # Boundary addends are constants: row 0 has no incoming partial sum and
     # column 0 no incoming carry.  Fold them in as zeros.

@@ -32,16 +32,7 @@ _MAX_SYNTH_VARS = 10
 
 
 class SynthesisError(ValueError):
-    """Requested truth table is not realizable on the given coupling graph."""
-
-
-def default_gap(n_vars: int) -> float:
-    """2 for 3-spin gates (the NOR scale), 1 for larger blocks."""
-    return 2.0 if n_vars <= 3 else 1.0
-
-
-def default_bound(n_vars: int) -> float:
-    return 1.0 if n_vars <= 3 else 2.0
+    """Requested truth table is not realizable at the requested gap."""
 
 
 @dataclass
@@ -62,22 +53,9 @@ def _state_row(bits, pairs) -> list[float]:
     return [float(x) for x in s] + [float(s[i] * s[j]) for i, j in pairs]
 
 
-def _build_problem(table: TruthTable, pairs, bound: float) -> _Problem:
+def _build_problem(table: TruthTable, bound: float) -> _Problem:
     n = table.n_vars
-    if pairs is None:
-        pairs = list(itertools.combinations(range(n), 2))
-    else:
-        seen = set()
-        norm = []
-        for i, j in pairs:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad coupling pair ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate coupling pair {key}")
-            seen.add(key)
-            norm.append(key)
-        pairs = sorted(norm)
+    pairs = list(itertools.combinations(range(n), 2))
     valid = set(table.valid)
     a_valid, a_invalid = [], []
     for bits in itertools.product((0, 1), repeat=n):
@@ -143,30 +121,24 @@ def _count_short_constraints(prob: _Problem, x: np.ndarray, gap: float) -> int:
 
 def synthesize_penalty(
     table: TruthTable,
-    pairs: list[tuple[int, int]] | None = None,
-    gap: float | None = None,
-    bound: float | None = None,
-    name: str = "synth",
+    gap: float,
+    bound: float,
     ports: dict[str, int] | None = None,
 ) -> GateTemplate:
-    """Synthesize a gate template realizing ``table`` with at least ``gap``.
+    """Synthesize a gate template realizing ``table`` with at least ``gap``,
+    every coefficient within ``bound``, on the complete coupling graph.
 
-    ``pairs`` restricts the coupling graph (default: complete).  Raises
-    :class:`SynthesisError` naming the number of separation constraints
-    that cannot be met when the table is infeasible on that graph.
+    Raises :class:`SynthesisError` naming the number of separation
+    constraints that cannot be met when the table is infeasible.
     """
     if table.n_vars > _MAX_SYNTH_VARS:
         raise ValueError(f"synthesis limited to {_MAX_SYNTH_VARS} variables")
-    if gap is None:
-        gap = default_gap(table.n_vars)
-    if bound is None:
-        bound = default_bound(table.n_vars)
     if gap <= 0:
         raise ValueError("target gap must be positive")
     if bound < gap / 2:
         raise ValueError("coefficient bound must be at least gap/2")
 
-    prob = _build_problem(table, pairs, bound)
+    prob = _build_problem(table, bound)
     nc = prob.n_coeff
 
     # Maximize the gap.  Zero coefficients with e0 = 0 meet every constraint
@@ -178,7 +150,7 @@ def synthesize_penalty(
     if best_gap < gap - 1e-7:
         short = _count_short_constraints(prob, best, gap)
         raise SynthesisError(
-            f"gap {gap} unreachable on this coupling graph: {short} of "
+            f"gap {gap} unreachable: {short} of "
             f"{prob.a_invalid.shape[0]} separation constraints fall short "
             f"(best achievable gap {best_gap:.6g})"
         )
@@ -201,7 +173,7 @@ def synthesize_penalty(
         raise SynthesisError(
             f"synthesized model failed verification ({check.offending} offending states)"
         )
-    return GateTemplate(name, model, ports or {}, tuple(sorted(table.valid)),
+    return GateTemplate(model, ports or {}, tuple(sorted(table.valid)),
                         min(check.achieved_gap, target))
 
 
@@ -253,9 +225,9 @@ def mult_unit_gate() -> GateTemplate:
     """The 6-qubit multiplier cell (complete coupling graph, gap 1).
 
     The coefficients are the result of ``synthesize_penalty(
-    multiplier_unit_table(), gap=1.0, bound=2.0, name="mult-unit",
-    ports=dict(MULT_UNIT_PORTS))``, written out on the 1/4 grid, so no
-    caller pays for the LP or for importing SciPy.
+    multiplier_unit_table(), gap=1.0, bound=2.0, ports=dict(MULT_UNIT_PORTS))``,
+    written out on the 1/4 grid, so no caller pays for the LP or for
+    importing SciPy.
     ``tests/test_synth.py::TestSynthesizedUnit::test_deterministic`` asserts
     that the whole template equals that synthesis result.
     """
@@ -266,5 +238,5 @@ def mult_unit_gate() -> GateTemplate:
         (3, 4): -2.0, (3, 5): -1.0,
         (4, 5): 2.0,
     })
-    return GateTemplate("mult-unit", model, dict(MULT_UNIT_PORTS),
+    return GateTemplate(model, dict(MULT_UNIT_PORTS),
                         tuple(sorted(multiplier_unit_table().valid)), 1.0)

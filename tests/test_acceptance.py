@@ -18,12 +18,11 @@ from qafactor.capacity import CapacityInput, capacity_estimate
 from qafactor.fluxsim import (
     NoiseSpec,
     PHI0,
-    NetworkLayout,
     RampSpec,
     inverse_nor_layout,
     johnson_sigma,
     run_ensemble,
-    static_potential,
+    potential_minima,
 )
 from qafactor.gates import and_gate, half_adder, nor_gate
 from qafactor.ising import (
@@ -107,7 +106,8 @@ def test_c01_gate_exactness():
 
 def test_c02_half_adder():
     start = time.time()
-    model, ports = half_adder()
+    adder = half_adder()
+    model, ports = adder.model, adder.ports
     rep = brute_force_ground(model)
     seen = set()
     logic_ok = True
@@ -277,15 +277,14 @@ def test_c07_circuit_inverse_nor(nor_ensembles):
 
 def test_c08_bistability_structure():
     start = time.time()
-    layout = NetworkLayout(i_x=(0.0,))
-    suppressed = static_potential(layout, PHI0 / 2, 0.0, 0)
-    double = static_potential(layout, 0.0, 0.0, 0)
+    suppressed = len(potential_minima(PHI0 / 2))
+    double = len(potential_minima(0.0))
     elapsed = time.time() - start
-    ok = suppressed.n_minima == 1 and double.n_minima == 2 and elapsed < 1.0
+    ok = suppressed == 1 and double == 2 and elapsed < 1.0
     _report(8, "bistability structure", ok,
-            f"minima: {suppressed.n_minima} at half quantum, {double.n_minima} at zero")
-    assert suppressed.n_minima == 1
-    assert double.n_minima == 2
+            f"minima: {suppressed} at half quantum, {double} at zero")
+    assert suppressed == 1
+    assert double == 2
     assert elapsed < 1.0
 
 

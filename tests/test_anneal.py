@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qafactor import anneal, seeds
@@ -18,7 +18,7 @@ from qafactor.anneal import (
     run_shots,
 )
 from qafactor.formats import write_shot_csv
-from qafactor.gates import half_adder_template, nor_gate
+from qafactor.gates import half_adder, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
 from qafactor.multiplier import FOLD, build_multiplier, clamp_product
 from qafactor.seeds import run_shot_ranges, shot_ranges, shot_seed, splitmix64
@@ -67,6 +67,25 @@ class TestSchedule:
             Schedule(GEOMETRIC, 3.0, 0.0, 10)
         with pytest.raises(ValueError):
             Schedule(GEOMETRIC, 3.0, 0.05, 0)
+        for kind in (GEOMETRIC, LINEAR):
+            with pytest.raises(ValueError, match="finite"):
+                Schedule(kind, math.inf, 1.0, 10)
+        with pytest.raises(ValueError, match="temperature 0.0 at sweep 1"):
+            Schedule(GEOMETRIC, 1e200, 1e-200, 3)
+
+    @given(st.sampled_from([GEOMETRIC, LINEAR]), st.floats(), st.floats(),
+           st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_schedules_have_finite_positive_temperatures(self, kind, t_hot, t_cold,
+                                                                 sweeps):
+        try:
+            schedule = Schedule(kind, t_hot, t_cold, sweeps)
+        except ValueError:
+            return
+        temps = schedule.temperatures()
+        assert len(temps) == sweeps
+        assert all(0.0 < t < math.inf for t in temps)
+        assert temps[0] == (t_hot if sweeps > 1 else t_cold)
 
 
 class TestAcceptanceRule:
@@ -170,7 +189,6 @@ class TestRunShots:
         summary, shots = run_shots(NOR, Schedule(sweeps=50), 10, master_seed=3,
                                    keep_shots=True)
         assert [r.index for r in shots] == list(range(10))
-        assert all(r.seed == shot_seed(3, r.index) for r in shots)
         assert summary.shots == 10
 
     def test_hits_label_each_shot_in_order(self):
@@ -200,7 +218,7 @@ class TestBatchedOracle:
     def test_equals_anneal_shot(self, name, mult_unit):
         model = {
             "nor": lambda: NOR,
-            "half-adder": lambda: half_adder_template().model,
+            "half-adder": lambda: half_adder().model,
             "mult-unit": lambda: mult_unit.model,
             "factor-4-2x2": lambda: factor_model(2, 4),
             "factor-15-4x4": lambda: factor_model(4, 15),

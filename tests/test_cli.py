@@ -186,7 +186,7 @@ class TestVerify:
         valid = data.draw(st.one_of(
             st.just(ground), st.lists(st.sampled_from(every), min_size=1, unique=True)))
         gap = data.draw(st.sampled_from([0.0, 0.25, 1.0, 2.0, math.inf]))
-        template = GateTemplate("random", model, {}, tuple(valid), gap)
+        template = GateTemplate(model, {}, tuple(valid), gap)
         with open("random.model", "w") as fh:
             fh.write(format_model(model))
         with open("random.ports", "w") as fh:
@@ -259,6 +259,23 @@ class TestAnnealCommand:
         assert code == 1
         assert out == ""
         assert "not allowed with" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_reference_must_be_finite(self, capsys, value):
+        run(capsys, "gates", "emit", "nor")
+        code, out, err = run(capsys, "anneal", "nor.model", f"--reference-e0={value}",
+                             "--shots", "2")
+        assert code == 1
+        assert out == ""
+        assert "reference energy must be finite" in err
+
+    def test_empty_model_rejected_before_any_output(self, capsys):
+        with open("empty.model", "w") as fh:
+            fh.write("n 0\n")
+        code, out, err = run(capsys, "anneal", "empty.model")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: annealing needs at least one spin\n"
 
 
 class TestMultiply:
@@ -536,7 +553,11 @@ class TestUsage:
         ("factor", "15", "--t-cold", "-1"),
         ("multiply", "3", "5", "--sweeps", "0"),
         ("anneal", "nor.model", "--t-hot", "0.01"),
-    ], ids=["factor-sweeps", "factor-t-cold", "multiply-sweeps", "anneal-t-hot"])
+        ("anneal", "nor.model", "--t-hot", "inf", "--t-cold", "1"),
+        ("multiply", "3", "5", "--schedule", "linear", "--t-hot", "inf"),
+        ("factor", "15", "--t-hot", "1e200", "--t-cold", "1e-200", "--sweeps", "3"),
+    ], ids=["factor-sweeps", "factor-t-cold", "multiply-sweeps", "anneal-t-hot",
+            "anneal-t-hot-inf", "multiply-linear-t-hot-inf", "factor-t-cold-underflow"])
     def test_bad_schedule_rejected_before_any_output(self, capsys, command):
         run(capsys, "gates", "emit", "nor")
         code, out, err = run(capsys, *command)

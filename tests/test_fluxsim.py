@@ -29,9 +29,9 @@ from qafactor.fluxsim import (
     inverse_nor_layout,
     johnson_sigma,
     layout_from_ising,
+    potential_minima,
     run_ensemble,
     simulate_shot,
-    static_potential,
     step_count,
 )
 from qafactor.formats import write_trace_csv
@@ -127,7 +127,7 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             RampSpec(hold_s=-1e-9)
 
-    @pytest.mark.parametrize("field", ["ramp_s", "hold_s", "phi_t_start", "phi_t_end"])
+    @pytest.mark.parametrize("field", ["ramp_s", "hold_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_ramp_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError):
@@ -182,33 +182,14 @@ class TestNoiseStatistics:
 
 class TestStaticPotential:
     def test_suppressed_barrier_single_equilibrium(self):
-        scan = static_potential(single_qubit_layout(), PHI0 / 2, 0.0, 0)
-        assert scan.n_minima == 1
+        assert len(potential_minima(PHI0 / 2)) == 1
 
     def test_full_barrier_double_well(self):
-        scan = static_potential(single_qubit_layout(), 0.0, 0.0, 0)
-        assert scan.n_minima == 2
-        lo, hi = sorted(scan.minima_phi)
+        minima = potential_minima(0.0)
+        assert len(minima) == 2
+        lo, hi = sorted(minima)
         assert lo == pytest.approx(-hi, abs=1e-18)
         assert hi / PHI0 == pytest.approx(0.43, abs=0.01)
-
-    def test_large_bias_dominant_well_on_bias_side(self):
-        # A far metastable well persists at these circuit values, so the
-        # minima count stays 2; the global minimum sits on the bias side.
-        scan = static_potential(single_qubit_layout(), 0.0, 0.8 * PHI0, 0)
-        assert scan.n_minima == 2
-        global_min = scan.phi[int(np.argmin(scan.u))]
-        assert global_min > 0
-
-    def test_neighbor_currents_shift_the_well(self):
-        layout = layout_from_ising(IsingModel(2, (0.0, 0.0), {(0, 1): -1.0}))
-        biased = static_potential(layout, 0.0, 0.0, 0, neighbor_iq=(0.0, 3.4e-6))
-        global_min = biased.phi[int(np.argmin(biased.u))]
-        assert global_min > 0  # ferromagnetic pull toward the neighbor's state
-
-    def test_qubit_index_validated(self):
-        with pytest.raises(ValueError):
-            static_potential(single_qubit_layout(), 0.0, 0.0, 1)
 
 
 class TestNoiselessDynamics:
@@ -237,9 +218,12 @@ class TestNoiselessDynamics:
     def test_suppressed_barrier_current_decays(self):
         # Barrier held off; bias displaces the start, the loop rings down
         # and the circulating current relaxes to ~0 (no bistability).
-        ramp = RampSpec(phi_t_start=PHI0 / 2, phi_t_end=PHI0 / 2)
-        tr = simulate_shot(single_qubit_layout(i_x=10.5e-6, ramp=ramp),
-                           NoiseSpec(sigma=0.0))
+        class HeldOff(RampSpec):
+            def phi_t(self, t):
+                return np.full(np.shape(t), PHI0 / 2)
+
+        tr = simulate_shot(single_qubit_layout(i_x=10.5e-6), NoiseSpec(sigma=0.0),
+                           ramp=HeldOff())
         assert abs(tr.final_iq[0]) < 1e-9
 
 

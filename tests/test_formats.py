@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qafactor.formats import ModelFormatError, format_ports, parse_ports
-from qafactor.gates import GateTemplate, and_gate, free_spin, half_adder_template, nor_gate
+from qafactor.gates import GateTemplate, and_gate, free_spin, half_adder, nor_gate
 from qafactor.ising import IsingModel
 from qafactor.synth import mult_unit_gate
 
@@ -13,7 +13,7 @@ def assert_ports_round_trip(template):
     assert parsed == (template.ports, template.valid_set, template.gap)
 
 
-@pytest.mark.parametrize("make", [nor_gate, and_gate, half_adder_template, mult_unit_gate,
+@pytest.mark.parametrize("make", [nor_gate, and_gate, half_adder, mult_unit_gate,
                                   free_spin])
 def test_shipped_gate_ports_round_trip(make):
     assert_ports_round_trip(make())
@@ -28,7 +28,7 @@ def templates(draw):
     valid = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8,
                          unique=True))
     gap = draw(st.floats(min_value=0.0))
-    return GateTemplate("random", IsingModel(n, (0.0,) * n, {}), ports, tuple(valid), gap)
+    return GateTemplate(IsingModel(n, (0.0,) * n, {}), ports, tuple(valid), gap)
 
 
 @given(templates())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,7 +15,6 @@ from qafactor.gates import (
     compose,
     free_spin,
     half_adder,
-    half_adder_template,
     nor_gate,
     verify_gate,
 )
@@ -48,8 +48,8 @@ class TestAndGate:
     def test_sign_flip_of_nor(self):
         nor, gate = nor_gate(), and_gate()
         assert gate.model.h == (-nor.model.h[0], -nor.model.h[1], nor.model.h[2])
-        assert gate.model.coupling(0, 1) == nor.model.coupling(0, 1)
-        assert gate.model.coupling(0, 2) == -nor.model.coupling(0, 2)
+        assert gate.model.couplings[(0, 1)] == nor.model.couplings[(0, 1)]
+        assert gate.model.couplings[(0, 2)] == -nor.model.couplings[(0, 2)]
 
     def test_ground_states(self):
         gate = and_gate()
@@ -71,14 +71,14 @@ class TestVerifyGate:
         nor = nor_gate()
         broken_model = IsingModel(3, nor.model.h,
                                   {(0, 1): 0.5, (0, 2): -1.0, (1, 2): 1.0})
-        broken = GateTemplate("broken", broken_model, nor.ports, nor.valid_set, 2.0)
+        broken = GateTemplate(broken_model, nor.ports, nor.valid_set, 2.0)
         report = verify_gate(broken)
         assert not report.passed
         assert report.offending > 0
 
     def test_detects_insufficient_gap(self):
         nor = nor_gate()
-        too_demanding = GateTemplate("nor", nor.model, nor.ports, nor.valid_set, 2.5)
+        too_demanding = GateTemplate(nor.model, nor.ports, nor.valid_set, 2.5)
         assert not verify_gate(too_demanding).passed
 
     def test_unchecked_parts_are_none(self):
@@ -97,38 +97,41 @@ class TestVerifyGate:
 class TestCompose:
     # Global spins: gate k starts where gate k-1 ends, so with two NORs
     # in_a, in_b, out are spins 0, 1, 2 and 3, 4, 5.
-    _BLOCKS = [nor_gate(), free_spin(), half_adder_template(), and_gate()]
+    _BLOCKS = [nor_gate(), free_spin(), half_adder(), and_gate()]
+    #: First global spin of each block, then the total: [0, 3, 4, 13, 16].
+    _STARTS = list(itertools.accumulate((g.n for g in _BLOCKS), initial=0))
 
     def test_single_gate_identity(self):
-        model, offsets = compose([nor_gate()], [])
-        assert model == nor_gate().model
-        assert offsets == [0]
+        assert compose([nor_gate()], []) == nor_gate().model
 
     def test_offsets_concatenate_gate_sizes(self):
-        model, offsets = compose(self._BLOCKS, [])
-        assert offsets == [0, 3, 4, 13]
+        model = compose(self._BLOCKS, [])
+        assert self._STARTS == [0, 3, 4, 13, 16]
         assert model.n == 16
+        assert model.h == sum((g.model.h for g in self._BLOCKS), ())
+        assert model.couplings == {(off + i, off + j): v
+                                   for off, g in zip(self._STARTS, self._BLOCKS)
+                                   for (i, j), v in g.model.couplings.items()}
 
     def test_two_nors_one_wire(self):
-        model, _ = compose([nor_gate()] * 2, [(2, 3, WIRE, 1.0)])  # out -> in_a
+        model = compose([nor_gate()] * 2, [(2, 3, WIRE, 1.0)])  # out -> in_a
         report = brute_force_ground(model)
         assert report.e0 == -4.0
         for state in report.states:
             assert state[2] == state[3]  # wire satisfied
 
     def test_not_of_nor_is_or(self):
-        model, _ = compose([nor_gate(), free_spin()], [(2, 3, NOT, 1.0)])
+        model = compose([nor_gate(), free_spin()], [(2, 3, NOT, 1.0)])
         for state in brute_force_ground(model).states:
             a, b, _, far = spins_to_bits(state)
             assert far == (a | b)
 
     def test_wire_and_not_coupling_values(self):
-        model, _ = compose([free_spin()] * 3, [(0, 1, WIRE, 1.0), (1, 2, NOT, 1.0)])
-        assert model.coupling(0, 1) == -1.0
-        assert model.coupling(1, 2) == 1.0
+        model = compose([free_spin()] * 3, [(0, 1, WIRE, 1.0), (1, 2, NOT, 1.0)])
+        assert model.couplings == {(0, 1): -1.0, (1, 2): 1.0}
 
     def test_links_follow_gate_couplings_in_order(self):
-        model, _ = compose([nor_gate()] * 2, [(5, 0, WIRE, 0.5), (2, 3, NOT, 2.0)])
+        model = compose([nor_gate()] * 2, [(5, 0, WIRE, 0.5), (2, 3, NOT, 2.0)])
         assert list(model.couplings.items()) == [
             ((0, 1), 0.5), ((0, 2), 1.0), ((1, 2), 1.0),
             ((3, 4), 0.5), ((3, 5), 1.0), ((4, 5), 1.0),
@@ -136,7 +139,7 @@ class TestCompose:
 
     def test_ground_couplings_all_satisfied(self):
         # NOR out (2) wired to AND in_b (4); NOR in_a (0) inverted into AND in_a (3).
-        model, _ = compose([nor_gate(), and_gate()], [(2, 4, WIRE, 1.0), (0, 3, NOT, 1.0)])
+        model = compose([nor_gate(), and_gate()], [(2, 4, WIRE, 1.0), (0, 3, NOT, 1.0)])
         for state in brute_force_ground(model).states:
             assert state[2] * state[4] == 1
             assert state[0] * state[3] == -1
@@ -165,23 +168,21 @@ class TestCompose:
 
     @pytest.mark.parametrize("k", range(len(_BLOCKS) - 1))
     def test_link_across_a_block_boundary_accepted(self, k):
-        _, offsets = compose(self._BLOCKS, [])
-        last, first = offsets[k + 1] - 1, offsets[k + 1]
-        model, _ = compose(self._BLOCKS, [(last, first, WIRE, 1.0)])
-        assert model.coupling(last, first) == -1.0
+        last, first = self._STARTS[k + 1] - 1, self._STARTS[k + 1]
+        model = compose(self._BLOCKS, [(last, first, WIRE, 1.0)])
+        assert model.couplings[(last, first)] == -1.0
 
     @pytest.mark.parametrize("k", range(len(_BLOCKS)))
     def test_link_within_one_block_rejected(self, k):
-        _, offsets = compose(self._BLOCKS, [])
-        first, last = offsets[k], offsets[k] + self._BLOCKS[k].n - 1
+        first, last = self._STARTS[k], self._STARTS[k + 1] - 1
         with pytest.raises(CompositionError, match="distinct gate instances"):
             compose(self._BLOCKS, [(first, last, NOT, 1.0)])
 
 
 @pytest.fixture(scope="module")
 def adder():
-    model, ports = half_adder()
-    return model, ports, brute_force_ground(model)
+    adder = half_adder()
+    return adder.model, adder.ports, brute_force_ground(adder.model)
 
 
 class TestHalfAdder:
@@ -204,20 +205,20 @@ class TestHalfAdder:
 
     def test_documented_inverter_and_wire_couplings(self, adder):
         model, _, _ = adder
-        assert model.coupling(0, 3) == 1.0    # Q1-Q4 NOT coupling
-        assert model.coupling(2, 7) == -1.0   # Q3-Q8 wire
+        assert model.couplings[(0, 3)] == 1.0    # Q1-Q4 NOT coupling
+        assert model.couplings[(2, 7)] == -1.0   # Q3-Q8 wire
 
     def test_coupling_violations_cost_at_least_two(self, adder):
         model, _, report = adder
         inter = [(0, 3), (1, 4), (2, 7), (5, 6)]
-        signs = {pair: model.coupling(*pair) for pair in inter}
+        signs = {pair: model.couplings[pair] for pair in inter}
         for code in range(1 << 9):
             state = tuple(1 if (code >> k) & 1 else -1 for k in range(9))
             if any(state[i] * state[j] * signs[(i, j)] > 0 for i, j in inter):
                 assert energy(model, state) >= report.e0 + 2.0 - 1e-12
 
     def test_template_verifies(self):
-        report = verify_gate(half_adder_template())
+        report = verify_gate(half_adder())
         assert report.passed
         assert report.achieved_gap == 2.0
 
@@ -234,11 +235,11 @@ class TestTruthTable:
             TruthTable(2, ((0, 2),))
         nor = nor_gate()
         with pytest.raises(ValueError, match="duplicate"):
-            GateTemplate("nor", nor.model, nor.ports, nor.valid_set + nor.valid_set[:1], 2.0)
+            GateTemplate(nor.model, nor.ports, nor.valid_set + nor.valid_set[:1], 2.0)
 
 
 @pytest.mark.parametrize("gap", [-5.0, -math.inf, math.nan])
 def test_template_gap_must_be_a_number_at_least_zero(gap):
     nor = nor_gate()
     with pytest.raises(ValueError, match="is not a number >= 0"):
-        GateTemplate("nor", nor.model, nor.ports, nor.valid_set, gap)
+        GateTemplate(nor.model, nor.ports, nor.valid_set, gap)

@@ -66,9 +66,9 @@ class TestSynthesizedUnit:
 
     def test_deterministic(self, mult_unit):
         # The shipped cell is a literal; the LP is its generator.  Equality
-        # covers name, model, ports, valid set and gap.
+        # covers model, ports, valid set and gap.
         again = synthesize_penalty(multiplier_unit_table(), gap=1.0, bound=2.0,
-                                   name="mult-unit", ports=dict(MULT_UNIT_PORTS))
+                                   ports=dict(MULT_UNIT_PORTS))
         assert again == mult_unit
 
 
@@ -92,15 +92,6 @@ class TestSynthesizePenalty:
             synthesize_penalty(xor, gap=1.0, bound=4.0)
         assert "separation constraints" in str(err.value)
 
-    def test_restricted_graph_can_fail_where_complete_succeeds(self):
-        # NOR needs input-output couplings; a graph with only the
-        # input-input pair cannot separate the invalid states.
-        with pytest.raises(SynthesisError):
-            synthesize_penalty(NOR_TRUTH, pairs=[(0, 1)], gap=2.0, bound=1.0)
-        gate = synthesize_penalty(NOR_TRUTH, pairs=[(0, 1), (0, 2), (1, 2)],
-                                  gap=2.0, bound=1.0)
-        assert verify_gate(gate).passed
-
     def test_valid_states_share_energy(self):
         gate = synthesize_penalty(multiplier_unit_table(), gap=1.0, bound=2.0)
         energies = {
@@ -123,10 +114,6 @@ class TestSynthesizePenalty:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            synthesize_penalty(NOR_TRUTH, gap=0.0)
+            synthesize_penalty(NOR_TRUTH, gap=0.0, bound=1.0)
         with pytest.raises(ValueError):
             synthesize_penalty(NOR_TRUTH, gap=2.0, bound=0.5)
-        with pytest.raises(ValueError):
-            synthesize_penalty(NOR_TRUTH, pairs=[(0, 0)])
-        with pytest.raises(ValueError):
-            synthesize_penalty(NOR_TRUTH, pairs=[(0, 1), (1, 0)])
