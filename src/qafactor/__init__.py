@@ -23,6 +23,7 @@ from .ising import (
     bits_to_spins,
     brute_force_ground,
     clamp_fold,
+    energies,
     energy,
     merge_spins,
     spins_to_bits,

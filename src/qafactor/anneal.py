@@ -18,13 +18,14 @@ the faster path for a single shot.
 A proposed flip with energy change dE is accepted when dE <= -T ln u,
 which is the Metropolis rule u <= exp(-dE/T).  Both paths compute the
 limit -T ln u with the same NumPy call, and both accumulate field changes
-in the same order, so they agree bit for bit.
+in the same order, so they agree bit for bit.  Both score their final
+states with :func:`qafactor.ising.energies`, the package's one energy sum.
 
 Seeding contract: shot k draws from its own
 ``PCG64(shot_seed(master_seed, k))`` stream (:mod:`qafactor.seeds`):
 first ``integers(0, 2, n)`` for the start state (bit 1 is spin +1), then
 one uniform per (sweep, spin index), sweep-major and in spin-index order
-whatever the visiting order.  The uniforms are drawn
+whatever the visiting order.  The uniforms and temperatures are taken
 :data:`SWEEP_BLOCK` sweeps at a time.  A shot's result therefore depends
 only on the model, the schedule and its seed:
 ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
@@ -40,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .ising import GROUND_TOL, IsingModel, energy, spins_to_bits
+from .ising import GROUND_TOL, IsingModel, energies, spins_to_bits
 from .seeds import run_shot_ranges, shot_seed
 
 if TYPE_CHECKING:
@@ -88,14 +90,15 @@ class Schedule:
                     f"t_hot {self.t_hot!r} to t_cold {self.t_cold!r} over {self.sweeps} "
                     f"sweeps gives temperature {t!r} at sweep {k}; each must be finite and > 0")
 
-    def temperatures(self) -> list[float]:
+    def temperatures(self) -> Iterator[float]:
+        """One temperature per sweep, streamed: nothing holds them all."""
         if self.sweeps == 1:
-            return [self.t_cold]
+            return iter([self.t_cold])
         if self.kind == GEOMETRIC:
             ratio = (self.t_cold / self.t_hot) ** (1.0 / (self.sweeps - 1))
-            return [self.t_hot * ratio**k for k in range(self.sweeps)]
+            return (self.t_hot * ratio**k for k in range(self.sweeps))
         step = (self.t_cold - self.t_hot) / (self.sweeps - 1)
-        return [self.t_hot + step * k for k in range(self.sweeps)]
+        return (self.t_hot + step * k for k in range(self.sweeps))
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
     return plan.bias[:, None] + plan.couplings @ spins
 
 
-def _flip_limits(rngs, order: np.ndarray, temps: np.ndarray):
+def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float]):
     """Yield, sweep by sweep, the limits -T ln u of every stream.
 
     Each limit array has shape (positions, shots), and a flip at that
@@ -205,8 +208,8 @@ def _flip_limits(rngs, order: np.ndarray, temps: np.ndarray):
     n = len(order)
     uniforms = np.empty((len(rngs), SWEEP_BLOCK * n))
     limits = np.empty((SWEEP_BLOCK, n, len(rngs)))
-    for t0 in range(0, len(temps), SWEEP_BLOCK):
-        block = temps[t0:t0 + SWEEP_BLOCK]
+    temps = iter(temps)
+    while block := list(islice(temps, SWEEP_BLOCK)):
         drawn = uniforms[:, :len(block) * n]
         for row, rng in zip(drawn, rngs):
             rng.random(out=row)
@@ -235,26 +238,25 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
     for (i, j), v in model.couplings.items():
         nbrs[i].append((j, v))
         nbrs[j].append((i, v))
-    tracked = energy(model, state)
+    start, moved = tuple(state), 0.0
 
     visit = plan.order.tolist()
-    temps = np.array(schedule.temperatures())
-    for limits in _flip_limits([rng], plan.order, temps):
+    for limits in _flip_limits([rng], plan.order, schedule.temperatures()):
         for i, limit in zip(visit, limits[:, 0].tolist()):
             si = state[i]
             de = -2.0 * si * fields[i]
             if de <= limit:
                 state[i] = -si
-                tracked += de
+                moved += de
                 shift = -2.0 * si
                 for j, v in nbrs[i]:
                     fields[j] += v * shift
 
     final = tuple(state)
-    exact = energy(model, final)
-    if abs(exact - tracked) > DRIFT_TOL:
+    begin, exact = energies(model, np.array([start, final]).T).tolist()
+    if abs(exact - (begin + moved)) > DRIFT_TOL:
         raise ArithmeticError(
-            f"incremental energy drifted: tracked {tracked!r} vs exact {exact!r}"
+            f"incremental energy drifted: tracked {begin + moved!r} vs exact {exact!r}"
         )
     return ShotResult(final, exact, index)
 
@@ -276,8 +278,7 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     fields = _fields(plan, -0.5 * delta)
     flat_fields = fields.reshape(-1)
 
-    temps = np.array(schedule.temperatures())
-    for limits in _flip_limits(rngs, plan.order, temps):
+    for limits in _flip_limits(rngs, plan.order, schedule.temperatures()):
         for lo, hi, couplings in plan.classes:
             d = delta[lo:hi]
             accept = d * fields[lo:hi] <= limits[lo:hi]
@@ -292,11 +293,8 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
         raise ArithmeticError(f"incremental local fields drifted by {drift!r}")
     final = np.empty((n, shots), dtype=np.int64)
     final[plan.order] = spins
-    results = []
-    for k, state in zip(indices, final.T.tolist()):
-        state = tuple(state)
-        results.append(ShotResult(state, energy(model, state), k))
-    return results
+    return [ShotResult(tuple(state), e, k)
+            for k, state, e in zip(indices, final.T.tolist(), energies(model, final).tolist())]
 
 
 def run_shots(

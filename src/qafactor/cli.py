@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import math
+import re
 import sys
 
 from . import anneal as annealing
@@ -50,6 +50,11 @@ class VerificationFailure(RuntimeError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Any number, inf or nan is a value: "-1e0" and "-inf" are not flags.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -205,8 +210,7 @@ def cmd_factor(args) -> int:
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
 
-    outcome = functools.partial(decode_reduced, net, clamps)
-    outcomes = [outcome(r.state) for r in shots]
+    outcomes = decode_reduced(net, clamps, [r.state for r in shots])
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
     for out, hit in zip(outcomes, summary.hits):
@@ -244,14 +248,14 @@ def cmd_multiply(args) -> int:
         reference_e0=reference, workers=args.workers, keep_shots=True,
     )
 
-    outcome = functools.partial(decode_reduced, net, clamps)
+    outcomes = decode_reduced(net, clamps, [r.state for r in shots])
     best = min(shots, key=lambda r: (r.energy, r.index))
     # The lowest-energy shot reached ground exactly when any shot did.
-    print(f"product {outcome(best.state).p}")
+    print(f"product {outcomes[best.index].p}")
     print(f"ground_reached {summary.ground_hits > 0}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     if args.csv:
-        _save_shot_csv(args.csv, shots, summary.hits, [outcome(r.state) for r in shots])
+        _save_shot_csv(args.csv, shots, summary.hits, outcomes)
     return 0
 
 

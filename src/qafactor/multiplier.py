@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .formats import MAX_MODEL_SPINS
 from .gates import WIRE, compose, free_spin
 from .ising import (
@@ -23,7 +25,7 @@ from .ising import (
     IsingModel,
     brute_force_ground,
     clamp_fold,
-    energy,
+    energies,
     free_indices,
     merge_spins,
     spins_to_bits,
@@ -191,21 +193,22 @@ def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:
 
     ``is_ground`` means a valid multiplication at the network's E0, not
     that a run reached its reference (that is ``RunSummary.hits``)."""
-    e = energy(net.model, state)  # validates dimension
-    bits = spins_to_bits(state)
-    m = sum(bits[s] << k for k, s in enumerate(net.factor_a))
-    n = sum(bits[s] << k for k, s in enumerate(net.factor_b))
-    p = sum(bits[s] << k for k, s in enumerate(net.product))
-    return FactorOutcome(m, n, p, e <= net.expected_e0 + GROUND_TOL)
+    return decode_reduced(net, {}, [state])[0]
 
 
-def decode_reduced(
-    net: MultiplierNetwork,
-    clamps: Mapping[int, int],
-    reduced_state: Sequence[int],
-) -> FactorOutcome:
-    """Decode a state of a clamped model by splicing the clamps back in."""
-    return decode(net, merge_spins(net.model.n, clamps, reduced_state))
+def decode_reduced(net: MultiplierNetwork, clamps: Mapping[int, int],
+                   reduced_states: Sequence[Sequence[int]]) -> list[FactorOutcome]:
+    """Decode states of a clamped model, in order, by splicing the clamps
+    back in; one :func:`energies` call scores them all."""
+    full = [merge_spins(net.model.n, clamps, s) for s in reduced_states]
+    bits = [spins_to_bits(s) for s in full]
+    spins = np.array(full, dtype=np.int8).reshape(len(full), net.model.n).T
+    out = []
+    for b, e in zip(bits, energies(net.model, spins).tolist()):
+        m, n, p = (sum(b[s] << k for k, s in enumerate(register))
+                   for register in (net.factor_a, net.factor_b, net.product))
+        out.append(FactorOutcome(m, n, p, e <= net.expected_e0 + GROUND_TOL))
+    return out
 
 
 def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
@@ -214,9 +217,5 @@ def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
     clamps = product_clamp_assignment(net, p)
     reduced, offset = clamp_fold(net.model, clamps)
     report = brute_force_ground(reduced)
-    pairs = set()
-    for state in report.states:
-        out = decode_reduced(net, clamps, state)
-        if out.is_ground:
-            pairs.add((out.m, out.n))
-    return pairs
+    return {(out.m, out.n) for out in decode_reduced(net, clamps, report.states)
+            if out.is_ground}

@@ -149,7 +149,7 @@ def test_c04_forward_multiplication_exhaustive(net22):
         clamps = factor_clamp_assignment(net22, m, n)
         reduced, _ = clamp_fold(net22.model, clamps)
         rep = brute_force_ground(reduced)
-        out = decode_reduced(net22, clamps, rep.states[0])
+        out = decode_reduced(net22, clamps, rep.states)[0]
         if rep.degeneracy != 1 or not out.is_ground or out.p != m * n:
             failures.append((m, n, rep.degeneracy, out.p))
     elapsed = time.time() - start
@@ -166,8 +166,7 @@ def test_c05_inverse_factoring_of_15(net44, factor15_run):
     clamps = factor15_run["clamps"]
     ground_pairs = set()
     bad_pairs = set()
-    for r in shots:
-        out = decode_reduced(net44, clamps, r.state)
+    for out in decode_reduced(net44, clamps, [r.state for r in shots]):
         if out.is_ground:
             (ground_pairs if (out.m, out.n) in FACTORS_OF_15 else bad_pairs).add(
                 (out.m, out.n)

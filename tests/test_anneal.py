@@ -46,17 +46,17 @@ def random_model(n: int, seed: int) -> IsingModel:
 
 class TestSchedule:
     def test_geometric_endpoints(self):
-        temps = Schedule(GEOMETRIC, 3.0, 0.05, 100).temperatures()
+        temps = list(Schedule(GEOMETRIC, 3.0, 0.05, 100).temperatures())
         assert temps[0] == pytest.approx(3.0)
         assert temps[-1] == pytest.approx(0.05)
         assert all(t1 > t2 for t1, t2 in zip(temps, temps[1:]))
 
     def test_linear_endpoints(self):
-        temps = Schedule(LINEAR, 2.0, 1.0, 5).temperatures()
+        temps = list(Schedule(LINEAR, 2.0, 1.0, 5).temperatures())
         assert temps == pytest.approx([2.0, 1.75, 1.5, 1.25, 1.0])
 
     def test_single_sweep(self):
-        assert Schedule(GEOMETRIC, 3.0, 0.05, 1).temperatures() == [0.05]
+        assert list(Schedule(GEOMETRIC, 3.0, 0.05, 1).temperatures()) == [0.05]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestSchedule:
             schedule = Schedule(kind, t_hot, t_cold, sweeps)
         except ValueError:
             return
-        temps = schedule.temperatures()
+        temps = list(schedule.temperatures())
         assert len(temps) == sweeps
         assert all(0.0 < t < math.inf for t in temps)
         assert temps[0] == (t_hot if sweeps > 1 else t_cold)
@@ -287,6 +287,22 @@ class TestBatchedOracle:
         one_batch = transient_peak(20)
         ten_batches = transient_peak(200)
         assert ten_batches < 1.25 * one_batch + (32 << 10)
+
+    def test_working_memory_does_not_grow_with_sweeps(self):
+        """Temperatures are streamed: no run holds a value per sweep."""
+        model = IsingModel(1, (0.5,), {})
+        run_shots(model, Schedule(sweeps=2), 1, master_seed=1)
+
+        def peak(sweeps):
+            tracemalloc.start()
+            try:
+                run_shots(model, Schedule(GEOMETRIC, 3.0, 0.05, sweeps), 1, master_seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A list of 200,000 temperatures alone would take about 6 MiB.
+        assert peak(200_000) < peak(2_000) + (16 << 10)
 
 
 class TestSeeds:

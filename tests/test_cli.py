@@ -269,6 +269,20 @@ class TestAnnealCommand:
         assert out == ""
         assert "reference energy must be finite" in err
 
+    def test_negative_values_in_any_float_spelling(self, capsys):
+        run(capsys, "gates", "emit", "nor")
+        _, joined, _ = run(capsys, "anneal", "nor.model", "--reference-e0=-1.5", "--shots", "5")
+        code, spaced, _ = run(capsys, "anneal", "nor.model", "--reference-e0", "-1.5e0",
+                              "--shots", "5")
+        assert code == 0
+        assert spaced == joined
+        assert "reference_e0 -1.5\n" in spaced
+        code, out, err = run(capsys, "anneal", "nor.model", "--reference-e0", "-inf",
+                             "--shots", "2")
+        assert code == 1
+        assert out == ""
+        assert "reference energy must be finite" in err
+
     def test_empty_model_rejected_before_any_output(self, capsys):
         with open("empty.model", "w") as fh:
             fh.write("n 0\n")

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,62 @@ class TestEnergy:
         state = data.draw(spin_states(model.n))
         flipped = tuple(-s for s in state)
         assert energy(unbiased, state) == energy(unbiased, flipped)
+
+
+def loop_energy(model, state):
+    """H(s) as one Python sum over every term, zero ones included."""
+    total = 0.0
+    for hi, si in zip(model.h, state):
+        total += hi * si
+    for (i, j), v in model.couplings.items():
+        total += v * state[i] * state[j]
+    return total
+
+
+def coefficients():
+    """Non-grid floats, with exact zeros often enough to be skipped."""
+    return st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def rough_models(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    h = [0.0] * n if draw(st.booleans()) else [draw(coefficients()) for _ in range(n)]
+    couplings = {}
+    if draw(st.booleans()):
+        for pair in itertools.combinations(range(n), 2):
+            if draw(st.booleans()):
+                couplings[pair] = draw(coefficients())
+    return IsingModel(n, tuple(h), couplings)
+
+
+class TestEnergies:
+    @given(rough_models(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_loop_on_every_column(self, model, data):
+        columns = data.draw(st.lists(spin_states(model.n), max_size=6))
+        spins = np.array(columns, dtype=np.int8).reshape(len(columns), model.n).T
+        got = ising.energies(model, spins).tolist()
+        assert got == [loop_energy(model, c) for c in columns]
+        assert [energy(model, c) for c in columns] == got
+
+    @given(rough_models())
+    @settings(max_examples=60, deadline=None)
+    def test_enumeration_across_chunk_boundaries(self, model):
+        whole = list(ising.code_energies(model))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ising, "_CHUNK_BITS", 1)
+            chunks = list(ising.code_energies(model))
+        assert len(chunks) == max(1, 1 << model.n >> 1)
+        for got in (whole, chunks):
+            codes = np.concatenate([c for c, _ in got]).tolist()
+            values = np.concatenate([e for _, e in got]).tolist()
+            assert codes == list(range(1 << model.n))
+            assert values == [loop_energy(model, state_from_code(model.n, c)) for c in codes]
+
+    def test_row_count_checked(self):
+        with pytest.raises(DimensionError):
+            ising.energies(NOR, np.ones((2, 4), dtype=np.int8))
 
 
 class TestModelConstruction:

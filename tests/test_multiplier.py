@@ -97,7 +97,7 @@ class TestForward:
             reduced, _ = clamp_fold(net22.model, clamps)
             report = brute_force_ground(reduced)
             assert report.degeneracy == 1, (m, n)
-            out = decode_reduced(net22, clamps, report.states[0])
+            out, = decode_reduced(net22, clamps, report.states)
             assert out.is_ground
             assert out.p == m * n
 
@@ -128,8 +128,7 @@ class TestForward:
             summary, shots = run_shots(reduced, Schedule(), 40, shot_seed(m, n),
                                        reference_e0=reference, keep_shots=True)
             assert summary.ground_hits >= 1
-            for r in shots:
-                out = decode_reduced(net, clamps, r.state)
+            for out in decode_reduced(net, clamps, [r.state for r in shots]):
                 if out.is_ground:
                     assert out.p == m * n
 
@@ -197,7 +196,7 @@ class TestDecode:
         clamps = factor_clamp_assignment(net22, 3, 2)
         reduced, _ = clamp_fold(net22.model, clamps)
         state = brute_force_ground(reduced).states[0]
-        out = decode_reduced(net22, clamps, state)
+        out, = decode_reduced(net22, clamps, [state])
         assert (out.m, out.n, out.p) == (3, 2, 6)
 
     def test_all_zero_state(self, net11):
