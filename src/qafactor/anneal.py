@@ -8,12 +8,19 @@ coupled to each other, so flipping a whole class at once is the same as
 visiting its spins one by one.
 
 :func:`run_shots` is batched: all shots of a batch advance together, one
-colour class per NumPy step, and local fields follow each step through a
-sparse (CSR) product over the class's couplings.  The shot runner
-(:func:`qafactor.seeds.run_shot_ranges`) sizes the batches so that their
-spins, fields and uniforms fit :data:`qafactor.seeds.BATCH_BYTES`.
-:func:`anneal_shot` is the scalar reference loop over the same order, and
-the faster path for a single shot.
+colour class per step.  With ``d = -2 s``, the change a flip makes to each
+spin, a class step computes dE = d * field, marks ``accept`` where dE is at
+most the limit, sets ``moved = d * accept`` (d, or +-0.0 where rejected)
+and subtracts ``moved`` from d twice, which flips exactly the accepted
+spins without a masked ufunc.  Local fields then follow the step through a
+sparse (CSR) product of the class's couplings with ``moved``.  Every step
+writes with ``out=`` into arrays allocated, and sliced per class, once per
+batch.  The limits -T ln u are held one sweep at a time in one (spins,
+shots) buffer.  The shot runner (:func:`qafactor.seeds.run_shot_ranges`)
+sizes the batches so that their uniforms, limits, spins, fields and step
+buffers (:func:`_shot_bytes` per shot) fit
+:data:`qafactor.seeds.BATCH_BYTES`.  :func:`anneal_shot` is the scalar
+reference loop over the same order, and the faster path for a single shot.
 
 A proposed flip with energy change dE is accepted when dE <= -T ln u,
 which is the Metropolis rule u <= exp(-dE/T).  Both paths compute the
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,6 +64,11 @@ LINEAR = "linear"
 
 #: Sweeps of uniforms drawn from a shot's stream at a time.
 SWEEP_BLOCK = 8
+
+#: Most flip attempts (shots x sweeps x spins) one :func:`run_shots` call
+#: may make: 4 to 5 CPU-hours at the 56-70 M attempts/s of a 4x4 or 8x8
+#: batch on a 2-core x86 machine.
+MAX_FLIP_ATTEMPTS = 10**12
 
 #: Largest allowed gap between incrementally tracked and recomputed values.
 DRIFT_TOL = 1e-6
@@ -82,23 +94,37 @@ class Schedule:
             raise ValueError("require finite t_hot >= t_cold > 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        # Finite end points can still round to 0 or below along the way,
-        # as geometric 1e200 -> 1e-200 over 3 sweeps does.
-        for k, t in enumerate(self.temperatures()):
-            if not 0.0 < t < math.inf:
-                raise ValueError(
-                    f"t_hot {self.t_hot!r} to t_cold {self.t_cold!r} over {self.sweeps} "
-                    f"sweeps gives temperature {t!r} at sweep {k}; each must be finite and > 0")
+        # Finite end points can still round to 0 along the way, as geometric
+        # 1e200 -> 1e-200 over 3 sweeps does (ratio 0.0).  Both ramps are
+        # monotone and never exceed t_hot, so the sweeps that fail are a
+        # suffix, found in O(log sweeps) steps: sweep 0 is t_hot or t_cold.
+        at = self._temperature()
+        if not 0.0 < at(self.sweeps - 1) < math.inf:
+            ok, bad = 0, self.sweeps - 1
+            while bad - ok > 1:
+                mid = (ok + bad) // 2
+                if 0.0 < at(mid) < math.inf:
+                    ok = mid
+                else:
+                    bad = mid
+            raise ValueError(
+                f"t_hot {self.t_hot!r} to t_cold {self.t_cold!r} over {self.sweeps} "
+                f"sweeps gives temperature {at(bad)!r} at sweep {bad}; each must be finite and > 0")
+
+    def _temperature(self) -> Callable[[int], float]:
+        """Sweep index to temperature: the one formula :meth:`temperatures` streams."""
+        t_hot, sweeps = self.t_hot, self.sweeps
+        if sweeps == 1:
+            return lambda k: self.t_cold
+        if self.kind == GEOMETRIC:
+            ratio = (self.t_cold / t_hot) ** (1.0 / (sweeps - 1))
+            return lambda k: t_hot * ratio**k
+        step = (self.t_cold - t_hot) / (sweeps - 1)
+        return lambda k: t_hot + step * k
 
     def temperatures(self) -> Iterator[float]:
         """One temperature per sweep, streamed: nothing holds them all."""
-        if self.sweeps == 1:
-            return iter([self.t_cold])
-        if self.kind == GEOMETRIC:
-            ratio = (self.t_cold / self.t_hot) ** (1.0 / (self.sweeps - 1))
-            return (self.t_hot * ratio**k for k in range(self.sweeps))
-        step = (self.t_cold - self.t_hot) / (self.sweeps - 1)
-        return (self.t_hot + step * k for k in range(self.sweeps))
+        return map(self._temperature(), range(self.sweeps))
 
 
 @dataclass(frozen=True)
@@ -198,16 +224,15 @@ def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
     return plan.bias[:, None] + plan.couplings @ spins
 
 
-def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float]):
-    """Yield, sweep by sweep, the limits -T ln u of every stream.
+def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float], out: np.ndarray):
+    """Fill ``out``, sweep by sweep, with the limits -T ln u of every stream.
 
-    Each limit array has shape (positions, shots), and a flip at that
-    position is accepted when its dE is at most the limit.  The arrays are
-    reused: each is valid until the next one is taken.
+    ``out`` has shape (positions, shots), and a flip at that position is
+    accepted when its dE is at most the limit.  It is yielded once per
+    sweep and overwritten by the next.
     """
     n = len(order)
     uniforms = np.empty((len(rngs), SWEEP_BLOCK * n))
-    limits = np.empty((SWEEP_BLOCK, n, len(rngs)))
     temps = iter(temps)
     while block := list(islice(temps, SWEEP_BLOCK)):
         drawn = uniforms[:, :len(block) * n]
@@ -216,9 +241,18 @@ def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float]):
         with np.errstate(divide="ignore"):
             np.log(drawn, out=drawn)
         by_sweep = drawn.reshape(len(rngs), len(block), n).transpose(1, 2, 0)
-        for logs, t, out in zip(by_sweep, block, limits):
-            np.multiply(logs[order], -t, out=out)
+        for logs, t in zip(by_sweep, block):
+            # "clip" never clips a valid order; the default "raise" would
+            # write through a buffered copy of out.
+            np.take(logs, order, axis=0, out=out, mode="clip")
+            np.multiply(out, -t, out=out)
             yield out
+
+
+def _shot_bytes(n: int) -> int:
+    """Working memory of one shot of an ``n``-spin batch: its uniforms,
+    its limits, delta, fields and moved (float64) and accept (bool)."""
+    return 8 * n * (SWEEP_BLOCK + 4) + n
 
 
 def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0) -> ShotResult:
@@ -241,7 +275,8 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
     start, moved = tuple(state), 0.0
 
     visit = plan.order.tolist()
-    for limits in _flip_limits([rng], plan.order, schedule.temperatures()):
+    limits = np.empty((n, 1))
+    for _ in _flip_limits([rng], plan.order, schedule.temperatures(), limits):
         for i, limit in zip(visit, limits[:, 0].tolist()):
             si = state[i]
             de = -2.0 * si * fields[i]
@@ -277,15 +312,23 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     delta = 2.0 - 4.0 * bits.T[plan.order]
     fields = _fields(plan, -0.5 * delta)
     flat_fields = fields.reshape(-1)
+    limits = np.empty((n, shots))
+    moved = np.empty((n, shots))
+    accept = np.empty((n, shots), dtype=bool)
+    steps = [(delta[lo:hi], fields[lo:hi], limits[lo:hi], accept[lo:hi], moved[lo:hi],
+              moved[lo:hi].reshape(-1), hi - lo, c.indptr, c.indices, c.data)
+             for lo, hi, c in plan.classes]
 
-    for limits in _flip_limits(rngs, plan.order, schedule.temperatures()):
-        for lo, hi, couplings in plan.classes:
-            d = delta[lo:hi]
-            accept = d * fields[lo:hi] <= limits[lo:hi]
-            moved = accept * d
-            np.negative(d, out=d, where=accept)
-            csr_matvecs(n, hi - lo, shots, couplings.indptr, couplings.indices,
-                        couplings.data, moved.reshape(-1), flat_fields)
+    for _ in _flip_limits(rngs, plan.order, schedule.temperatures(), limits):
+        for d, f, lim, acc, mv, flat_mv, size, indptr, cols, data in steps:
+            # mv holds dE = d f, then moved: d where accepted, else +-0.0.
+            # d - 2 moved flips exactly the accepted spins.
+            np.multiply(d, f, out=mv)
+            np.less_equal(mv, lim, out=acc)
+            np.multiply(d, acc, out=mv)
+            np.subtract(d, mv, out=d)
+            np.subtract(d, mv, out=d)
+            csr_matvecs(n, size, shots, indptr, cols, data, flat_mv, flat_fields)
 
     spins = -0.5 * delta
     drift = float(np.max(np.abs(fields - _fields(plan, spins))))
@@ -311,13 +354,19 @@ def run_shots(
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
     ``keep_shots`` is set; its ``hits`` are the package's one ground label
     per shot.  Histogram keys are the final states' bit strings (spin 0
-    first); the module docstring says how the shots are batched.
+    first); the module docstring says how the shots are batched.  A run of
+    more than :data:`MAX_FLIP_ATTEMPTS` is refused with ValueError before
+    any shot.
     """
     if reference_e0 is not None and not math.isfinite(reference_e0):
         raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
+    flips = n_shots * schedule.sweeps * model.n
+    if flips > MAX_FLIP_ATTEMPTS:
+        raise ValueError(f"{n_shots} shots x {schedule.sweeps} sweeps x {model.n} spins is "
+                         f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
     plan = _sweep_plan(model)
     results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
-                              n_shots, workers, 8 * model.n * (2 + 2 * SWEEP_BLOCK))
+                              n_shots, workers, _shot_bytes(model.n))
 
     histogram: dict[str, int] = {}
     for r in results:

@@ -36,6 +36,7 @@ from .multiplier import (
     factor_clamp_assignment,
     product_clamp_assignment,
 )
+from .seeds import default_workers
 from .synth import mult_unit_gate
 
 DEFAULT_SEED = 1
@@ -120,6 +121,14 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
+def _run_shots(args, schedule, model, reference):
+    """The annealing run of ``anneal``, ``factor`` and ``multiply``: ``(summary,
+    shots)``.  Commands print after it, so that a model, reference or run
+    size the annealer rejects leaves stdout empty."""
+    return annealing.run_shots(model, schedule, args.shots, args.seed, reference_e0=reference,
+                               workers=args.workers or default_workers(), keep_shots=True)
+
+
 def _positive_int(text: str) -> int:
     """A count that must be at least 1 (``--shots``, ``--workers``,
     ``--decimate``, ``--bits-a``, ``--bits-b``); the runner caps
@@ -146,7 +155,9 @@ def _add_anneal_flags(parser, shots_default=200):
     parser.add_argument("--t-cold", type=float, default=0.05)
     parser.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
                         default=annealing.GEOMETRIC)
-    parser.add_argument("--workers", type=_positive_int, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        help="processes (default: every usable CPU where the pool"
+                             " starts by fork, else 1)")
     parser.add_argument("--csv", metavar="PATH", default=None)
 
 
@@ -156,12 +167,7 @@ def cmd_anneal(args) -> int:
     reference = args.reference_e0
     if args.brute_force_reference:
         reference = brute_force_ground(model, cap=args.cap).e0
-    # Printed after the run, so that a model or reference the annealer
-    # rejects leaves stdout empty.
-    summary, shots = annealing.run_shots(
-        model, schedule, args.shots, args.seed,
-        reference_e0=reference, workers=args.workers, keep_shots=True,
-    )
+    summary, shots = _run_shots(args, schedule, model, reference)
     print(f"master_seed {args.seed}")
     if args.csv:
         _save_shot_csv(args.csv, shots, summary.hits)
@@ -202,13 +208,10 @@ def cmd_factor(args) -> int:
     reference = net.expected_e0 - offset
     clamps = product_clamp_assignment(net, args.p) if method == FOLD else {}
 
+    summary, shots = _run_shots(args, schedule, clamped, reference)
     print(f"master_seed {args.seed}")
     print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
     print(f"reference_e0 {reference!r}")
-    summary, shots = annealing.run_shots(
-        clamped, schedule, args.shots, args.seed,
-        reference_e0=reference, workers=args.workers, keep_shots=True,
-    )
 
     outcomes = decode_reduced(net, clamps, [r.state for r in shots])
     hist: dict[str, int] = {}
@@ -242,11 +245,8 @@ def cmd_multiply(args) -> int:
     clamps = factor_clamp_assignment(net, args.m, args.n)
     clamped, offset = clamp_fold(net.model, clamps)
     reference = net.expected_e0 - offset
+    summary, shots = _run_shots(args, schedule, clamped, reference)
     print(f"master_seed {args.seed}")
-    summary, shots = annealing.run_shots(
-        clamped, schedule, args.shots, args.seed,
-        reference_e0=reference, workers=args.workers, keep_shots=True,
-    )
 
     outcomes = decode_reduced(net, clamps, [r.state for r in shots])
     best = min(shots, key=lambda r: (r.energy, r.index))

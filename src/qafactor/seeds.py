@@ -16,7 +16,9 @@ whose per-shot working memory fits :data:`BATCH_BYTES`, whatever the shot
 count.  Because every shot seeds itself from its index, the per-shot
 results, returned in shot order, do not depend on the split.  One range
 runs in the calling process; ``concurrent.futures`` is imported, and a
-process pool started, only when there are two or more.
+process pool started, only when there are two or more.  The annealing
+commands ask for :func:`default_workers` processes unless told otherwise;
+the library functions default to one.
 """
 from __future__ import annotations
 
@@ -64,6 +66,20 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    """Worker count of the annealing commands when ``--workers`` is not given.
+
+    Every usable CPU where a process pool starts by ``fork``, else 1: a
+    spawned worker must first import NumPy and SciPy (about 0.3 s).  The
+    start method is read, never fixed.
+    """
+    import multiprocessing
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    return _usable_cpus() if method == "fork" else 1
 
 
 def _run_range(batch, args: tuple, size: int, lo: int, hi: int) -> list:

@@ -1,11 +1,12 @@
 import io
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qafactor import anneal, seeds
@@ -28,6 +29,24 @@ NOR = nor_gate().model
 
 def factor_model(bits: int, p: int) -> IsingModel:
     return clamp_product(build_multiplier(bits, bits), p, method=FOLD)[0]
+
+
+def walked_temperatures(kind: str, t_hot: float, t_cold: float, sweeps: int) -> list[float]:
+    """Every sweep's temperature, one by one: the oracle of schedule checks."""
+    if sweeps == 1:
+        return [t_cold]
+    if kind == GEOMETRIC:
+        ratio = (t_cold / t_hot) ** (1.0 / (sweeps - 1))
+        return [t_hot * ratio**k for k in range(sweeps)]
+    step = (t_cold - t_hot) / (sweeps - 1)
+    return [t_hot + step * k for k in range(sweeps)]
+
+
+# Temperatures from subnormal to near overflow, so that ramps round to 0.
+temperatures = st.one_of(
+    st.floats(),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-323, 307)),
+)
 
 
 def batch_of_each_shot(shots: range) -> list[range]:
@@ -86,6 +105,35 @@ class TestSchedule:
         assert len(temps) == sweeps
         assert all(0.0 < t < math.inf for t in temps)
         assert temps[0] == (t_hot if sweeps > 1 else t_cold)
+
+    @given(st.sampled_from([GEOMETRIC, LINEAR]), temperatures, temperatures,
+           st.integers(1, 300))
+    @example(GEOMETRIC, 1e200, 1e-200, 3)
+    @example(LINEAR, 1.0, 1e-20, 3)
+    @example(GEOMETRIC, 1e-300, 1e-320, 40)
+    @settings(max_examples=500, deadline=None)
+    def test_validation_accepts_exactly_what_the_walk_accepts(self, kind, t_hot, t_cold,
+                                                              sweeps):
+        if not (math.isfinite(t_hot) and t_hot >= t_cold > 0):
+            with pytest.raises(ValueError, match="t_hot >= t_cold > 0"):
+                Schedule(kind, t_hot, t_cold, sweeps)
+            return
+        walk = walked_temperatures(kind, t_hot, t_cold, sweeps)
+        bad = [(k, t) for k, t in enumerate(walk) if not 0.0 < t < math.inf]
+        if not bad:
+            assert list(Schedule(kind, t_hot, t_cold, sweeps).temperatures()) == walk
+            return
+        # Refused, naming the first sweep the walk finds.
+        k, t = bad[0]
+        with pytest.raises(ValueError, match=re.escape(f"temperature {t!r} at sweep {k};")):
+            Schedule(kind, t_hot, t_cold, sweeps)
+
+    def test_validation_does_not_walk_the_sweeps(self):
+        # 10^12 sweeps would take hours to walk in Python.
+        assert Schedule(sweeps=10**12).sweeps == 10**12
+        assert Schedule(LINEAR, 3.0, 0.05, 10**12).sweeps == 10**12
+        with pytest.raises(ValueError, match="temperature 0.0 at sweep 1;"):
+            Schedule(GEOMETRIC, 1e200, 1e-200, 10**12)
 
 
 class TestAcceptanceRule:
@@ -244,9 +292,19 @@ class TestBatchedOracle:
         assert few == many[:7]
         assert three == many
         # A budget of a few shots per batch: still the same shots.
-        monkeypatch.setattr(seeds, "BATCH_BYTES", 3 * 8 * model.n * (2 + 2 * anneal.SWEEP_BLOCK))
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 3 * anneal._shot_bytes(model.n))
         _, small = run_shots(model, schedule, 50, master_seed=2, keep_shots=True)
         assert small == many
+
+    def test_flip_attempts_capped_before_any_shot(self, monkeypatch):
+        schedule = Schedule(sweeps=10)
+        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS", 5 * 10 * NOR.n)
+        assert run_shots(NOR, schedule, 5, master_seed=1).shots == 5
+        ran = []
+        monkeypatch.setattr(anneal, "_anneal_batch", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="6 shots x 10 sweeps x 3 spins is 180 flip"):
+            run_shots(NOR, schedule, 6, master_seed=1)
+        assert ran == []
 
     def test_sweeps_not_a_multiple_of_the_block(self):
         schedule = Schedule(sweeps=anneal.SWEEP_BLOCK * 3 + 5)
@@ -271,7 +329,7 @@ class TestBatchedOracle:
         """Beyond the results it returns, run_shots holds one batch at a time."""
         model = factor_model(4, 15)
         schedule = Schedule(sweeps=16)
-        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 18)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 20 * anneal._shot_bytes(model.n))
         run_shots(model, schedule, 2, master_seed=1)
 
         def transient_peak(n_shots):

@@ -1,8 +1,10 @@
+import concurrent.futures
 import hashlib
 import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_models
-from qafactor import cli, fluxsim, multiplier
+from qafactor import cli, fluxsim, multiplier, seeds
 from qafactor.cli import main
 from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
 from qafactor.gates import GateTemplate, nor_gate, verify_gate
@@ -491,6 +493,94 @@ class TestWrittenBytes:
         assert written == digests
 
 
+#: sha256 of stdout and of the ``--csv`` file of full-size annealing runs at
+#: the default worker count.  Their batches are as wide as the flagship
+#: run's, 200 shots (100 per worker on two CPUs); the pins above run 5.
+_PRINTED = {
+    "factor-200": (("factor", "15", "--shots", "200", "--seed", "2024", "--csv", "f.csv"),
+                   "53434044c6ccb0741225af73fc29d09929c8d36cc69ff9ef30c0863421a8ee6d", {
+        "f.csv": "5c37ca58e2c46aeeff5467468b4b6dce02c9bcde030d6dccaacd2faee32ac3f4"}),
+    "anneal-nor": (("anneal", "nor.model", "--brute-force-reference", "--csv", "a.csv"),
+                   "afd8ce52a4cf4762c347de2cab65a187d183214680be9e4267f23711421889f7", {
+        "a.csv": "1dd6f7aa97bc44f46654af070a19a995d3e8d833da7cba97bccf4427706ccb2c"}),
+}
+
+
+class TestPrintedBytes:
+    @pytest.mark.parametrize("case", sorted(_PRINTED))
+    def test_stdout_and_files_match_pinned_digests(self, capsys, case):
+        argv, printed, digests = _PRINTED[case]
+        run(capsys, "gates", "emit", "nor")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == printed
+        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in digests}
+        assert written == digests
+
+
+_ANNEALING = {
+    "factor": ("factor", "15", "--shots", "40", "--sweeps", "300"),
+    "multiply": ("multiply", "3", "5", "--shots", "20", "--sweeps", "300"),
+    "anneal": ("anneal", "nor.model", "--brute-force-reference", "--shots", "40"),
+}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs; returns a setter of the process start method."""
+    monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+
+    def start_by(method):
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False: method)
+    return start_by
+
+
+def _refuse_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("case", sorted(_ANNEALING))
+    def test_fork_default_runs_a_pool_with_the_bytes_of_one_worker(self, capsys, monkeypatch,
+                                                                  two_cpus, case):
+        two_cpus("fork")
+        pools = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        run(capsys, "gates", "emit", "nor")
+        argv = (*_ANNEALING[case], "--csv", "shots.csv")
+        code, one, _ = run(capsys, *argv, "--workers", "1")
+        assert code == 0 and pools == []
+        one_csv = Path("shots.csv").read_bytes()
+        code, default, _ = run(capsys, *argv)
+        assert code == 0 and pools == [2]
+        assert default == one
+        assert Path("shots.csv").read_bytes() == one_csv
+
+    @pytest.mark.parametrize("case", sorted(_ANNEALING))
+    def test_spawn_default_starts_no_pool(self, capsys, monkeypatch, two_cpus, case):
+        two_cpus("spawn")
+        _refuse_pools(monkeypatch)
+        run(capsys, "gates", "emit", "nor")
+        assert run(capsys, *_ANNEALING[case])[0] == 0
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_circuit_default_starts_no_pool(self, capsys, monkeypatch, two_cpus, method):
+        two_cpus(method)
+        _refuse_pools(monkeypatch)
+        assert run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "4",
+                   "--ramp-ns", "0.2", "--hold-ns", "0.05")[0] == 0
+
+
 class TestCapacity:
     def test_reference_numbers(self, capsys):
         code, out, _ = run(capsys, "capacity")
@@ -578,6 +668,18 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "t_cold" in err or "sweeps" in err
+
+    @pytest.mark.parametrize("command", [
+        ("anneal", "nor.model", "--sweeps", str(10**12)),
+        ("factor", "15", "--sweeps", str(10**10)),
+        ("multiply", "3", "5", "--shots", "1", "--sweeps", str(10**12)),
+    ], ids=["anneal", "factor", "multiply"])
+    def test_run_above_the_flip_cap_rejected_before_any_output(self, capsys, command):
+        run(capsys, "gates", "emit", "nor")
+        code, out, err = run(capsys, *command)
+        assert code == 1
+        assert out == ""
+        assert "flip attempts, more than the 1e+12 allowed" in err
 
     @pytest.mark.parametrize("command", [
         ("circuit", "--seed", "5", "nor-inverse", "--clamp", "0", "--shots", "2",
