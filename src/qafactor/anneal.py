@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from .ising import GROUND_TOL, IsingModel, energies, spins_to_bits
-from .seeds import run_shot_ranges, shot_seed
+from .seeds import batch_size, run_shot_ranges, shot_seed
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -65,10 +65,14 @@ LINEAR = "linear"
 #: Sweeps of uniforms drawn from a shot's stream at a time.
 SWEEP_BLOCK = 8
 
-#: Most flip attempts (shots x sweeps x spins) one :func:`run_shots` call
-#: may make: 4 to 5 CPU-hours at the 56-70 M attempts/s of a 4x4 or 8x8
-#: batch on a 2-core x86 machine.
+#: Most flip attempts one :func:`run_shots` call may be charged, sweeps x
+#: (batches x SWEEP_OVERHEAD + shots x spins): 4 to 5 CPU-hours at the
+#: 56-70 M attempts/s of a 4x4 or 8x8 batch on a 2-core x86 machine.
 MAX_FLIP_ATTEMPTS = 10**12
+#: Attempts charged per batch and sweep, whatever its size: a one-spin,
+#: one-shot sweep takes 9-18.5 us on 2-core x86 machines, 650-1,200
+#: attempts at the 65-70 M/s of a 200-shot 4x4 batch.
+SWEEP_OVERHEAD = 1000
 
 #: Largest allowed gap between incrementally tracked and recomputed values.
 DRIFT_TOL = 1e-6
@@ -354,19 +358,22 @@ def run_shots(
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
     ``keep_shots`` is set; its ``hits`` are the package's one ground label
     per shot.  Histogram keys are the final states' bit strings (spin 0
-    first); the module docstring says how the shots are batched.  A run of
-    more than :data:`MAX_FLIP_ATTEMPTS` is refused with ValueError before
-    any shot.
+    first); the module docstring says how the shots are batched.  A run
+    charged more than :data:`MAX_FLIP_ATTEMPTS` is refused with ValueError
+    before any shot.
     """
     if reference_e0 is not None and not math.isfinite(reference_e0):
         raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
-    flips = n_shots * schedule.sweeps * model.n
-    if flips > MAX_FLIP_ATTEMPTS:
-        raise ValueError(f"{n_shots} shots x {schedule.sweeps} sweeps x {model.n} spins is "
-                         f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
     plan = _sweep_plan(model)
+    shot_bytes = _shot_bytes(model.n)
+    batches = -(-n_shots // batch_size(shot_bytes))
+    flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * model.n)
+    if flips > MAX_FLIP_ATTEMPTS:
+        raise ValueError(f"{schedule.sweeps} sweeps x ({SWEEP_OVERHEAD} per batch x {batches} "
+                         f"+ {n_shots} shots x {model.n} spins) is {flips:.3g} flip attempts, "
+                         f"more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
     results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
-                              n_shots, workers, _shot_bytes(model.n))
+                              n_shots, workers, shot_bytes)
 
     histogram: dict[str, int] = {}
     for r in results:

@@ -43,12 +43,10 @@ class CapacityReport:
 
 
 def capacity_estimate(inp: CapacityInput) -> CapacityReport:
+    # Positive: CapacityInput refuses a margin of half the chip edge or more.
     usable_um = inp.chip_mm * 1000.0 - 2.0 * inp.margin_um
-    if usable_um <= 0:
-        across = down = 0
-    else:
-        across = int(usable_um // inp.unit_w_um)
-        down = int(usable_um // inp.unit_h_um)
+    across = int(usable_um // inp.unit_w_um)
+    down = int(usable_um // inp.unit_h_um)
     side = min(across, down)
     per_chip = side * side
     total = per_chip * inp.chips

@@ -113,7 +113,7 @@ def cmd_synth_mult(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# anneal / factor / multiply
+# the shot commands: anneal / factor / multiply / circuit nor-inverse
 # ---------------------------------------------------------------------------
 
 def _schedule_from(args) -> annealing.Schedule:
@@ -121,12 +121,15 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
-def _run_shots(args, schedule, model, reference):
-    """The annealing run of ``anneal``, ``factor`` and ``multiply``: ``(summary,
-    shots)``.  Commands print after it, so that a model, reference or run
-    size the annealer rejects leaves stdout empty."""
-    return annealing.run_shots(model, schedule, args.shots, args.seed, reference_e0=reference,
-                               workers=args.workers or default_workers(), keep_shots=True)
+def _run(args, solve, *problem, pooled=True, **options):
+    """``solve(*problem, **options)`` with the shot commands' ``--shots``,
+    ``--seed`` and ``--workers`` (default :func:`default_workers` where
+    ``pooled``, else 1), then the master seed printed: a run its solver
+    refuses leaves stdout empty."""
+    result = solve(*problem, n_shots=args.shots, master_seed=args.seed,
+                   workers=args.workers or (default_workers() if pooled else 1), **options)
+    print(f"master_seed {args.seed}")
+    return result
 
 
 def _positive_int(text: str) -> int:
@@ -148,27 +151,14 @@ def _cap(text: str) -> int:
     return value
 
 
-def _add_anneal_flags(parser, shots_default=200):
-    parser.add_argument("--shots", type=_positive_int, default=shots_default)
-    parser.add_argument("--sweeps", type=int, default=2000)
-    parser.add_argument("--t-hot", type=float, default=3.0)
-    parser.add_argument("--t-cold", type=float, default=0.05)
-    parser.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
-                        default=annealing.GEOMETRIC)
-    parser.add_argument("--workers", type=_positive_int, default=None,
-                        help="processes (default: every usable CPU where the pool"
-                             " starts by fork, else 1)")
-    parser.add_argument("--csv", metavar="PATH", default=None)
-
-
 def cmd_anneal(args) -> int:
     schedule = _schedule_from(args)
     model = parse_model(_read(args.model))
     reference = args.reference_e0
     if args.brute_force_reference:
         reference = brute_force_ground(model, cap=args.cap).e0
-    summary, shots = _run_shots(args, schedule, model, reference)
-    print(f"master_seed {args.seed}")
+    summary, shots = _run(args, annealing.run_shots, model, schedule,
+                          reference_e0=reference, keep_shots=True)
     if args.csv:
         _save_shot_csv(args.csv, shots, summary.hits)
     sys.stdout.write(summary.to_text())
@@ -184,22 +174,23 @@ def _save_shot_csv(path: str, shots, hits, outcomes=None) -> None:
     print(f"wrote {path}")
 
 
-def _default_widths(p: int, balanced: bool) -> tuple[int, int]:
-    bits = max(1, p.bit_length())
-    if balanced:
-        bits = max(1, math.ceil(bits / 2))
-    return bits, bits
+def _anneal_network(args, schedule, net, clamps, clamped, reference):
+    """The run of ``factor`` and ``multiply``: anneal ``clamped``, the
+    multiplier ``net`` with ``clamps`` folded out or biased, and decode every
+    shot with one call: ``(summary, shots, outcomes)``."""
+    summary, shots = _run(args, annealing.run_shots, clamped, schedule,
+                          reference_e0=reference, keep_shots=True)
+    return summary, shots, decode_reduced(net, clamps, [r.state for r in shots])
 
 
 def cmd_factor(args) -> int:
     if args.p < 0:
         raise UsageError("P must be >= 0")
     schedule = _schedule_from(args)
-    n1, n2 = _default_widths(args.p, args.balanced)
-    if args.bits_a:
-        n1 = args.bits_a
-    if args.bits_b:
-        n2 = args.bits_b
+    bits = max(1, args.p.bit_length())
+    if args.balanced:
+        bits = max(1, math.ceil(bits / 2))
+    n1, n2 = args.bits_a or bits, args.bits_b or bits
     if args.p >= (1 << (n1 + n2)):
         raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
     net = build_multiplier(n1, n2, chains=args.chains)
@@ -207,13 +198,9 @@ def cmd_factor(args) -> int:
     clamped, offset = clamp_product(net, args.p, method=method)
     reference = net.expected_e0 - offset
     clamps = product_clamp_assignment(net, args.p) if method == FOLD else {}
-
-    summary, shots = _run_shots(args, schedule, clamped, reference)
-    print(f"master_seed {args.seed}")
+    summary, shots, outcomes = _anneal_network(args, schedule, net, clamps, clamped, reference)
     print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
     print(f"reference_e0 {reference!r}")
-
-    outcomes = decode_reduced(net, clamps, [r.state for r in shots])
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
     for out, hit in zip(outcomes, summary.hits):
@@ -244,11 +231,8 @@ def cmd_multiply(args) -> int:
     net = build_multiplier(n1, n2, chains=args.chains)
     clamps = factor_clamp_assignment(net, args.m, args.n)
     clamped, offset = clamp_fold(net.model, clamps)
-    reference = net.expected_e0 - offset
-    summary, shots = _run_shots(args, schedule, clamped, reference)
-    print(f"master_seed {args.seed}")
-
-    outcomes = decode_reduced(net, clamps, [r.state for r in shots])
+    summary, shots, outcomes = _anneal_network(args, schedule, net, clamps, clamped,
+                                               net.expected_e0 - offset)
     best = min(shots, key=lambda r: (r.energy, r.index))
     # The lowest-energy shot reached ground exactly when any shot did.
     print(f"product {outcomes[best.index].p}")
@@ -299,12 +283,9 @@ def cmd_circuit_nor_inverse(args) -> int:
     ramp = fluxsim.RampSpec(ramp_s=args.ramp_ns * 1e-9, hold_s=args.hold_ns * 1e-9)
     layout = fluxsim.inverse_nor_layout(args.clamp, ramp=ramp)
     noise = fluxsim.NoiseSpec(sigma=args.noise_sigma * 1e-6)
-    dt = args.dt_fs * 1e-15
-    fluxsim.step_count(ramp, dt)  # rejects a bad step before any output
-    print(f"master_seed {args.seed}")
-    result = fluxsim.run_ensemble(layout, noise, ramp=ramp, n_shots=args.shots,
-                                  master_seed=args.seed, dt=dt, workers=args.workers,
-                                  decimate=args.decimate if args.trace else 0)
+    # One worker by default: a split batch makes every shot dearer (README).
+    result = _run(args, fluxsim.run_ensemble, layout, noise, ramp=ramp, dt=args.dt_fs * 1e-15,
+                  decimate=args.decimate if args.trace else 0, pooled=False)
     sys.stdout.write(result.to_text())
     violations = sum(c for bits, c in result.counts.items()
                      if bits[:3] not in NOR_TRUTH.valid)
@@ -347,9 +328,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qafactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed_parent = _Parser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    # The flags every shot command shares.  --shots is not among them: a
+    # parent's actions are shared, so a per-command default would leak.
+    shot_parent = _Parser(add_help=False)
+    shot_parent.add_argument("--seed", type=int, default=DEFAULT_SEED,
                              help="master seed (printed; derives per-shot seeds)")
+    shot_parent.add_argument("--workers", type=_positive_int, default=None,
+                             help="processes (default: every usable CPU where the pool"
+                                  " starts by fork, else 1; 1 for the circuit)")
+    anneal_parent = _Parser(add_help=False)
+    anneal_parent.add_argument("--sweeps", type=int, default=2000)
+    anneal_parent.add_argument("--t-hot", type=float, default=3.0)
+    anneal_parent.add_argument("--t-cold", type=float, default=0.05)
+    anneal_parent.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
+                               default=annealing.GEOMETRIC)
+    anneal_parent.add_argument("--csv", metavar="PATH", default=None)
+    # factor and multiply run one multiplier network, forwards or backwards.
+    net_parent = _Parser(add_help=False)
+    net_parent.add_argument("--bits-a", type=_positive_int, default=None)
+    net_parent.add_argument("--bits-b", type=_positive_int, default=None)
+    net_parent.add_argument("--chains", action="store_true")
 
     p_gates = sub.add_parser("gates")
     gates_sub = p_gates.add_subparsers(dest="gates_command", required=True)
@@ -368,33 +366,27 @@ def build_parser() -> _Parser:
     p_mult.add_argument("--out", default=None)
     p_mult.set_defaults(func=cmd_synth_mult)
 
-    p_anneal = sub.add_parser("anneal", parents=[seed_parent])
+    p_anneal = sub.add_parser("anneal", parents=[shot_parent, anneal_parent])
     p_anneal.add_argument("model")
-    _add_anneal_flags(p_anneal)
+    p_anneal.add_argument("--shots", type=_positive_int, default=200)
     ref_flags = p_anneal.add_mutually_exclusive_group()
     ref_flags.add_argument("--reference-e0", type=float, default=None)
     ref_flags.add_argument("--brute-force-reference", action="store_true")
     p_anneal.add_argument("--cap", type=_cap, default=BRUTE_FORCE_CAP)
     p_anneal.set_defaults(func=cmd_anneal)
 
-    p_factor = sub.add_parser("factor", parents=[seed_parent])
+    p_factor = sub.add_parser("factor", parents=[shot_parent, anneal_parent, net_parent])
     p_factor.add_argument("p", type=int)
-    p_factor.add_argument("--bits-a", type=_positive_int, default=None)
-    p_factor.add_argument("--bits-b", type=_positive_int, default=None)
+    p_factor.add_argument("--shots", type=_positive_int, default=200)
     p_factor.add_argument("--balanced", action="store_true",
                           help="use ceil(bitlen/2) factor widths (semiprime work)")
     p_factor.add_argument("--method", choices=["fold", "bias"], default="fold")
-    p_factor.add_argument("--chains", action="store_true")
-    _add_anneal_flags(p_factor)
     p_factor.set_defaults(func=cmd_factor)
 
-    p_mul = sub.add_parser("multiply", parents=[seed_parent])
+    p_mul = sub.add_parser("multiply", parents=[shot_parent, anneal_parent, net_parent])
     p_mul.add_argument("m", type=int)
     p_mul.add_argument("n", type=int)
-    p_mul.add_argument("--bits-a", type=_positive_int, default=None)
-    p_mul.add_argument("--bits-b", type=_positive_int, default=None)
-    p_mul.add_argument("--chains", action="store_true")
-    _add_anneal_flags(p_mul, shots_default=50)
+    p_mul.add_argument("--shots", type=_positive_int, default=50)
     p_mul.set_defaults(func=cmd_multiply)
 
     p_verify = sub.add_parser("verify")
@@ -405,7 +397,7 @@ def build_parser() -> _Parser:
 
     p_circ = sub.add_parser("circuit")
     circ_sub = p_circ.add_subparsers(dest="circuit_command", required=True)
-    p_nor = circ_sub.add_parser("nor-inverse", parents=[seed_parent])
+    p_nor = circ_sub.add_parser("nor-inverse", parents=[shot_parent])
     p_nor.add_argument("--clamp", type=int, choices=[0, 1], required=True)
     p_nor.add_argument("--shots", type=_positive_int, default=200)
     p_nor.add_argument("--ramp-ns", type=float, default=fluxsim.RAMP_DEFAULT * 1e9)
@@ -417,7 +409,6 @@ def build_parser() -> _Parser:
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", default=None)
     p_nor.add_argument("--decimate", type=_positive_int, default=10)
-    p_nor.add_argument("--workers", type=_positive_int, default=1)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
     p_cap = sub.add_parser("capacity")

@@ -521,8 +521,9 @@ def run_ensemble(
     Shot k draws its noise from ``shot_seed(master_seed, k)``;
     ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A ``ramp``
     argument overrides ``layout.ramp``; without one the layout's ramp is
-    used."""
+    used.  A step or run :func:`step_count` refuses raises ValueError first."""
     ramp = ramp or layout.ramp
+    step_count(ramp, dt)
     n = layout.n
     shots = run_shot_ranges(_ensemble_batch,
                             (layout, noise, ramp, dt, master_seed, decimate),

@@ -17,8 +17,8 @@ count.  Because every shot seeds itself from its index, the per-shot
 results, returned in shot order, do not depend on the split.  One range
 runs in the calling process; ``concurrent.futures`` is imported, and a
 process pool started, only when there are two or more.  The annealing
-commands ask for :func:`default_workers` processes unless told otherwise;
-the library functions default to one.
+commands of the CLI ask for :func:`default_workers` processes unless told
+otherwise; ``circuit nor-inverse`` and the library functions default to one.
 """
 from __future__ import annotations
 
@@ -82,6 +82,11 @@ def default_workers() -> int:
     return _usable_cpus() if method == "fork" else 1
 
 
+def batch_size(shot_bytes: int) -> int:
+    """Shots per batch when one shot needs ``shot_bytes`` of working memory."""
+    return max(1, BATCH_BYTES // shot_bytes)
+
+
 def _run_range(batch, args: tuple, size: int, lo: int, hi: int) -> list:
     """``batch(*args, shots)`` over shots ``lo .. hi-1``, ``size`` at a time."""
     results: list = []
@@ -97,10 +102,10 @@ def run_shot_ranges(batch, args: tuple, n_shots: int, workers: int,
     ``shots`` is a ``range`` of shot indices; ``batch`` returns one result
     per shot of it, in shot order, and must be picklable (a module-level
     function) when ``workers`` > 1.  A batch holds at most
-    ``max(1, BATCH_BYTES // shot_bytes)`` shots.
+    :func:`batch_size` shots.
     """
     ranges = shot_ranges(n_shots, workers, _usable_cpus())
-    size = max(1, BATCH_BYTES // shot_bytes)
+    size = batch_size(shot_bytes)
     if len(ranges) == 1:
         return _run_range(batch, args, size, 0, n_shots)
     from concurrent.futures import ProcessPoolExecutor

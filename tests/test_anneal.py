@@ -297,14 +297,27 @@ class TestBatchedOracle:
         assert small == many
 
     def test_flip_attempts_capped_before_any_shot(self, monkeypatch):
+        # Batches of two shots: 6 shots are 3 batches, each charged per sweep.
         schedule = Schedule(sweeps=10)
-        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS", 5 * 10 * NOR.n)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 2 * anneal._shot_bytes(NOR.n))
+        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS",
+                            10 * (3 * anneal.SWEEP_OVERHEAD + 5 * NOR.n))
         assert run_shots(NOR, schedule, 5, master_seed=1).shots == 5
         ran = []
         monkeypatch.setattr(anneal, "_anneal_batch", lambda *args: ran.append(args))
-        with pytest.raises(ValueError, match="6 shots x 10 sweeps x 3 spins is 180 flip"):
+        with pytest.raises(ValueError, match=r"10 sweeps x \(1000 per batch x 3 \+ 6 shots x 3 "
+                                             r"spins\) is 3\.02e\+04 flip attempts"):
             run_shots(NOR, schedule, 6, master_seed=1)
         assert ran == []
+
+    def test_per_sweep_overhead_counts_against_the_cap(self, monkeypatch):
+        """A one-spin, one-shot run pays for its sweeps, not only its flips:
+        10^11 sweeps would take weeks at about 10 us each."""
+        def refuse(*args):
+            raise AssertionError("shots were dispatched")
+        monkeypatch.setattr(anneal, "run_shot_ranges", refuse)
+        with pytest.raises(ValueError, match="more than the 1e\\+12 allowed"):
+            run_shots(IsingModel(1, (0.5,), {}), Schedule(sweeps=10**11), 1, master_seed=1)
 
     def test_sweeps_not_a_multiple_of_the_block(self):
         schedule = Schedule(sweeps=anneal.SWEEP_BLOCK * 3 + 5)

@@ -423,13 +423,23 @@ class TestCircuit:
         ("--ramp-ns", "nan"), ("--hold-ns", "inf"), ("--noise-sigma", "nan"),
         ("--dt-fs", "1e-300"), ("--ramp-ns", "1e300"),
     ])
-    def test_bad_inputs_rejected_before_any_output(self, capsys, flag, value):
+    def test_bad_inputs_rejected_before_any_output(self, capsys, monkeypatch, flag, value):
+        _refuse_pools(monkeypatch)
         code, out, err = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
                              "--shots", "2", "--ramp-ns", "0.2", "--hold-ns", "0.05",
-                             flag, value)
+                             "--workers", "2", flag, value)
         assert code == 1
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverged_run_prints_nothing(self, capsys, workers):
+        code, out, err = run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
+                             "--ramp-ns", "0.2", "--hold-ns", "0.05", "--noise-sigma", "1e12",
+                             "--workers", workers)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numeric instability: integration diverged")
 
     def test_prints_master_seed_once(self, capsys):
         code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
@@ -493,16 +503,31 @@ class TestWrittenBytes:
         assert written == digests
 
 
-#: sha256 of stdout and of the ``--csv`` file of full-size annealing runs at
-#: the default worker count.  Their batches are as wide as the flagship
-#: run's, 200 shots (100 per worker on two CPUs); the pins above run 5.
+#: sha256 of stdout and of the ``--csv`` file of full-size runs of every
+#: shot command at the default worker count.  Their batches are as wide as
+#: the flagship runs', 200 shots (100 per annealing worker on two CPUs, one
+#: worker for the circuit; 50 for ``multiply``, its default); the pins above
+#: run 5.
 _PRINTED = {
     "factor-200": (("factor", "15", "--shots", "200", "--seed", "2024", "--csv", "f.csv"),
                    "53434044c6ccb0741225af73fc29d09929c8d36cc69ff9ef30c0863421a8ee6d", {
         "f.csv": "5c37ca58e2c46aeeff5467468b4b6dce02c9bcde030d6dccaacd2faee32ac3f4"}),
+    "factor-bias-200": (("factor", "15", "--method", "bias", "--shots", "200",
+                         "--csv", "f.csv"),
+                        "6e6d3373c283941c7f769f2720cea49145b2c7ca2892db148830e0b0cd4e7a41", {
+        "f.csv": "6437d0e232108e35fbe5f52f23bf9f90379135aa572e65a2584bd93cf4205ae0"}),
+    "multiply-3x5": (("multiply", "3", "5", "--csv", "m.csv"),
+                     "3e8fb61932a864ec82cf1eb9c42ac81fcae487f739dbf595253cf466c0f9dfbf", {
+        "m.csv": "bfc7f45f60746d37f3e3cd9827d263615a293256e29923849ecf08b665bd25e6"}),
     "anneal-nor": (("anneal", "nor.model", "--brute-force-reference", "--csv", "a.csv"),
                    "afd8ce52a4cf4762c347de2cab65a187d183214680be9e4267f23711421889f7", {
         "a.csv": "1dd6f7aa97bc44f46654af070a19a995d3e8d833da7cba97bccf4427706ccb2c"}),
+    "circuit-clamp0-200": (("circuit", "nor-inverse", "--clamp", "0", "--shots", "200",
+                            "--ramp-ns", "0.2", "--hold-ns", "0.05"),
+                           "afe31d8d8e688cce25554948bfd261fdd87da1342bb8f9e54468dbca44a1f098", {}),
+    "circuit-clamp1-200": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "200",
+                            "--ramp-ns", "0.2", "--hold-ns", "0.05"),
+                           "b8c598f629922910986aa35df899fa398f80c3239f8f96b6842d56a736ab5a54", {}),
 }
 
 

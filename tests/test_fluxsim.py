@@ -281,6 +281,18 @@ class TestEnsemble:
                              master_seed=6, workers=3)
         assert serial.to_text() == split.to_text()
 
+    @pytest.mark.parametrize("ramp,dt", [
+        (RampSpec(0.2e-9, 0.05e-9), 600e-15),
+        (RampSpec(2e-6, 0.0), DT_DEFAULT),
+    ], ids=["step-above-noise-hold", "above-max-steps"])
+    def test_refused_before_any_shot_is_dispatched(self, monkeypatch, ramp, dt):
+        def refuse(*args):
+            raise AssertionError("shots were dispatched")
+        monkeypatch.setattr(fluxsim, "run_shot_ranges", refuse)
+        with pytest.raises(ValueError, match="noise hold|integrator steps"):
+            run_ensemble(inverse_nor_layout(0), NoiseSpec(), ramp=ramp, n_shots=4, dt=dt,
+                         workers=2)
+
     @staticmethod
     def assert_batch_equals_singles(layout, seeds):
         batched = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)
