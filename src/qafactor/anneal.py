@@ -38,26 +38,28 @@ only on the model, the schedule and its seed:
 ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
 shot_seed(master_seed, k), k)`` for any batch size or worker count.
 
-SciPy is imported where it is called, in :func:`_csr` and
-:func:`_anneal_batch`.  ``scipy.sparse`` costs about a quarter of a
-second and tens of MB at start-up, and the commands that load this module
-without annealing (the circuit simulator, gate emission, verification)
-should not pay for it.
+Of SciPy only the compiled CSR kernel ``csr_matvecs`` is used, loaded from
+its extension file on first use by :func:`_sparsetools`.  Importing
+``scipy.sparse`` for it would cost 0.22-0.33 s and 21 MB at start-up on a
+2-core x86 machine (NumPy already loaded); the file alone costs about 1 ms
+and 0.16 MB, and the commands that load this module without annealing
+never load it.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .ising import GROUND_TOL, IsingModel, energies, spins_to_bits
 from .seeds import batch_size, run_shot_ranges, shot_seed
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 GEOMETRIC = "geometric"
 LINEAR = "linear"
@@ -66,13 +68,18 @@ LINEAR = "linear"
 SWEEP_BLOCK = 8
 
 #: Most flip attempts one :func:`run_shots` call may be charged, sweeps x
-#: (batches x SWEEP_OVERHEAD + shots x spins): 4 to 5 CPU-hours at the
-#: 56-70 M attempts/s of a 4x4 or 8x8 batch on a 2-core x86 machine.
+#: (batches x SWEEP_OVERHEAD + shots x (spins + SHOT_OVERHEAD)): 4 to 5
+#: CPU-hours at the 56-70 M attempts/s of a 4x4 or 8x8 batch on a 2-core
+#: x86 machine.
 MAX_FLIP_ATTEMPTS = 10**12
 #: Attempts charged per batch and sweep, whatever its size: a one-spin,
 #: one-shot sweep takes 9-18.5 us on 2-core x86 machines, 650-1,200
 #: attempts at the 65-70 M/s of a 200-shot 4x4 batch.
 SWEEP_OVERHEAD = 1000
+#: Attempts charged per shot and sweep on top of its spins: a shot more in
+#: a 200- or 2,000-shot batch of 1 to 8 spins costs 0.11-0.27 us per sweep
+#: on a 2-core x86 machine, 6-13 attempts more than its spins at 70 M/s.
+SHOT_OVERHEAD = 16
 
 #: Largest allowed gap between incrementally tracked and recomputed values.
 DRIFT_TOL = 1e-6
@@ -170,28 +177,47 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
+#: CSR arrays ``(indptr, indices, data)``.
+_CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _SweepPlan:
     """A model laid out in colour-major visiting order.
 
     Position p holds spin ``order[p]``; colour class c occupies positions
     ``classes[c][0]:classes[c][1]`` and ``classes[c][2]`` holds the
-    couplings from that class to every position.
+    couplings from that class to every position, one CSR row per position.
     """
 
     order: np.ndarray
     bias: np.ndarray
-    couplings: csr_array
-    classes: tuple[tuple[int, int, csr_array], ...]
+    couplings: _CSR
+    classes: tuple[tuple[int, int, _CSR], ...]
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> csr_array:
-    """CSR matrix whose rows list their entries in ascending column order."""
-    from scipy.sparse import csr_array
-
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int) -> _CSR:
+    """CSR arrays whose rows list their entries in ascending column order."""
     key = np.lexsort((cols, rows))
-    indptr = np.searchsorted(rows[key], np.arange(shape[0] + 1))
-    return csr_array((vals[key], cols[key], indptr), shape=shape)
+    return np.searchsorted(rows[key], np.arange(n_rows + 1)), cols[key], vals[key]
+
+
+@cache
+def _sparsetools():
+    """SciPy's compiled sparse kernels, loaded from their extension file alone.
+
+    Neither ``scipy/__init__`` nor ``scipy/sparse/__init__`` runs.  CPython
+    lists the module in ``sys.modules`` under its own name, where a later
+    ``import scipy.sparse`` finds it.
+    """
+    scipy = find_spec("scipy")  # imports nothing
+    where = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "sparse")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    if (spec := finder.find_spec("scipy.sparse._sparsetools")) is None:
+        raise ImportError(f"no SciPy _sparsetools extension in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _sweep_plan(model: IsingModel) -> _SweepPlan:
@@ -218,14 +244,20 @@ def _sweep_plan(model: IsingModel) -> _SweepPlan:
     classes = []
     for lo, hi in zip(bounds, bounds[1:]):
         keep = (cols >= lo) & (cols < hi)
-        classes.append((lo, hi, _csr(rows[keep], cols[keep] - lo, vals[keep], (n, hi - lo))))
+        classes.append((lo, hi, _csr(rows[keep], cols[keep] - lo, vals[keep], n)))
     return _SweepPlan(order, np.asarray(model.h, dtype=float)[order],
-                      _csr(rows, cols, vals, (n, n)), tuple(classes))
+                      _csr(rows, cols, vals, n), tuple(classes))
 
 
 def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
-    """Local fields h + J s of a (positions, shots) spin array."""
-    return plan.bias[:, None] + plan.couplings @ spins
+    """Local fields h + J s of a (positions, shots) float spin array; each
+    row of J s starts at 0.0 and adds its entries in column order."""
+    n, shots = spins.shape
+    if n != len(plan.bias):
+        raise ValueError(f"{n} spin rows for a {len(plan.bias)}-spin plan")
+    sums = np.zeros((n, shots))
+    _sparsetools().csr_matvecs(n, n, shots, *plan.couplings, spins.ravel(), sums.reshape(-1))
+    return plan.bias[:, None] + sums
 
 
 def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float], out: np.ndarray):
@@ -303,12 +335,11 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
 def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
                   master_seed: int, indices: range) -> list[ShotResult]:
     """Shots ``indices`` advanced together; see the module docstring."""
-    # SciPy's own CSR kernel (private): y += A @ x in place, adding each
-    # row's entries into y one by one in column order.  That is the order
-    # in which the scalar loop applies flips, so the two paths round alike;
-    # the public ``A @ x`` would sum a row first and add the total.
-    from scipy.sparse._sparsetools import csr_matvecs
-
+    # SciPy's CSR kernel: y += A @ x in place, adding each row's entries
+    # into y one by one in column order.  That is the order in which the
+    # scalar loop applies flips, so the two paths round alike; summing a
+    # row first and adding the total would not.
+    csr_matvecs = _sparsetools().csr_matvecs
     n, shots = model.n, len(indices)
     rngs = [np.random.Generator(np.random.PCG64(shot_seed(master_seed, k))) for k in indices]
     bits = np.array([rng.integers(0, 2, n) for rng in rngs])
@@ -320,7 +351,7 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     moved = np.empty((n, shots))
     accept = np.empty((n, shots), dtype=bool)
     steps = [(delta[lo:hi], fields[lo:hi], limits[lo:hi], accept[lo:hi], moved[lo:hi],
-              moved[lo:hi].reshape(-1), hi - lo, c.indptr, c.indices, c.data)
+              moved[lo:hi].reshape(-1), hi - lo, *c)
              for lo, hi, c in plan.classes]
 
     for _ in _flip_limits(rngs, plan.order, schedule.temperatures(), limits):
@@ -367,11 +398,11 @@ def run_shots(
     plan = _sweep_plan(model)
     shot_bytes = _shot_bytes(model.n)
     batches = -(-n_shots // batch_size(shot_bytes))
-    flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * model.n)
+    flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * (model.n + SHOT_OVERHEAD))
     if flips > MAX_FLIP_ATTEMPTS:
         raise ValueError(f"{schedule.sweeps} sweeps x ({SWEEP_OVERHEAD} per batch x {batches} "
-                         f"+ {n_shots} shots x {model.n} spins) is {flips:.3g} flip attempts, "
-                         f"more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
+                         f"+ {n_shots} shots x ({model.n} spins + {SHOT_OVERHEAD})) is "
+                         f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
     results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
                               n_shots, workers, shot_bytes)
 

@@ -24,6 +24,9 @@ class CapacityInput:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.unit_w_um, self.unit_h_um, self.chip_mm) <= 0:
             raise ValueError("dimensions must be positive")
+        # The estimate works in microns and counts units per edge.
+        if not math.isfinite(self.chip_mm * 1000.0 / min(self.unit_w_um, self.unit_h_um)):
+            raise ValueError(f"chip_mm {self.chip_mm!r} in microns per unit edge is not finite")
         if self.margin_um < 0:
             raise ValueError("margin must be >= 0")
         if self.margin_um * 2 >= self.chip_mm * 1000.0:

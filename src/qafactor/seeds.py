@@ -72,8 +72,8 @@ def default_workers() -> int:
     """Worker count of the annealing commands when ``--workers`` is not given.
 
     Every usable CPU where a process pool starts by ``fork``, else 1: a
-    spawned worker must first import NumPy and SciPy (about 0.3 s).  The
-    start method is read, never fixed.
+    spawned worker must first import NumPy and this package (about 0.2 s).
+    The start method is read, never fixed.
     """
     import multiprocessing
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,15 @@ def quarter_grid(lo=-2.0, hi=2.0):
     """Floats on the 1/4 grid: dyadic, so energy algebra is exact."""
     steps = int((hi - lo) / 0.25)
     return st.integers(0, steps).map(lambda k: lo + 0.25 * k)
+
+
+def random_model(n: int, seed: int) -> IsingModel:
+    """Dense-ish model with non-dyadic coefficients, so field sums round."""
+    rng = random.Random(seed)
+    h = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+    couplings = {(i, j): rng.uniform(-1.0, 1.0)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    return IsingModel(n, h, couplings)
 
 
 def j_unit_kt():

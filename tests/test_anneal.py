@@ -1,6 +1,6 @@
+import importlib.machinery
 import io
 import math
-import random
 import re
 import tracemalloc
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_model
 from qafactor import anneal, seeds
 from qafactor.anneal import (
     GEOMETRIC,
@@ -52,15 +53,6 @@ temperatures = st.one_of(
 def batch_of_each_shot(shots: range) -> list[range]:
     """A shot-runner batch whose result per shot is the batch it ran in."""
     return [shots] * len(shots)
-
-
-def random_model(n: int, seed: int) -> IsingModel:
-    """Dense-ish model with non-dyadic coefficients, so field sums round."""
-    rng = random.Random(seed)
-    h = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-    couplings = {(i, j): rng.uniform(-1.0, 1.0)
-                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
-    return IsingModel(n, h, couplings)
 
 
 class TestSchedule:
@@ -258,6 +250,37 @@ class TestRunShots:
             run_shots(IsingModel(0, (), {}), Schedule(), 1, master_seed=1)
 
 
+class TestFields:
+    @given(n=st.integers(1, 16), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @example(n=14, k=1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_public_sparse_product(self, n, k, seed):
+        """SciPy's kernel, called directly, sums each row as the public
+        ``csr_array @`` does: non-dyadic coefficients round alike."""
+        from scipy.sparse import csr_array
+
+        model = random_model(n, seed)
+        plan = anneal._sweep_plan(model)
+        dense = np.zeros((n, n))
+        for (i, j), v in model.couplings.items():
+            dense[i, j] = dense[j, i] = v
+        order = plan.order
+        spins = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, k))
+        expected = np.asarray(model.h)[order, None] + csr_array(dense[order][:, order]) @ spins
+        assert np.array_equal(anneal._fields(plan, spins), expected)
+
+    def test_missing_extension_names_the_directory_searched(self, monkeypatch, tmp_path):
+        found = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        found.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(anneal, "find_spec", lambda name: found)
+        anneal._sparsetools.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+                anneal._sparsetools()
+        finally:
+            anneal._sparsetools.cache_clear()
+
+
 class TestBatchedOracle:
     """``run_shots`` against the scalar reference loop, shot for shot."""
 
@@ -300,13 +323,13 @@ class TestBatchedOracle:
         # Batches of two shots: 6 shots are 3 batches, each charged per sweep.
         schedule = Schedule(sweeps=10)
         monkeypatch.setattr(seeds, "BATCH_BYTES", 2 * anneal._shot_bytes(NOR.n))
-        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS",
-                            10 * (3 * anneal.SWEEP_OVERHEAD + 5 * NOR.n))
+        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS", 10 * (
+            3 * anneal.SWEEP_OVERHEAD + 5 * (NOR.n + anneal.SHOT_OVERHEAD)))
         assert run_shots(NOR, schedule, 5, master_seed=1).shots == 5
         ran = []
         monkeypatch.setattr(anneal, "_anneal_batch", lambda *args: ran.append(args))
-        with pytest.raises(ValueError, match=r"10 sweeps x \(1000 per batch x 3 \+ 6 shots x 3 "
-                                             r"spins\) is 3\.02e\+04 flip attempts"):
+        with pytest.raises(ValueError, match=r"10 sweeps x \(1000 per batch x 3 \+ 6 shots x "
+                                             r"\(3 spins \+ 16\)\) is 3\.11e\+04 flip attempts"):
             run_shots(NOR, schedule, 6, master_seed=1)
         assert ran == []
 
@@ -318,6 +341,20 @@ class TestBatchedOracle:
         monkeypatch.setattr(anneal, "run_shot_ranges", refuse)
         with pytest.raises(ValueError, match="more than the 1e\\+12 allowed"):
             run_shots(IsingModel(1, (0.5,), {}), Schedule(sweeps=10**11), 1, master_seed=1)
+
+    def test_per_shot_overhead_counts_against_the_cap(self, monkeypatch):
+        """Many shots of a one-spin model pay for each shot-sweep, about 0.15 us
+        (10 attempts at 70 M/s), not only for its one flip: 2 x 10^11
+        shot-sweeps would take over 8 hours."""
+        def refuse(*args):
+            raise AssertionError("shots were dispatched")
+        monkeypatch.setattr(anneal, "run_shot_ranges", refuse)
+        model, schedule = IsingModel(1, (0.5,), {}), Schedule(sweeps=20_000)
+        shots = 10**7
+        batches = -(-shots // seeds.batch_size(anneal._shot_bytes(1)))
+        assert schedule.sweeps * (batches * anneal.SWEEP_OVERHEAD + shots) < anneal.MAX_FLIP_ATTEMPTS
+        with pytest.raises(ValueError, match="more than the 1e\\+12 allowed"):
+            run_shots(model, schedule, shots, master_seed=1)
 
     def test_sweeps_not_a_multiple_of_the_block(self):
         schedule = Schedule(sweeps=anneal.SWEEP_BLOCK * 3 + 5)

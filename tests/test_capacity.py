@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qafactor.capacity import CapacityInput, CapacityReport, capacity_estimate
+from qafactor.cli import main
 
 
 def test_reference_design_numbers():
@@ -46,6 +47,15 @@ def test_validation():
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=field):
                 CapacityInput(**{field: value})
+
+
+@pytest.mark.parametrize("argv", [("--chip-mm", "1e306"),
+                                  ("--chip-mm", "1e300", "--unit-w", "1e-300")])
+def test_chip_edge_overflowing_in_microns_is_usage_error(capsys, argv):
+    assert main(["capacity", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "chip_mm" in err
 
 
 @given(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_models
+from conftest import random_model, small_models
 from qafactor import cli, fluxsim, multiplier, seeds
 from qafactor.cli import main
 from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
@@ -543,6 +543,19 @@ class TestPrintedBytes:
                    for name in digests}
         assert written == digests
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_dyadic_anneal_matches_pinned_digests(self, capsys, workers):
+        """Quarter-grid sums are exact in any order; these fields round, so
+        the pin also fixes the order in which they are summed."""
+        Path("r.model").write_text(format_model(random_model(14, seed=3)))
+        code, out, _ = run(capsys, "anneal", "r.model", "--shots", "200", "--csv", "r.csv",
+                           "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6cd42328e64527d4d2784ab4af2a78f44ca9907b2600680443973507431182fc")
+        assert hashlib.sha256(Path("r.csv").read_bytes()).hexdigest() == (
+            "e3efcbda98f077a50ab21094284f390841a32f3dce3ab57ea2fb176287fa862f")
+
 
 _ANNEALING = {
     "factor": ("factor", "15", "--shots", "40", "--sweeps", "300"),
@@ -763,8 +776,16 @@ class TestColdStart:
         )
         assert steps == [[]] * 7
 
-    def test_annealing_loads_scipy_at_first_use(self):
-        # SciPy brings concurrent.futures in itself, so only SciPy is checked.
-        steps = _loaded_after(["factor", "15", "--shots", "2", "--sweeps", "50"])
-        assert steps[0] == []
-        assert "scipy.sparse" in steps[1] and "scipy.optimize" not in steps[1]
+    def test_annealing_never_loads_scipy_sparse_or_optimize(self):
+        """The annealer loads SciPy's compiled CSR kernel from its extension
+        file alone, in whichever process anneals."""
+        steps = _loaded_after(
+            ["gates", "emit", "nor"],
+            ["anneal", "nor.model", "--shots", "4", "--sweeps", "50"],
+            ["factor", "15", "--shots", "2", "--sweeps", "50"],
+            ["factor", "15", "--shots", "2", "--sweeps", "50", "--workers", "1"],
+            ["multiply", "3", "5", "--shots", "2", "--sweeps", "50"],
+        )
+        assert len(steps) == 6
+        for step in steps:
+            assert "scipy.sparse" not in step and "scipy.optimize" not in step
