@@ -12,8 +12,9 @@ colour class per step.  With ``d = -2 s``, the change a flip makes to each
 spin, a class step computes dE = d * field, marks ``accept`` where dE is at
 most the limit, sets ``moved = d * accept`` (d, or +-0.0 where rejected)
 and subtracts ``moved`` from d twice, which flips exactly the accepted
-spins without a masked ufunc.  Local fields then follow the step through a
-sparse (CSR) product of the class's couplings with ``moved``.  Every step
+spins without a masked ufunc.  Local fields then follow the step through
+the product of the class's couplings with ``moved``: a column range of the
+one coupling matrix, through SciPy's compiled CSC kernel.  Every step
 writes with ``out=`` into arrays allocated, and sliced per class, once per
 batch.  The limits -T ln u are held one sweep at a time in one (spins,
 shots) buffer.  The shot runner (:func:`qafactor.seeds.run_shot_ranges`)
@@ -38,7 +39,7 @@ only on the model, the schedule and its seed:
 ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
 shot_seed(master_seed, k), k)`` for any batch size or worker count.
 
-Of SciPy only the compiled CSR kernel ``csr_matvecs`` is used, loaded from
+Of SciPy only the compiled CSC kernel ``csc_matvecs`` is used, loaded from
 its extension file on first use by :func:`_sparsetools`.  Importing
 ``scipy.sparse`` for it would cost 0.22-0.33 s and 21 MB at start-up on a
 2-core x86 machine (NumPy already loaded); the file alone costs about 1 ms
@@ -177,29 +178,20 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-#: CSR arrays ``(indptr, indices, data)``.
-_CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 @dataclass(frozen=True)
 class _SweepPlan:
     """A model laid out in colour-major visiting order.
 
     Position p holds spin ``order[p]``; colour class c occupies positions
-    ``classes[c][0]:classes[c][1]`` and ``classes[c][2]`` holds the
-    couplings from that class to every position, one CSR row per position.
+    ``bounds[c]:bounds[c + 1]``.  ``couplings`` holds the symmetric coupling
+    matrix as CSR arrays, so they are also its CSC arrays: class c's
+    couplings are columns ``bounds[c]:bounds[c + 1]``, rows in ascending order.
     """
 
     order: np.ndarray
     bias: np.ndarray
-    couplings: _CSR
-    classes: tuple[tuple[int, int, _CSR], ...]
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int) -> _CSR:
-    """CSR arrays whose rows list their entries in ascending column order."""
-    key = np.lexsort((cols, rows))
-    return np.searchsorted(rows[key], np.arange(n_rows + 1)), cols[key], vals[key]
+    couplings: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
+    bounds: tuple[int, ...]
 
 
 @cache
@@ -239,14 +231,11 @@ def _sweep_plan(model: IsingModel) -> _SweepPlan:
     values = np.array(list(model.couplings.values()), dtype=float)
     rows = position[np.concatenate([pairs[:, 0], pairs[:, 1]])]
     cols = position[np.concatenate([pairs[:, 1], pairs[:, 0]])]
-    vals = np.concatenate([values, values])
-    bounds = np.cumsum([0, *np.bincount(colour)]).tolist()
-    classes = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        keep = (cols >= lo) & (cols < hi)
-        classes.append((lo, hi, _csr(rows[keep], cols[keep] - lo, vals[keep], n)))
-    return _SweepPlan(order, np.asarray(model.h, dtype=float)[order],
-                      _csr(rows, cols, vals, n), tuple(classes))
+    key = np.lexsort((cols, rows))
+    couplings = (np.searchsorted(rows[key], np.arange(n + 1)), cols[key],
+                 np.concatenate([values, values])[key])
+    return _SweepPlan(order, np.asarray(model.h, dtype=float)[order], couplings,
+                      tuple(np.cumsum([0, *np.bincount(colour)]).tolist()))
 
 
 def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
@@ -256,7 +245,7 @@ def _fields(plan: _SweepPlan, spins: np.ndarray) -> np.ndarray:
     if n != len(plan.bias):
         raise ValueError(f"{n} spin rows for a {len(plan.bias)}-spin plan")
     sums = np.zeros((n, shots))
-    _sparsetools().csr_matvecs(n, n, shots, *plan.couplings, spins.ravel(), sums.reshape(-1))
+    _sparsetools().csc_matvecs(n, n, shots, *plan.couplings, spins.ravel(), sums.reshape(-1))
     return plan.bias[:, None] + sums
 
 
@@ -335,11 +324,12 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
 def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
                   master_seed: int, indices: range) -> list[ShotResult]:
     """Shots ``indices`` advanced together; see the module docstring."""
-    # SciPy's CSR kernel: y += A @ x in place, adding each row's entries
-    # into y one by one in column order.  That is the order in which the
-    # scalar loop applies flips, so the two paths round alike; summing a
-    # row first and adding the total would not.
-    csr_matvecs = _sparsetools().csr_matvecs
+    # SciPy's CSC kernel, y += A @ x in place over a class's columns, adds
+    # each row's entries into y one by one in column order.  That is the
+    # order in which the scalar loop applies flips, so the two paths round
+    # alike; summing a row first and adding the total would not.
+    csc_matvecs = _sparsetools().csc_matvecs
+    indptr, cols, data = plan.couplings
     n, shots = model.n, len(indices)
     rngs = [np.random.Generator(np.random.PCG64(shot_seed(master_seed, k))) for k in indices]
     bits = np.array([rng.integers(0, 2, n) for rng in rngs])
@@ -351,11 +341,11 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     moved = np.empty((n, shots))
     accept = np.empty((n, shots), dtype=bool)
     steps = [(delta[lo:hi], fields[lo:hi], limits[lo:hi], accept[lo:hi], moved[lo:hi],
-              moved[lo:hi].reshape(-1), hi - lo, *c)
-             for lo, hi, c in plan.classes]
+              moved[lo:hi].reshape(-1), hi - lo, indptr[lo:hi + 1])
+             for lo, hi in zip(plan.bounds, plan.bounds[1:])]
 
     for _ in _flip_limits(rngs, plan.order, schedule.temperatures(), limits):
-        for d, f, lim, acc, mv, flat_mv, size, indptr, cols, data in steps:
+        for d, f, lim, acc, mv, flat_mv, size, class_ptr in steps:
             # mv holds dE = d f, then moved: d where accepted, else +-0.0.
             # d - 2 moved flips exactly the accepted spins.
             np.multiply(d, f, out=mv)
@@ -363,7 +353,7 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
             np.multiply(d, acc, out=mv)
             np.subtract(d, mv, out=d)
             np.subtract(d, mv, out=d)
-            csr_matvecs(n, size, shots, indptr, cols, data, flat_mv, flat_fields)
+            csc_matvecs(n, size, shots, class_ptr, cols, data, flat_mv, flat_fields)
 
     spins = -0.5 * delta
     drift = float(np.max(np.abs(fields - _fields(plan, spins))))
@@ -373,6 +363,19 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     final[plan.order] = spins
     return [ShotResult(tuple(state), e, k)
             for k, state, e in zip(indices, final.T.tolist(), energies(model, final).tolist())]
+
+
+def check_flip_cap(n_spins: int, schedule: Schedule, n_shots: int) -> None:
+    """Refuse with ValueError a run of ``n_shots`` shots of ``n_spins`` spins
+    charged more than :data:`MAX_FLIP_ATTEMPTS`.  :func:`run_shots` calls
+    it before any shot; a caller with costly work to do first, such as an
+    exact reference energy, calls it before that work."""
+    batches = -(-n_shots // batch_size(_shot_bytes(n_spins)))
+    flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * (n_spins + SHOT_OVERHEAD))
+    if flips > MAX_FLIP_ATTEMPTS:
+        raise ValueError(f"{schedule.sweeps} sweeps x ({SWEEP_OVERHEAD} per batch x {batches} "
+                         f"+ {n_shots} shots x ({n_spins} spins + {SHOT_OVERHEAD})) is "
+                         f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
 
 
 def run_shots(
@@ -390,21 +393,14 @@ def run_shots(
     ``keep_shots`` is set; its ``hits`` are the package's one ground label
     per shot.  Histogram keys are the final states' bit strings (spin 0
     first); the module docstring says how the shots are batched.  A run
-    charged more than :data:`MAX_FLIP_ATTEMPTS` is refused with ValueError
-    before any shot.
+    :func:`check_flip_cap` refuses raises ValueError before any shot.
     """
     if reference_e0 is not None and not math.isfinite(reference_e0):
         raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
     plan = _sweep_plan(model)
-    shot_bytes = _shot_bytes(model.n)
-    batches = -(-n_shots // batch_size(shot_bytes))
-    flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * (model.n + SHOT_OVERHEAD))
-    if flips > MAX_FLIP_ATTEMPTS:
-        raise ValueError(f"{schedule.sweeps} sweeps x ({SWEEP_OVERHEAD} per batch x {batches} "
-                         f"+ {n_shots} shots x ({model.n} spins + {SHOT_OVERHEAD})) is "
-                         f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
+    check_flip_cap(model.n, schedule, n_shots)
     results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
-                              n_shots, workers, shot_bytes)
+                              n_shots, workers, _shot_bytes(model.n))
 
     histogram: dict[str, int] = {}
     for r in results:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -29,6 +30,7 @@ from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_fo
                     clamp_fold, spins_to_bits, state_from_code)
 from .multiplier import (
     BIAS,
+    CHAIN_STRENGTH,
     FOLD,
     build_multiplier,
     clamp_product,
@@ -142,6 +144,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _output_path(path: str) -> str:
+    """``--csv`` and ``--trace``: a path that opens for writing, so a run
+    that could not save its output is refused (OSError, a data error)
+    before any shot.  The file is written only after the run; one that
+    already exists is left as it is until then."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+    return path
+
+
 def _cap(text: str) -> int:
     """``--cap``: the largest spin count to enumerate, 1..MAX_BRUTE_FORCE_CAP."""
     value = int(text)
@@ -156,6 +170,8 @@ def cmd_anneal(args) -> int:
     model = parse_model(_read(args.model))
     reference = args.reference_e0
     if args.brute_force_reference:
+        # A run the flip cap refuses enumerates nothing first.
+        annealing.check_flip_cap(model.n, schedule, args.shots)
         reference = brute_force_ground(model, cap=args.cap).e0
     summary, shots = _run(args, annealing.run_shots, model, schedule,
                           reference_e0=reference, keep_shots=True)
@@ -194,10 +210,9 @@ def cmd_factor(args) -> int:
     if args.p >= (1 << (n1 + n2)):
         raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
     net = build_multiplier(n1, n2, chains=args.chains)
-    method = BIAS if args.method == "bias" else FOLD
-    clamped, offset = clamp_product(net, args.p, method=method)
+    clamped, offset = clamp_product(net, args.p, method=args.method)
     reference = net.expected_e0 - offset
-    clamps = product_clamp_assignment(net, args.p) if method == FOLD else {}
+    clamps = product_clamp_assignment(net, args.p) if args.method == FOLD else {}
     summary, shots, outcomes = _anneal_network(args, schedule, net, clamps, clamped, reference)
     print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
     print(f"reference_e0 {reference!r}")
@@ -280,11 +295,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_circuit_nor_inverse(args) -> int:
-    ramp = fluxsim.RampSpec(ramp_s=args.ramp_ns * 1e-9, hold_s=args.hold_ns * 1e-9)
-    layout = fluxsim.inverse_nor_layout(args.clamp, ramp=ramp)
+    layout = fluxsim.inverse_nor_layout(
+        args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns * 1e-9, hold_s=args.hold_ns * 1e-9))
     noise = fluxsim.NoiseSpec(sigma=args.noise_sigma * 1e-6)
     # One worker by default: a split batch makes every shot dearer (README).
-    result = _run(args, fluxsim.run_ensemble, layout, noise, ramp=ramp, dt=args.dt_fs * 1e-15,
+    result = _run(args, fluxsim.run_ensemble, layout, noise, dt=args.dt_fs * 1e-15,
                   decimate=args.decimate if args.trace else 0, pooled=False)
     sys.stdout.write(result.to_text())
     violations = sum(c for bits, c in result.counts.items()
@@ -297,7 +312,7 @@ def cmd_circuit_nor_inverse(args) -> int:
     print(f"clamp_misses {clamp_misses}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            write_trace_csv(fh, result.traces, ramp.total_s)
+            write_trace_csv(fh, result.traces, layout.ramp.total_s)
         print(f"wrote {args.trace}")
     return 0
 
@@ -337,12 +352,12 @@ def build_parser() -> _Parser:
                              help="processes (default: every usable CPU where the pool"
                                   " starts by fork, else 1; 1 for the circuit)")
     anneal_parent = _Parser(add_help=False)
-    anneal_parent.add_argument("--sweeps", type=int, default=2000)
-    anneal_parent.add_argument("--t-hot", type=float, default=3.0)
-    anneal_parent.add_argument("--t-cold", type=float, default=0.05)
+    anneal_parent.add_argument("--sweeps", type=int, default=annealing.Schedule.sweeps)
+    anneal_parent.add_argument("--t-hot", type=float, default=annealing.Schedule.t_hot)
+    anneal_parent.add_argument("--t-cold", type=float, default=annealing.Schedule.t_cold)
     anneal_parent.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
-                               default=annealing.GEOMETRIC)
-    anneal_parent.add_argument("--csv", metavar="PATH", default=None)
+                               default=annealing.Schedule.kind)
+    anneal_parent.add_argument("--csv", metavar="PATH", type=_output_path, default=None)
     # factor and multiply run one multiplier network, forwards or backwards.
     net_parent = _Parser(add_help=False)
     net_parent.add_argument("--bits-a", type=_positive_int, default=None)
@@ -362,7 +377,7 @@ def build_parser() -> _Parser:
     p_mult.add_argument("--bits-a", type=_positive_int, required=True)
     p_mult.add_argument("--bits-b", type=_positive_int, required=True)
     p_mult.add_argument("--chains", action="store_true")
-    p_mult.add_argument("--chain-strength", type=float, default=1.0)
+    p_mult.add_argument("--chain-strength", type=float, default=CHAIN_STRENGTH)
     p_mult.add_argument("--out", default=None)
     p_mult.set_defaults(func=cmd_synth_mult)
 
@@ -380,7 +395,7 @@ def build_parser() -> _Parser:
     p_factor.add_argument("--shots", type=_positive_int, default=200)
     p_factor.add_argument("--balanced", action="store_true",
                           help="use ceil(bitlen/2) factor widths (semiprime work)")
-    p_factor.add_argument("--method", choices=["fold", "bias"], default="fold")
+    p_factor.add_argument("--method", choices=[FOLD, BIAS], default=FOLD)
     p_factor.set_defaults(func=cmd_factor)
 
     p_mul = sub.add_parser("multiply", parents=[shot_parent, anneal_parent, net_parent])
@@ -405,18 +420,18 @@ def build_parser() -> _Parser:
     p_nor.add_argument("--dt-fs", type=float, default=fluxsim.DT_DEFAULT * 1e15,
                        help="integrator step in fs (default %(default)g); at most 500,"
                             " the noise hold")
-    p_nor.add_argument("--noise-sigma", type=float, default=0.13,
+    p_nor.add_argument("--noise-sigma", type=float, default=fluxsim.NoiseSpec.sigma * 1e6,
                        help="per-junction noise std in uA")
-    p_nor.add_argument("--trace", metavar="PATH", default=None)
+    p_nor.add_argument("--trace", metavar="PATH", type=_output_path, default=None)
     p_nor.add_argument("--decimate", type=_positive_int, default=10)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
     p_cap = sub.add_parser("capacity")
-    p_cap.add_argument("--unit-w", type=float, default=515.0)
-    p_cap.add_argument("--unit-h", type=float, default=530.0)
-    p_cap.add_argument("--chip-mm", type=float, default=19.0)
-    p_cap.add_argument("--margin-um", type=float, default=200.0)
-    p_cap.add_argument("--chips", type=int, default=100)
+    p_cap.add_argument("--unit-w", type=float, default=CapacityInput.unit_w_um)
+    p_cap.add_argument("--unit-h", type=float, default=CapacityInput.unit_h_um)
+    p_cap.add_argument("--chip-mm", type=float, default=CapacityInput.chip_mm)
+    p_cap.add_argument("--margin-um", type=float, default=CapacityInput.margin_um)
+    p_cap.add_argument("--chips", type=int, default=CapacityInput.chips)
     p_cap.set_defaults(func=cmd_capacity)
 
     return parser
@@ -430,7 +445,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ModelFormatError, SizeCapError, FileNotFoundError) as exc:
+    except (ModelFormatError, SizeCapError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

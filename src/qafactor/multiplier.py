@@ -38,6 +38,8 @@ BIAS = "bias"
 #: Over-bias added per product spin in BIAS clamping mode; strong enough to
 #: dominate any single unit bias yet weak enough to leave gate logic intact.
 BIAS_STRENGTH = 1.1
+#: Default ``chain_strength``: every inter-cell WIRE coupling at J = -1.
+CHAIN_STRENGTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def build_multiplier(
     n1: int,
     n2: int,
     chains: bool = False,
-    chain_strength: float = 1.0,
+    chain_strength: float = CHAIN_STRENGTH,
 ) -> MultiplierNetwork:
     """Build the n1 x n2 network; factor A has n1 bits, factor B has n2.
 

@@ -366,10 +366,11 @@ class TestBatchedOracle:
         for bits, p in ((4, 15), (6, 35), (8, 143)):
             model = factor_model(bits, p)
             plan = anneal._sweep_plan(model)
-            assert len(plan.classes) == 6
+            assert len(plan.bounds) == 6 + 1
+            assert plan.bounds[0] == 0 and plan.bounds[-1] == model.n
             assert sorted(plan.order.tolist()) == list(range(model.n))
             colour = {}
-            for c, (lo, hi, _) in enumerate(plan.classes):
+            for c, (lo, hi) in enumerate(zip(plan.bounds, plan.bounds[1:])):
                 members = plan.order[lo:hi].tolist()
                 assert members == sorted(members)
                 colour.update(dict.fromkeys(members, c))

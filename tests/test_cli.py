@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -16,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model, small_models
-from qafactor import cli, fluxsim, multiplier, seeds
+from qafactor import anneal, cli, fluxsim, multiplier, seeds
+from qafactor.capacity import CapacityInput
 from qafactor.cli import main
 from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
 from qafactor.gates import GateTemplate, nor_gate, verify_gate
@@ -293,6 +295,19 @@ class TestAnnealCommand:
         assert out == ""
         assert err == "usage error: annealing needs at least one spin\n"
 
+    def test_flip_cap_refuses_before_the_reference_is_enumerated(self, capsys, monkeypatch):
+        run(capsys, "gates", "emit", "nor")
+
+        def enumerate_states(*args, **kwargs):
+            raise AssertionError("enumerated a reference for a refused run")
+
+        monkeypatch.setattr(cli, "brute_force_ground", enumerate_states)
+        code, out, err = run(capsys, "anneal", "nor.model", "--brute-force-reference",
+                             "--sweeps", str(10**12), "--workers", "1")
+        assert code == 1
+        assert out == ""
+        assert "flip attempts, more than the 1e+12 allowed" in err
+
 
 class TestMultiply:
     def test_three_times_five(self, capsys):
@@ -555,6 +570,80 @@ class TestPrintedBytes:
             "6cd42328e64527d4d2784ab4af2a78f44ca9907b2600680443973507431182fc")
         assert hashlib.sha256(Path("r.csv").read_bytes()).hexdigest() == (
             "e3efcbda98f077a50ab21094284f390841a32f3dce3ab57ea2fb176287fa862f")
+
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_many_colour_classes_anneal_matches_pinned_digests(self, capsys, workers):
+        """40 spins in 9 colour classes with 328 couplings: every class
+        step adds its column range of the coupling matrix to the fields."""
+        Path("r.model").write_text(format_model(random_model(40, seed=5)))
+        code, out, _ = run(capsys, "anneal", "r.model", "--shots", "200", "--csv", "r.csv",
+                           "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f5b92f9805029d54b681d845f4ba285b569d2fbd49536f223c6dc97e097833ae")
+        assert hashlib.sha256(Path("r.csv").read_bytes()).hexdigest() == (
+            "909e00beb9eeed60a124aff8c9524931be201665743adb22d55792d8f29ab698")
+
+
+_SAVING = {
+    "anneal": ("anneal", "nor.model", "--shots", "4", "--csv"),
+    "factor": ("factor", "15", "--shots", "4", "--csv"),
+    "multiply": ("multiply", "3", "5", "--shots", "4", "--csv"),
+    "circuit": ("circuit", "nor-inverse", "--clamp", "1", "--shots", "2", "--ramp-ns", "0.2",
+                "--hold-ns", "0.05", "--trace"),
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(_SAVING))
+    def test_unwritable_path_refused_before_any_shot(self, capsys, monkeypatch, case, workers):
+        run(capsys, "gates", "emit", "nor")
+
+        def dispatch(*args, **kwargs):
+            raise AssertionError("a shot was dispatched")
+
+        monkeypatch.setattr(anneal, "run_shot_ranges", dispatch)
+        monkeypatch.setattr(fluxsim, "run_shot_ranges", dispatch)
+        code, out, err = run(capsys, *_SAVING[case], "missing/out.csv", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error: ") and "missing/out.csv" in err
+
+    @pytest.mark.parametrize("case,refused", [
+        ("anneal", ("--sweeps", "0")),
+        ("factor", ("--sweeps", str(10**10))),
+        ("multiply", ("--t-hot", "0.01")),
+        ("circuit", ("--dt-fs", "600")),
+    ], ids=["anneal-schedule", "factor-flip-cap", "multiply-schedule", "circuit-step"])
+    def test_refused_run_leaves_the_path_as_it_was(self, capsys, case, refused):
+        run(capsys, "gates", "emit", "nor")
+        Path("kept.csv").write_bytes(b"earlier bytes\n")
+        for path in ("kept.csv", "absent.csv"):
+            code, out, _ = run(capsys, *_SAVING[case], path, *refused)
+            assert code == 1
+            assert out == ""
+        assert Path("kept.csv").read_bytes() == b"earlier bytes\n"
+        assert not Path("absent.csv").exists()
+
+
+class TestDefaults:
+    def test_cli_defaults_equal_library_defaults(self):
+        """Every parsed default rebuilds the library's own default."""
+        parse = cli.build_parser().parse_args
+        for argv in (["anneal", "x.model"], ["factor", "15"], ["multiply", "3", "5"]):
+            assert cli._schedule_from(parse(argv)) == anneal.Schedule()
+        assert parse(["factor", "15"]).method == (
+            inspect.signature(multiplier.clamp_product).parameters["method"].default)
+        args = parse(["circuit", "nor-inverse", "--clamp", "0"])
+        assert args.noise_sigma * 1e-6 == fluxsim.NoiseSpec().sigma
+        args = parse(["synth", "mult", "--bits-a", "2", "--bits-b", "2"])
+        assert args.chain_strength == multiplier.CHAIN_STRENGTH == (
+            inspect.signature(multiplier.build_multiplier).parameters["chain_strength"].default)
+        args = parse(["capacity"])
+        assert CapacityInput(unit_w_um=args.unit_w, unit_h_um=args.unit_h, chip_mm=args.chip_mm,
+                             margin_um=args.margin_um, chips=args.chips) == CapacityInput()
 
 
 _ANNEALING = {
