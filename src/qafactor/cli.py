@@ -295,11 +295,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_circuit_nor_inverse(args) -> int:
+    # Divided, not multiplied, into SI units: 0.2 / 1e9 is the float 2e-10,
+    # 0.2 * 1e-9 one ulp above it, so every default rebuilds the library's.
     layout = fluxsim.inverse_nor_layout(
-        args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns * 1e-9, hold_s=args.hold_ns * 1e-9))
-    noise = fluxsim.NoiseSpec(sigma=args.noise_sigma * 1e-6)
+        args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
+    noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
     # One worker by default: a split batch makes every shot dearer (README).
-    result = _run(args, fluxsim.run_ensemble, layout, noise, dt=args.dt_fs * 1e-15,
+    result = _run(args, fluxsim.run_ensemble, layout, noise, dt=args.dt_fs / 1e15,
                   decimate=args.decimate if args.trace else 0, pooled=False)
     sys.stdout.write(result.to_text())
     violations = sum(c for bits, c in result.counts.items()
@@ -418,8 +420,8 @@ def build_parser() -> _Parser:
     p_nor.add_argument("--ramp-ns", type=float, default=fluxsim.RAMP_DEFAULT * 1e9)
     p_nor.add_argument("--hold-ns", type=float, default=fluxsim.HOLD_DEFAULT * 1e9)
     p_nor.add_argument("--dt-fs", type=float, default=fluxsim.DT_DEFAULT * 1e15,
-                       help="integrator step in fs (default %(default)g); at most 500,"
-                            " the noise hold")
+                       help="step of the second-order integrator in fs (default %(default)g);"
+                            " at most 500, the noise hold")
     p_nor.add_argument("--noise-sigma", type=float, default=fluxsim.NoiseSpec.sigma * 1e6,
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", type=_output_path, default=None)

@@ -16,7 +16,9 @@ and loop currents solved from (diag(L) + M) I_q = phi - phi_bias.  At
 phi_t = Phi0/2 the cosine kills the barrier (single well); at phi_t = 0
 the potential is a symmetric double well and the circulating-current
 sign encodes the bit: "1" is the declared clockwise-positive direction
-(I_q > 0 here), "0" the counterclockwise one.
+(I_q > 0 here), "0" the counterclockwise one.  The equation is integrated
+at a fixed step by a symmetric kick-drift-kick splitting with exact
+damping, second order in the step (:func:`_integrate_batch`).
 
 Sign conventions, fixed by two-qubit calibration runs and frozen below:
 a positive mutual inductance aligns circulating currents, so
@@ -55,12 +57,13 @@ MUTUAL_PER_UNIT_J = -8.0e-12
 #: Declared bias-transformer winding orientation (see module docstring).
 BIAS_WINDING = -1.0
 
-#: Integrator step: 0.1 ps, 74 steps per 7.4-ps plasma period.  Chosen by
-#: weak convergence against a 12.5-fs reference (README, "Step size"): on
-#: either clamp of the inverse NOR the read-out distributions pass a
-#: two-sample chi-squared test, and their total variation distance is below
-#: 0.029 (95 % upper bound from 5,000 paired shots).
-DT_DEFAULT = 1e-13
+#: Integrator step: 0.25 ps, 30 steps per 7.4-ps plasma period and two per
+#: 0.5-ps noise sample.  Chosen by weak convergence against a 12.5-fs run of
+#: the same integrator (README, "Step size"): on either clamp of the inverse
+#: NOR the read-out distributions pass a two-sample chi-squared test, and
+#: their total variation distance is below 0.008 (95 % upper bound from
+#: 5,000 paired shots).
+DT_DEFAULT = 2.5e-13
 RAMP_DEFAULT = 2.0e-9    # barrier ramp duration
 HOLD_DEFAULT = 0.2e-9    # settle time at full barrier before read-out
 
@@ -271,10 +274,10 @@ def inverse_nor_layout(clamp_bit: int, ramp: RampSpec | None = None) -> NetworkL
     return layout_from_ising(model, ramp=ramp)
 
 
-#: Most integrator steps one run may take: a 1-us ramp at the default step,
-#: 60 times the longest run in the repository (the 16-ns ramp of the README's
-#: ramp sweep, 1.6e5 steps) and about 2.6 minutes per shot at batch 1
-#: (15.6 us per step on a 2-core x86 machine).
+#: Most integrator steps one run may take: a 2.5-us ramp at the default
+#: step, 150 times the longest run in the repository (the 16-ns ramp of the
+#: README's ramp sweep, 6.5e4 steps) and about 2 minutes per shot at batch 1
+#: (12 us per step on a 2-core x86 machine).
 MAX_STEPS = 10_000_000
 
 #: Steps whose barrier drive, bias share and noise-sample index are tabled
@@ -306,6 +309,15 @@ def step_count(ramp: RampSpec, dt: float) -> int:
     return int(math.ceil(steps))
 
 
+def _sample_index(times: np.ndarray) -> np.ndarray:
+    """Noise sample read by a step starting at each of ``times``: the one
+    the start time falls in.  A start within a relative 1e-12 below a
+    sample boundary, the rounding of k dt in sample units, counts as on the
+    boundary and reads the later sample, so at dt = hold / p, hold being
+    the sample interval, step k reads sample k // p."""
+    return np.floor(times * NOISE_SAMPLE_RATE * (1.0 + 1e-12)).astype(np.int64)
+
+
 def _integrate_batch(
     layout: NetworkLayout,
     noise: NoiseSpec,
@@ -314,7 +326,17 @@ def _integrate_batch(
     seeds: Sequence[int],
     record_every: int = 0,
 ):
-    """Fixed-step semi-implicit Euler integration of a batch of shots.
+    """Fixed-step integration of a batch of shots by a symmetric splitting
+    of the RCSJ equation, second order in ``dt``.
+
+    One step from t_k to t_k+1 = t_k + dt, with F(phi, t) = Ic_eff(t)
+    sin(2 pi phi / Phi0) - I_q(phi, t) and the noise sample xi that t_k
+    falls in (:func:`_sample_index`): a half kick vel += dt/(2 C_eff)
+    (F(phi_k, t_k) + xi), a half drift phi += dt/2 vel, the exact damping
+    vel *= exp(-G_eff dt / C_eff), a second half drift, and a half kick
+    with F(phi_k+1, t_k+1) and the same xi (Leimkuhler & Matthews 2013).
+    The end force is the next step's start force, so a step costs one
+    ``sin`` and one loop-current mat-vec.
 
     Every shot carries its own noise generator, so results per shot are
     independent of how shots are grouped into batches.  Returns one
@@ -345,8 +367,7 @@ def _integrate_batch(
     n = layout.n
     batch = len(seeds)
     n_steps = step_count(ramp, dt)
-    hold = 1.0 / NOISE_SAMPLE_RATE
-    n_samples = int(math.ceil(n_steps * dt / hold)) + 1
+    n_samples = int(math.ceil(n_steps * dt * NOISE_SAMPLE_RATE)) + 1
 
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
@@ -358,38 +379,38 @@ def _integrate_batch(
     g_eff = 2.0 / R_SHUNT
     ic2 = 2.0 * IC
     w = 2.0 * math.pi / PHI0
+    half_kick = 0.5 * dt * inv_c
+    decay = math.exp(-g_eff * dt * inv_c)
+    # Both half drifts at once: dt/2 vel + dt/2 (decay vel).
+    drift = 0.5 * dt * (1.0 + decay)
 
     def barrier_cos(times: np.ndarray) -> np.ndarray:
         return np.cos(np.pi * ramp.phi_t(times) / PHI0)
 
     # Bias compensation I*(t)/I*(end) (see module docstring): one shared
     # waveform from the qubit design's well curve, interpolated in
-    # cos(pi phi_t / Phi0); a static bias when the ramp never ends in a
-    # bistable configuration.
+    # cos(pi phi_t / Phi0) and equal to 1 at read-out, t = n_steps dt; a
+    # static bias when the ramp never ends in a bistable configuration.
     beta_full = L_LOOP * 2.0 * IC / PHI0
     grid = np.linspace(0.0, 1.0, 513)
     x_grid = _well_positions(beta_full * grid)
-    x_end = float(np.interp(barrier_cos(np.arange(n_steps - 1, n_steps) * dt)[0],
+    x_end = float(np.interp(barrier_cos(np.arange(n_steps, n_steps + 1) * dt)[0],
                             grid, x_grid))
 
-    def step_inputs(k0: int, k1: int):
-        """Steps k0..k1-1: the barrier drive Ic_eff(t), the bias share of
-        the loop currents, and the noise sample each step reads."""
-        times = np.arange(k0, k1) * dt
-        cos_steps = barrier_cos(times)
+    def force_inputs(k0: int, k1: int):
+        """Times k0..k1-1: the barrier drive Ic_eff(t) and the bias share
+        of the loop currents."""
+        cos_steps = barrier_cos(np.arange(k0, k1) * dt)
         if x_end > 0.0:
             bias_scale = np.interp(cos_steps, grid, x_grid) / x_end
         else:
             bias_scale = np.ones_like(cos_steps)
-        samples = np.minimum((times / hold).astype(np.int64), n_samples - 1)
-        return ((ic2 * cos_steps)[:, None, None],
-                (bias_scale[:, None] * iq_bias)[:, :, None],
-                samples.tolist())
+        return (ic2 * cos_steps)[:, None, None], (bias_scale[:, None] * iq_bias)[:, :, None]
 
     phi = np.zeros((n, batch))
     vel = np.zeros((n, batch))
     iq = np.empty((n, batch))
-    accel = np.empty((n, batch))
+    force = np.empty((n, batch))
     tmp = np.empty((n, batch))
     ainv_t = np.repeat(a_inv.T[:, :, None], batch, axis=2)
     phi_j = phi[:, None, :]
@@ -398,10 +419,20 @@ def _integrate_batch(
 
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
 
-    def current_iq(bias_row: np.ndarray) -> np.ndarray:
+    def update_force(drive_row: np.ndarray, bias_row: np.ndarray) -> None:
+        """force = drive sin(w phi) - iq, iq = A^-1 phi - bias, at phi."""
         mul(ainv_t, phi_j, out=prod)
         add_reduce(prod, axis=0, out=iq)
-        return sub(iq, bias_row, out=iq)
+        sub(iq, bias_row, out=iq)
+        mul(w, phi, out=force)
+        np.sin(force, out=force)
+        mul(drive_row, force, out=force)
+        sub(force, iq, out=force)
+
+    def kick(xi: np.ndarray) -> None:
+        add(force, xi, out=tmp)
+        mul(half_kick, tmp, out=tmp)
+        add(vel, tmp, out=vel)
 
     t = rec_iq = None
     if record_every > 0:
@@ -410,11 +441,14 @@ def _integrate_batch(
 
     barrier_limit = 10.0 * PHI0
     noise_lo = noise_hi = 0  # noise_block holds samples [noise_lo, noise_hi)
+    drive, bias_iq = force_inputs(0, 1)
+    update_force(drive[0], bias_iq[0])
     for k0 in range(0, n_steps, _STEP_BLOCK):
-        drive, bias_iq, samples = step_inputs(k0, min(k0 + _STEP_BLOCK, n_steps))
+        k1 = min(k0 + _STEP_BLOCK, n_steps)
+        drive, bias_iq = force_inputs(k0 + 1, k1 + 1)
+        samples = _sample_index(np.arange(k0, k1) * dt).tolist()
         for j, s in enumerate(samples):
             k = k0 + j
-            current_iq(bias_iq[j])
             if record_every > 0 and k % record_every == 0:
                 rec_iq[k // record_every] = iq
             while s >= noise_hi:
@@ -424,19 +458,15 @@ def _integrate_batch(
                 for b, g in enumerate(gens):
                     drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
                     np.add(drawn[:, 0::2], drawn[:, 1::2], out=noise_block[:take, :, b])
-            # accel = ((drive sin(w phi) - iq) - g_eff vel + noise) * inv_c
-            mul(w, phi, out=tmp)
-            np.sin(tmp, out=tmp)
-            mul(drive[j], tmp, out=accel)
-            sub(accel, iq, out=accel)
-            mul(g_eff, vel, out=tmp)
-            sub(accel, tmp, out=accel)
-            add(accel, noise_block[s - noise_lo], out=accel)
-            mul(accel, inv_c, out=accel)
-            mul(dt, accel, out=accel)
-            add(vel, accel, out=vel)
-            mul(dt, vel, out=tmp)
+            # Half kick, both half drifts around the exact damping, the
+            # end force, and the second half kick with the same noise.
+            xi = noise_block[s - noise_lo]
+            kick(xi)
+            mul(drift, vel, out=tmp)
             add(phi, tmp, out=phi)
+            mul(decay, vel, out=vel)
+            update_force(drive[j], bias_iq[j])
+            kick(xi)
             if k % 2000 == 1999:
                 if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
                     raise ShotError(
@@ -447,9 +477,9 @@ def _integrate_batch(
     if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
         raise ShotError(f"integration diverged at end: phi={phi.T.tolist()}")
 
-    # The last step's bias scale is x_end / x_end = 1: read-out sees the
-    # static bias.
-    final_iq = current_iq(iq_bias[:, None]).T.tolist()
+    # The last force saw the read-out bias scale x_end / x_end = 1, the
+    # static bias, so iq holds the read-out currents.
+    final_iq = iq.T.tolist()
     if record_every > 0:
         rec_iq[-1] = iq
         t = rec_steps * dt

@@ -386,10 +386,10 @@ class TestCircuit:
     def test_small_ensemble_with_trace(self, capsys, monkeypatch):
         # Shot k's rows are those of simulate_shot, seeded as shot k; the
         # inputs are scaled to SI units exactly as the CLI scales them.
-        ramp = fluxsim.RampSpec(ramp_s=0.2 * 1e-9, hold_s=0.05 * 1e-9)
+        ramp = fluxsim.RampSpec(ramp_s=0.2 / 1e9, hold_s=0.05 / 1e9)
         layout = fluxsim.inverse_nor_layout(0, ramp=ramp)
-        noises = [fluxsim.NoiseSpec(sigma=0.13 * 1e-6, seed=shot_seed(1, k)) for k in range(3)]
-        shots = [fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 * 1e-15, decimate=200)
+        noises = [fluxsim.NoiseSpec(sigma=0.13 / 1e6, seed=shot_seed(1, k)) for k in range(3)]
+        shots = [fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 / 1e15, decimate=200)
                  for noise in noises]
         expected = io.StringIO()
         write_trace_csv(expected, shots, ramp.total_s)
@@ -467,7 +467,8 @@ class TestCircuit:
         with pytest.raises(SystemExit):
             main(["circuit", "nor-inverse", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "integrator step in fs (default 100); at most 500, the noise hold" in help_text
+        assert ("step of the second-order integrator in fs (default 250); at most 500,"
+                " the noise hold") in help_text
 
 
 #: sha256 of every file each command writes.  A writer whose bytes change
@@ -500,10 +501,10 @@ _WRITTEN = {
     "circuit-trace": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
                        "--ramp-ns", "0.2", "--hold-ns", "0.05", "--dt-fs", "50",
                        "--trace", "t.csv"), {
-        "t.csv": "1968c330f58a650a9c98305e695307aa288373f1e389cca0e49d4e5599db74bc"}),
+        "t.csv": "75c27b4420994f1ecbdafa32ab6d63611a7040fb64e267f967dd87175c0422fd"}),
     "circuit-trace-default": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
                                "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
-        "t.csv": "680ff1a678ab7101cdb82330c287153ddfbdaabdc5fc7fdba7cf62cfb201f916"}),
+        "t.csv": "07ab256ab6ef779735c66df9074627f3224f0f3ea4d732960fdbcc719192a27a"}),
 }
 
 
@@ -539,10 +540,10 @@ _PRINTED = {
         "a.csv": "1dd6f7aa97bc44f46654af070a19a995d3e8d833da7cba97bccf4427706ccb2c"}),
     "circuit-clamp0-200": (("circuit", "nor-inverse", "--clamp", "0", "--shots", "200",
                             "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "afe31d8d8e688cce25554948bfd261fdd87da1342bb8f9e54468dbca44a1f098", {}),
+                           "ace650abe4fc392a228a67e3685ad8fe50b984cef7d92db48f81c395c2c5a241", {}),
     "circuit-clamp1-200": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "200",
                             "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "b8c598f629922910986aa35df899fa398f80c3239f8f96b6842d56a736ab5a54", {}),
+                           "0ccd692479026ac1e34e45d9335c5dfc24ce4e57dd31e7a77aa0080a16b64f30", {}),
 }
 
 
@@ -637,13 +638,28 @@ class TestDefaults:
         assert parse(["factor", "15"]).method == (
             inspect.signature(multiplier.clamp_product).parameters["method"].default)
         args = parse(["circuit", "nor-inverse", "--clamp", "0"])
-        assert args.noise_sigma * 1e-6 == fluxsim.NoiseSpec().sigma
+        assert args.noise_sigma / 1e6 == fluxsim.NoiseSpec().sigma
         args = parse(["synth", "mult", "--bits-a", "2", "--bits-b", "2"])
         assert args.chain_strength == multiplier.CHAIN_STRENGTH == (
             inspect.signature(multiplier.build_multiplier).parameters["chain_strength"].default)
         args = parse(["capacity"])
         assert CapacityInput(unit_w_um=args.unit_w, unit_h_um=args.unit_h, chip_mm=args.chip_mm,
                              margin_um=args.margin_um, chips=args.chips) == CapacityInput()
+
+    def test_default_circuit_run_integrates_library_defaults(self, capsys, monkeypatch):
+        """The CLI's unit conversions rebuild the library's ramp, step and
+        noise exactly, so a default run is the library's default run."""
+        seen = []
+        integrate = fluxsim._integrate_batch
+
+        def recorded(layout, noise, ramp, dt, *args, **kwargs):
+            seen.append((ramp, dt, noise.sigma))
+            return integrate(layout, noise, ramp, dt, *args, **kwargs)
+
+        monkeypatch.setattr(fluxsim, "_integrate_batch", recorded)
+        code, _, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "1")
+        assert code == 0
+        assert seen == [(fluxsim.RampSpec(), fluxsim.DT_DEFAULT, fluxsim.NoiseSpec().sigma)]
 
 
 _ANNEALING = {

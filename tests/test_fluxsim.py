@@ -26,6 +26,7 @@ from qafactor.fluxsim import (
     ShotError,
     ShotTrace,
     _integrate_batch,
+    _sample_index,
     inverse_nor_layout,
     johnson_sigma,
     layout_from_ising,
@@ -145,11 +146,20 @@ class TestDataclasses:
 
     def test_step_count(self):
         # The default 2.2 ns is a hair above 2.2e-9 in floats: 44001 steps of
-        # 0.05 ps, 22001 of the default 0.1 ps.
+        # 0.05 ps, 8801 of the default 0.25 ps.
         assert step_count(RampSpec(), 5e-14) == 44001
-        assert step_count(RampSpec(), DT_DEFAULT) == 22001
+        assert step_count(RampSpec(), DT_DEFAULT) == 8801
         assert step_count(RampSpec(ramp_s=0.3e-9, hold_s=0.0), 7e-14) == 4286
         assert step_count(RampSpec(ramp_s=1e-13, hold_s=0.0), 5e-13) == 1
+
+    def test_step_reads_the_sample_it_starts_in(self):
+        # At dt = hold / p step k starts in sample k // p, on its first
+        # boundary when p divides k, however k * dt rounds; checked up to
+        # the last step a run may take.
+        for p in range(1, 41):
+            dt = (1.0 / NOISE_SAMPLE_RATE) / p
+            for k in (np.arange(0, 50_000), np.arange(MAX_STEPS - 50_000, MAX_STEPS)):
+                assert np.array_equal(_sample_index(k * dt), k // p), p
 
     @given(ramp_s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
            hold_s=st.floats(min_value=0.0, allow_infinity=False),
@@ -214,6 +224,22 @@ class TestNoiselessDynamics:
         model = IsingModel(2, (-0.3, 0.0), {(0, 1): 1.0})
         tr = simulate_shot(layout_from_ising(model), NoiseSpec(sigma=0.0))
         assert tr.bits == (1, 0)
+
+    def test_step_is_second_order(self):
+        # Noise-free, and short enough that every qubit stays in the well it
+        # falls into: halving the step cuts the final-state error against a
+        # 12.5-fs run about fourfold.  A first-order step cuts it 2-3 fold.
+        ramp = RampSpec(ramp_s=0.1e-9, hold_s=0.0)
+        layout = inverse_nor_layout(0, ramp=ramp)
+
+        def final_iq(dt):
+            shot = _integrate_batch(layout, NoiseSpec(sigma=0.0), ramp, dt, [0])[0]
+            return np.array(shot.final_iq)
+
+        reference = final_iq(12.5e-15)
+        errors = [np.max(np.abs(final_iq(dt) - reference)) for dt in (200e-15, 100e-15, 50e-15)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.3 < r < 5.0 for r in ratios), ratios
 
     def test_suppressed_barrier_current_decays(self):
         # Barrier held off; bias displaces the start, the loop rings down
@@ -283,7 +309,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("ramp,dt", [
         (RampSpec(0.2e-9, 0.05e-9), 600e-15),
-        (RampSpec(2e-6, 0.0), DT_DEFAULT),
+        (RampSpec(4e-6, 0.0), DT_DEFAULT),
     ], ids=["step-above-noise-hold", "above-max-steps"])
     def test_refused_before_any_shot_is_dispatched(self, monkeypatch, ramp, dt):
         def refuse(*args):
@@ -322,12 +348,12 @@ class TestEnsemble:
         shots = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14,
                                  [shot_seed(42, k) for k in range(3)])
         expected = np.array([
-            (3.4390205201306814e-06, 3.368817935308684e-06,
-             -3.1807981944566047e-06, 3.555966771360289e-06),
-            (3.409330692057452e-06, 3.4397468524789675e-06,
-             -2.9969539890607222e-06, -3.2066785244628673e-06),
-            (3.338178635601312e-06, 3.36353433060908e-06,
-             -3.4322735873140537e-06, 3.5967097590213848e-06),
+            (3.434245849181522e-06, 3.382707344738115e-06,
+             -3.188659772275043e-06, 3.5571151176162053e-06),
+            (3.409501294987299e-06, 3.4405691871593763e-06,
+             -3.000960550879008e-06, -3.2049096894071593e-06),
+            (3.335666141943882e-06, 3.3626217796488557e-06,
+             -3.409664493086473e-06, 3.5845305847798617e-06),
         ])
         assert np.array_equal(np.array([shot.final_iq for shot in shots]), expected)
         assert [shot.bits for shot in shots] == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
