@@ -444,9 +444,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (ModelFormatError, SizeCapError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,10 @@ proportionally to I*(t) itself, so a constant I_x overwhelms the
 couplings early in the ramp and traps every qubit on its bias side
 (verified numerically at ramps up to 32 ns).  As in production annealers,
 the bias lines therefore follow the well current: the applied bias flux
-is M_X I_x * I*(t)/I*(end), which keeps the realized h : J proportions
-fixed through the anneal and equals the static value M_X I_x at
-read-out.
+is M_X I_x * I*(t)/I*, which keeps the realized h : J proportions fixed
+through the anneal.  I*(t) is read off the well curve (the well position
+against cos(pi phi_t / Phi0)), a constant of the one design, and I* is its
+full-barrier end, where every run reads out at the static bias M_X I_x.
 """
 from __future__ import annotations
 
@@ -103,9 +104,15 @@ def _well_positions(beta: np.ndarray) -> np.ndarray:
     return np.where(bistable, 0.5 * (x_lo + x_hi), 0.0)
 
 
-#: Read-out well current I* = x Phi0 / L at full barrier (phi_t = 0):
-#: 3.42 uA at x = 0.430 Phi0.
-I_STAR = float(_well_positions(np.array([L_LOOP * 2.0 * IC / PHI0]))[0]) * PHI0 / L_LOOP
+#: The well curve, a constant of the one design: the well position x on 513
+#: points of the barrier factor cos(pi phi_t / Phi0), from 0 (barrier off)
+#: to 1 (full barrier), at beta = L_LOOP * 2 IC cos(pi phi_t / Phi0) / Phi0.
+_BARRIER_GRID = np.linspace(0.0, 1.0, 513)
+_WELL_CURVE = _well_positions(L_LOOP * 2.0 * IC / PHI0 * _BARRIER_GRID)
+
+#: Read-out well current I* = x Phi0 / L at full barrier (phi_t = 0), the
+#: well curve's last point: 3.42 uA at x = 0.430 Phi0.
+I_STAR = float(_WELL_CURVE[-1]) * PHI0 / L_LOOP
 
 #: Bias current realizing |h| = 1: 6.84 uA.  At read-out a bias adds
 #: M_X I_x I* to a qubit's well energy and a mutual adds |M| I*^2 to a
@@ -123,12 +130,12 @@ class NoiseSpec:
     """Per-junction Gaussian current noise, held constant between samples.
 
     The default sigma is the Johnson-Nyquist value for the 3.2-kOhm shunt
-    at 1 K over a 1-THz bandwidth, rounded as specified for the reference
-    runs (0.13 uA), sampled at ``NOISE_SAMPLE_RATE`` (2 THz).  A shot
-    seeded ``seed`` draws its samples in order from ``PCG64(seed)``, two
-    junction values per qubit per sample, so sample i's values depend on
-    i and the seed alone, not on how many samples the integrator draws
-    at a time.  Only :func:`simulate_shot` reads ``seed``;
+    at 1 K over a 1-THz bandwidth, 0.1314 uA, rounded as specified for the
+    reference runs to 0.13 uA, which is the Johnson value at 0.98 K; it is
+    sampled at ``NOISE_SAMPLE_RATE`` (2 THz).  A shot seeded ``seed``
+    draws its samples in order from ``PCG64(seed)``, two junction values
+    per qubit per sample, so sample i's values depend on i and the seed
+    alone, not on how many samples the integrator draws at a time.  Only :func:`simulate_shot` reads ``seed``;
     :func:`run_ensemble` seeds each shot from its master seed.
     """
 
@@ -336,7 +343,9 @@ def _integrate_batch(
     vel *= exp(-G_eff dt / C_eff), a second half drift, and a half kick
     with F(phi_k+1, t_k+1) and the same xi (Leimkuhler & Matthews 2013).
     The end force is the next step's start force, so a step costs one
-    ``sin`` and one loop-current mat-vec.
+    ``sin`` and one loop-current mat-vec.  The bias in I_q follows the
+    design's well curve, normalised at full barrier, where every run reads
+    out: at t = ``step_count(ramp, dt)`` dt, cos(pi phi_t / Phi0) is 1.
 
     Every shot carries its own noise generator, so results per shot are
     independent of how shots are grouped into batches.  Returns one
@@ -384,27 +393,11 @@ def _integrate_batch(
     # Both half drifts at once: dt/2 vel + dt/2 (decay vel).
     drift = 0.5 * dt * (1.0 + decay)
 
-    def barrier_cos(times: np.ndarray) -> np.ndarray:
-        return np.cos(np.pi * ramp.phi_t(times) / PHI0)
-
-    # Bias compensation I*(t)/I*(end) (see module docstring): one shared
-    # waveform from the qubit design's well curve, interpolated in
-    # cos(pi phi_t / Phi0) and equal to 1 at read-out, t = n_steps dt; a
-    # static bias when the ramp never ends in a bistable configuration.
-    beta_full = L_LOOP * 2.0 * IC / PHI0
-    grid = np.linspace(0.0, 1.0, 513)
-    x_grid = _well_positions(beta_full * grid)
-    x_end = float(np.interp(barrier_cos(np.arange(n_steps, n_steps + 1) * dt)[0],
-                            grid, x_grid))
-
     def force_inputs(k0: int, k1: int):
         """Times k0..k1-1: the barrier drive Ic_eff(t) and the bias share
-        of the loop currents."""
-        cos_steps = barrier_cos(np.arange(k0, k1) * dt)
-        if x_end > 0.0:
-            bias_scale = np.interp(cos_steps, grid, x_grid) / x_end
-        else:
-            bias_scale = np.ones_like(cos_steps)
+        of the loop currents, the static one times I*(t)/I*."""
+        cos_steps = np.cos(np.pi * ramp.phi_t(np.arange(k0, k1) * dt) / PHI0)
+        bias_scale = np.interp(cos_steps, _BARRIER_GRID, _WELL_CURVE) / _WELL_CURVE[-1]
         return (ic2 * cos_steps)[:, None, None], (bias_scale[:, None] * iq_bias)[:, :, None]
 
     phi = np.zeros((n, batch))
@@ -477,8 +470,8 @@ def _integrate_batch(
     if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit:
         raise ShotError(f"integration diverged at end: phi={phi.T.tolist()}")
 
-    # The last force saw the read-out bias scale x_end / x_end = 1, the
-    # static bias, so iq holds the read-out currents.
+    # The last force saw the full barrier and so the static bias: iq holds
+    # the read-out currents.
     final_iq = iq.T.tolist()
     if record_every > 0:
         rec_iq[-1] = iq
@@ -524,6 +517,12 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
+def _shot_bytes(n: int) -> int:
+    """Working memory of one shot of an ``n``-qubit batch: five state rows,
+    two n x n mat-vec arrays and one noise block (float64)."""
+    return 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n)
+
+
 def _ensemble_batch(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
                     master_seed: int, decimate: int, shots: range) -> list[ShotTrace]:
     seeds = [shot_seed(master_seed, k) for k in shots]
@@ -543,10 +542,9 @@ def run_ensemble(
     """Independent shots with derived per-shot noise seeds, their read-out
     bits counted; the counts do not depend on worker count or batch size.
     The shot runner (:func:`qafactor.seeds.run_shot_ranges`) batches the
-    shots by the integrator's per-shot buffers: five state rows, two n x n
-    mat-vec arrays and one noise block.  With ``decimate`` > 0 the result
-    also keeps every shot's record: its loop currents at every
-    ``decimate``-th step, as :func:`simulate_shot`.
+    shots by the integrator's per-shot buffers (:func:`_shot_bytes`).  With
+    ``decimate`` > 0 the result also keeps every shot's record: its loop
+    currents at every ``decimate``-th step, as :func:`simulate_shot`.
 
     Shot k draws its noise from ``shot_seed(master_seed, k)``;
     ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A ``ramp``
@@ -554,10 +552,9 @@ def run_ensemble(
     used.  A step or run :func:`step_count` refuses raises ValueError first."""
     ramp = ramp or layout.ramp
     step_count(ramp, dt)
-    n = layout.n
     shots = run_shot_ranges(_ensemble_batch,
                             (layout, noise, ramp, dt, master_seed, decimate),
-                            n_shots, workers, 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n))
+                            n_shots, workers, _shot_bytes(layout.n))
     counts: dict[tuple[int, ...], int] = {}
     for shot in shots:
         counts[shot.bits] = counts.get(shot.bits, 0) + 1

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qafactor.fluxsim import I_STAR, IC, KB, L_LOOP, MUTUAL_PER_UNIT_J, PHI0
 from qafactor.ising import IsingModel
 
-#: Noise temperature, K: the Johnson-Nyquist temperature of NoiseSpec's
-#: default sigma (0.13 uA for the 3.2-kOhm shunt over 1 THz).
+#: Noise temperature, K: the nominal one of NoiseSpec's default sigma, the
+#: 3.2-kOhm shunt's Johnson current over 1 THz rounded to 0.13 uA, which is
+#: the Johnson value at 0.98 K.
 T_NOISE = 1.0
 
 
