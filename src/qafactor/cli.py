@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -204,8 +203,6 @@ def cmd_factor(args) -> int:
         raise UsageError("P must be >= 0")
     schedule = _schedule_from(args)
     bits = max(1, args.p.bit_length())
-    if args.balanced:
-        bits = max(1, math.ceil(bits / 2))
     n1, n2 = args.bits_a or bits, args.bits_b or bits
     if args.p >= (1 << (n1 + n2)):
         raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
@@ -395,8 +392,6 @@ def build_parser() -> _Parser:
     p_factor = sub.add_parser("factor", parents=[shot_parent, anneal_parent, net_parent])
     p_factor.add_argument("p", type=int)
     p_factor.add_argument("--shots", type=_positive_int, default=200)
-    p_factor.add_argument("--balanced", action="store_true",
-                          help="use ceil(bitlen/2) factor widths (semiprime work)")
     p_factor.add_argument("--method", choices=[FOLD, BIAS], default=FOLD)
     p_factor.set_defaults(func=cmd_factor)
 

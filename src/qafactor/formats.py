@@ -5,8 +5,9 @@ Model files hold ``n <count>`` first, then ``h <i> <v>`` and ``J <i> <j> <v>``
 lines (0-based, i < j; written sorted, read in any order).  Gate sidecars
 hold ``port <name> <spin>``, ``valid <bits...>`` and ``gap <value>`` lines,
 network sidecars ``role <A|B|P> <bit> <spin>`` lines.  Both text formats
-take ``#`` comments, and their parsers raise :class:`ModelFormatError` with
-the 1-based number of the bad line.  The shot and trace logs are CSV.
+take ``#`` comments.  Both parsers refuse a bad line through one handler,
+which raises :class:`ModelFormatError` with the line's 1-based number and
+quotes the line.  The shot and trace logs are CSV.
 """
 from __future__ import annotations
 
@@ -62,56 +63,41 @@ def parse_model(text: str) -> IsingModel:
     h: list[float] = []
     seen_h: set[int] = set()
     couplings: dict[tuple[int, int], float] = {}
-    for lineno, _, tokens in _directives(text):
+    for lineno, line, tokens in _directives(text):
         kind = tokens[0]
-        if kind in ("h", "J") and n is None:
-            raise ModelFormatError(f"{kind!r} line before 'n'", lineno)
-        if kind == "n":
-            if n is not None:
-                raise ModelFormatError("duplicate 'n' line", lineno)
-            if len(tokens) != 2:
-                raise ModelFormatError("expected 'n <count>'", lineno)
-            try:
+        try:
+            if kind in ("h", "J") and n is None:
+                raise ValueError(f"{kind!r} line before 'n'")
+            if kind == "n" and len(tokens) == 2:
+                if n is not None:
+                    raise ValueError("duplicate 'n' line")
                 n = int(tokens[1])
-            except ValueError:
-                raise ModelFormatError(f"bad spin count {tokens[1]!r}", lineno) from None
-            if not 0 <= n <= MAX_MODEL_SPINS:
-                raise ModelFormatError(
-                    f"spin count must be in 0..{MAX_MODEL_SPINS}, got {n}", lineno)
-            h = [0.0] * n
-        elif kind == "h":
-            if len(tokens) != 3:
-                raise ModelFormatError("expected 'h <i> <value>'", lineno)
-            try:
+                if not 0 <= n <= MAX_MODEL_SPINS:
+                    raise ValueError(f"spin count must be in 0..{MAX_MODEL_SPINS}")
+                h = [0.0] * n
+            elif kind == "h" and len(tokens) == 3:
                 i, value = int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise ModelFormatError("bad 'h' line", lineno) from None
-            if not 0 <= i < n:
-                raise ModelFormatError(f"spin index {i} out of range", lineno)
-            if i in seen_h:
-                raise ModelFormatError(f"duplicate bias for spin {i}", lineno)
-            if not math.isfinite(value):
-                raise ModelFormatError("non-finite bias", lineno)
-            seen_h.add(i)
-            h[i] = value
-        elif kind == "J":
-            if len(tokens) != 4:
-                raise ModelFormatError("expected 'J <i> <j> <value>'", lineno)
-            try:
+                if not 0 <= i < n:
+                    raise ValueError(f"spin index {i} out of range")
+                if i in seen_h:
+                    raise ValueError(f"duplicate bias for spin {i}")
+                if not math.isfinite(value):
+                    raise ValueError("non-finite bias")
+                seen_h.add(i)
+                h[i] = value
+            elif kind == "J" and len(tokens) == 4:
                 i, j, value = int(tokens[1]), int(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise ModelFormatError("bad 'J' line", lineno) from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ModelFormatError(f"coupling ({i},{j}) out of range", lineno)
-            if i >= j:
-                raise ModelFormatError(f"coupling requires i < j, got ({i},{j})", lineno)
-            if (i, j) in couplings:
-                raise ModelFormatError(f"duplicate coupling ({i},{j})", lineno)
-            if not math.isfinite(value):
-                raise ModelFormatError("non-finite coupling", lineno)
-            couplings[(i, j)] = value
-        else:
-            raise ModelFormatError(f"unknown directive {kind!r}", lineno)
+                if not 0 <= i < j < n:
+                    raise ValueError(f"coupling ({i},{j}) needs 0 <= i < j < {n}")
+                if (i, j) in couplings:
+                    raise ValueError(f"duplicate coupling ({i},{j})")
+                if not math.isfinite(value):
+                    raise ValueError("non-finite coupling")
+                couplings[(i, j)] = value
+            else:
+                raise ValueError("expected 'n <count>', 'h <i> <value>' or 'J <i> <j> <value>'")
+        except ValueError as exc:
+            raise ModelFormatError(f"bad model line {line!r}: {exc}", lineno) from None
     if n is None:
         raise ModelFormatError("missing 'n' line")
     return IsingModel(n, tuple(h), couplings)

@@ -397,21 +397,39 @@ class TestBatchedOracle:
         ten_batches = transient_peak(200)
         assert ten_batches < 1.25 * one_batch + (32 << 10)
 
-    def test_working_memory_does_not_grow_with_sweeps(self):
-        """Temperatures are streamed: no run holds a value per sweep."""
-        model = IsingModel(1, (0.5,), {})
-        run_shots(model, Schedule(sweeps=2), 1, master_seed=1)
+    def test_temperatures_are_streamed_one_block_ahead(self, monkeypatch):
+        """No run holds a value per sweep: the schedule streams its
+        temperatures, and the flip limits read at most one block ahead."""
+        schedule = Schedule(GEOMETRIC, 3.0, 0.05, 200_000)
+        tracemalloc.start()
+        try:
+            schedule.temperatures()
+            # A list of 200,000 temperatures alone would take about 6 MiB.
+            assert tracemalloc.get_traced_memory()[1] < 16 << 10
+        finally:
+            tracemalloc.stop()
 
-        def peak(sweeps):
-            tracemalloc.start()
-            try:
-                run_shots(model, Schedule(GEOMETRIC, 3.0, 0.05, sweeps), 1, master_seed=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        flip_limits, ahead = anneal._flip_limits, []
 
-        # A list of 200,000 temperatures alone would take about 6 MiB.
-        assert peak(200_000) < peak(2_000) + (16 << 10)
+        def counted(rngs, order, temps, *rest):
+            assert not hasattr(temps, "__len__")
+            pulled = 0
+
+            def stream():
+                nonlocal pulled
+                for t in temps:
+                    pulled += 1
+                    yield t
+
+            for sweep, out in enumerate(flip_limits(rngs, order, stream(), *rest), start=1):
+                ahead.append(pulled - sweep)
+                yield out
+
+        monkeypatch.setattr(anneal, "_flip_limits", counted)
+        sweeps = 20 * anneal.SWEEP_BLOCK + 3
+        run_shots(IsingModel(1, (0.5,), {}), Schedule(sweeps=sweeps), 2, master_seed=1)
+        assert len(ahead) == sweeps
+        assert 0 <= min(ahead) and max(ahead) < anneal.SWEEP_BLOCK
 
 
 class TestSeeds:

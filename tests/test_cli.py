@@ -44,7 +44,7 @@ class TestGatesEmit:
         assert code == 0
         assert "e0 -1.5" in out
         assert parse_model(Path("nor.model").read_text()) == nor_gate().model
-        ports = open("nor.ports").read()
+        ports = Path("nor.ports").read_text()
         assert "port in_a 0" in ports and "port out 2" in ports
         assert "valid 0 0 1" in ports
 
@@ -101,7 +101,7 @@ class TestVerify:
 
     def test_wrong_valid_set_fails_with_exit_3(self, capsys):
         run(capsys, "gates", "emit", "nor")
-        sidecar = open("nor.ports").read().replace("valid 0 0 1", "valid 1 1 1")
+        sidecar = Path("nor.ports").read_text().replace("valid 0 0 1", "valid 1 1 1")
         with open("nor.ports", "w") as fh:
             fh.write(sidecar)
         code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
@@ -131,7 +131,7 @@ class TestVerify:
         run(capsys, "gates", "emit", "nor")
         with open("nor.ports", "a") as fh:
             fh.write("valid 0 0 1\n")
-        lines = open("nor.ports").read().count("\n")
+        lines = Path("nor.ports").read_text().count("\n")
         code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
         assert code == 2
         assert f"line {lines}" in err and "repeated" in err
@@ -139,7 +139,7 @@ class TestVerify:
 
     def test_nan_gap_is_data_error(self, capsys):
         run(capsys, "gates", "emit", "nor")
-        sidecar = open("nor.ports").read()
+        sidecar = Path("nor.ports").read_text()
         assert "gap 2.0\n" in sidecar
         with open("nor.ports", "w") as fh:
             fh.write(sidecar.replace("gap 2.0\n", "gap nan\n"))
@@ -150,7 +150,7 @@ class TestVerify:
 
     def test_negative_gap_is_data_error(self, capsys):
         run(capsys, "gates", "emit", "nor")
-        sidecar = open("nor.ports").read()
+        sidecar = Path("nor.ports").read_text()
         with open("nor.ports", "w") as fh:
             fh.write(sidecar.replace("gap 2.0\n", "gap -5\n"))
         code, out, err = run(capsys, "verify", "nor.model", "--ports", "nor.ports")
@@ -209,7 +209,7 @@ class TestSynthMult:
         assert code == 0
         model = parse_model(Path("mult2x2.model").read_text())
         assert model.n == 20
-        roles = open("mult2x2.roles").read().splitlines()
+        roles = Path("mult2x2.roles").read_text().splitlines()
         assert sum(1 for line in roles if line.startswith("role A ")) == 2
         assert sum(1 for line in roles if line.startswith("role P ")) == 4
 
@@ -246,7 +246,7 @@ class TestAnnealCommand:
         assert code == 0
         assert "master_seed 1" in out
         assert "ground_hits 20" in out
-        csv = open("shots.csv").read().splitlines()
+        csv = Path("shots.csv").read_text().splitlines()
         assert csv[0] == "shot,energy,ground_hit,state_bits"
         assert len(csv) == 21
 
@@ -330,7 +330,7 @@ class TestMultiply:
                            "--csv", "mul.csv")
         assert code == 0
         assert "wrote mul.csv" in out
-        lines = open("mul.csv").read().splitlines()
+        lines = Path("mul.csv").read_text().splitlines()
         assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
         assert len(lines) == 11
         for line in lines[1:]:
@@ -365,7 +365,7 @@ class TestFactor:
                 if int(ground) > 0:
                     assert m * n == p, line
         assert ground_total == hits
-        rows = [row.split(",") for row in open("shots.csv").read().splitlines()[1:]]
+        rows = [row.split(",") for row in Path("shots.csv").read_text().splitlines()[1:]]
         assert sum(row[2] == "1" for row in rows) == hits
         for _, _, hit, _, m, n, _ in rows:
             if hit == "1":
@@ -414,7 +414,7 @@ class TestCircuit:
             if workers == "1":
                 # One pass: the CSV comes from the ensemble's own batch.
                 assert len(calls) == 1
-            text = open("waves.csv").read()
+            text = Path("waves.csv").read_text()
             lines = text.splitlines()
             assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
             assert len(lines) > 10
@@ -811,6 +811,17 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "t_cold" in err or "sweeps" in err
+
+    @pytest.mark.parametrize("command,reason", [
+        (("factor", "-1"), "P must be >= 0"),
+        (("multiply", "-3", "5"), "factors must be >= 0"),
+        (("multiply", "1", "9", "--bits-b", "2"), "N=9 does not fit in 2 bits"),
+    ], ids=["factor-negative", "multiply-negative", "multiply-bits-b"])
+    def test_numbers_out_of_range_rejected_before_any_output(self, capsys, command, reason):
+        code, out, err = run(capsys, *command)
+        assert code == 1
+        assert out == ""
+        assert reason in err
 
     @pytest.mark.parametrize("command", [
         ("anneal", "nor.model", "--sweeps", str(10**12)),

@@ -243,3 +243,10 @@ def test_template_gap_must_be_a_number_at_least_zero(gap):
     nor = nor_gate()
     with pytest.raises(ValueError, match="is not a number >= 0"):
         GateTemplate(nor.model, nor.ports, nor.valid_set, gap)
+
+
+@pytest.mark.parametrize("idx", [-1, 3])
+def test_template_port_must_name_a_spin(idx):
+    nor = nor_gate()
+    with pytest.raises(ValueError, match=f"port 'y' index {idx} out of range"):
+        GateTemplate(nor.model, {**nor.ports, "y": idx}, nor.valid_set, nor.gap)

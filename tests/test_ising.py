@@ -137,6 +137,15 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             IsingModel(2, (0.0, 0.0), {(0, 1): math.inf})
 
+    @pytest.mark.parametrize("n,h,couplings,error,match", [
+        (-1, (), {}, ValueError, "spin count must be >= 0"),
+        (2, (0.0,), {}, DimensionError, "expected 2 biases, got 1"),
+        (2, (0.0, 0.0), {(0, 2): 1.0}, ValueError, r"coupling \(0,2\) out of range"),
+    ], ids=["negative-n", "bias-count", "coupling-range"])
+    def test_bad_shape_rejected(self, n, h, couplings, error, match):
+        with pytest.raises(error, match=match):
+            IsingModel(n, h, couplings)
+
 
 class TestBitsSpins:
     def test_single_values(self):
@@ -331,11 +340,21 @@ class TestModelFormat:
         ("n 2\nwat 1\n", 2),              # unknown directive
         ("n 2\nn 3\n", 2),                # duplicate n
         ("n 2\nh 0\n", 2),                # wrong arity
+        ("n 2 3\n", 1),                   # n arity
+        ("n two\n", 1),                   # bad spin count
+        ("n -1\n", 1),                    # spin count below range
+        ("n 2\nh x 1.0\n", 2),            # bad h token
+        ("n 2\nh 0 nan\n", 2),            # non-finite bias
+        ("n 2\nJ 0 1\n", 2),              # J arity
+        ("n 2\nJ 0 1 one\n", 2),          # bad J token
+        ("n 2\nJ 0 2 1.0\n", 2),          # J index out of range
+        ("n 2\nJ 0 1 inf\n", 2),          # non-finite coupling
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ModelFormatError) as err:
             parse_model(text)
         assert err.value.line == line
+        assert repr(text.splitlines()[line - 1]) in str(err.value)
 
     def test_missing_n(self):
         with pytest.raises(ModelFormatError):
