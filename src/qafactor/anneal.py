@@ -17,11 +17,11 @@ the product of the class's couplings with ``moved``: a column range of the
 one coupling matrix, through SciPy's compiled CSC kernel.  Every step
 writes with ``out=`` into arrays allocated, and sliced per class, once per
 batch.  The limits -T ln u are held one sweep at a time in one (spins,
-shots) buffer.  The shot runner (:func:`qafactor.seeds.run_shot_ranges`)
-sizes the batches so that their uniforms, limits, spins, fields and step
-buffers (:func:`_shot_bytes` per shot) fit
-:data:`qafactor.seeds.BATCH_BYTES`.  :func:`anneal_shot` is the scalar
-reference loop over the same order, and the faster path for a single shot.
+shots) buffer.  The shot runner (:func:`qafactor.seeds.run_batches`)
+fits the batches' uniforms, limits, spins, fields and step buffers
+(:func:`_shot_bytes` per shot) in :data:`qafactor.seeds.BATCH_BYTES`, and
+:func:`run_shots` folds each batch as it arrives.  :func:`anneal_shot` is
+the scalar reference loop over the same order, and the faster path for one shot.
 
 A proposed flip with energy change dE is accepted when dE <= -T ln u,
 which is the Metropolis rule u <= exp(-dE/T).  Both paths compute the
@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .ising import GROUND_TOL, IsingModel, energies, spins_to_bits
-from .seeds import batch_size, run_shot_ranges, shot_seed
+from .seeds import batch_size, run_batches, shot_seed
 
 GEOMETRIC = "geometric"
 LINEAR = "linear"
@@ -399,23 +399,20 @@ def run_shots(
         raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
     plan = _sweep_plan(model)
     check_flip_cap(model.n, schedule, n_shots)
-    results = run_shot_ranges(_anneal_batch, (model, plan, schedule, master_seed),
-                              n_shots, workers, _shot_bytes(model.n))
-
     histogram: dict[str, int] = {}
-    for r in results:
-        key = "".join(str(b) for b in spins_to_bits(r.state))
-        histogram[key] = histogram.get(key, 0) + 1
-    hits = None
-    if reference_e0 is not None:
-        hits = tuple(r.energy <= reference_e0 + GROUND_TOL for r in results)
-    summary = RunSummary(
-        shots=n_shots,
-        best_energy=min(r.energy for r in results),
-        reference_e0=reference_e0,
-        hits=hits,
-        histogram=histogram,
-    )
-    if keep_shots:
-        return summary, results
-    return summary
+    hits: list[bool] = []
+    best_energy = math.inf
+    kept: list[ShotResult] = []
+    for results in run_batches(_anneal_batch, (model, plan, schedule, master_seed),
+                               n_shots, workers, _shot_bytes(model.n)):
+        for r in results:
+            key = "".join(str(b) for b in spins_to_bits(r.state))
+            histogram[key] = histogram.get(key, 0) + 1
+        if reference_e0 is not None:
+            hits += (r.energy <= reference_e0 + GROUND_TOL for r in results)
+        best_energy = min(best_energy, *(r.energy for r in results))
+        if keep_shots:
+            kept += results
+    summary = RunSummary(n_shots, best_energy, reference_e0,
+                         None if reference_e0 is None else tuple(hits), histogram)
+    return (summary, kept) if keep_shots else summary

@@ -48,7 +48,7 @@ import numpy as np
 
 from .gates import nor_gate
 from .ising import IsingModel
-from .seeds import run_shot_ranges, shot_seed
+from .seeds import run_batches, shot_seed
 
 PHI0 = 2.067833848e-15  # flux quantum, Wb
 KB = 1.380649e-23       # Boltzmann constant, J/K
@@ -541,10 +541,10 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent shots with derived per-shot noise seeds, their read-out
     bits counted; the counts do not depend on worker count or batch size.
-    The shot runner (:func:`qafactor.seeds.run_shot_ranges`) batches the
-    shots by the integrator's per-shot buffers (:func:`_shot_bytes`).  With
-    ``decimate`` > 0 the result also keeps every shot's record: its loop
-    currents at every ``decimate``-th step, as :func:`simulate_shot`.
+    The shot runner (:func:`qafactor.seeds.run_batches`) batches the shots
+    by the integrator's per-shot buffers (:func:`_shot_bytes`), counted as
+    they arrive.  Only with ``decimate`` > 0 does the result keep every
+    shot's record: its loop currents at every ``decimate``-th step.
 
     Shot k draws its noise from ``shot_seed(master_seed, k)``;
     ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A ``ramp``
@@ -552,14 +552,15 @@ def run_ensemble(
     used.  A step or run :func:`step_count` refuses raises ValueError first."""
     ramp = ramp or layout.ramp
     step_count(ramp, dt)
-    shots = run_shot_ranges(_ensemble_batch,
-                            (layout, noise, ramp, dt, master_seed, decimate),
-                            n_shots, workers, _shot_bytes(layout.n))
     counts: dict[tuple[int, ...], int] = {}
-    for shot in shots:
-        counts[shot.bits] = counts.get(shot.bits, 0) + 1
-    traces = tuple(shots) if decimate > 0 else ()
-    return EnsembleResult(shots=n_shots, counts=counts, traces=traces)
+    traces: list[ShotTrace] = []
+    for shots in run_batches(_ensemble_batch, (layout, noise, ramp, dt, master_seed, decimate),
+                             n_shots, workers, _shot_bytes(layout.n)):
+        for shot in shots:
+            counts[shot.bits] = counts.get(shot.bits, 0) + 1
+        if decimate > 0:
+            traces += shots
+    return EnsembleResult(shots=n_shots, counts=counts, traces=tuple(traces))
 
 
 def potential_minima(phi_t: float) -> tuple[float, ...]:

@@ -1,4 +1,4 @@
-"""Deterministic per-shot seeds, and the shot-range runner built on them.
+"""Deterministic per-shot seeds, and the shot-batch runner built on them.
 
 Shot k of a run with master seed m uses
 
@@ -9,20 +9,20 @@ splitmix64 (Steele, Lea & Flood's SplittableRandom finalizer) mixes the
 result.  Identical (master seed, shot index) pairs therefore yield
 identical shots regardless of worker count or execution order.
 
-:func:`run_shot_ranges` is the one place that decides how the shots of
-either solver run.  It cuts shots ``0 .. n_shots-1`` into contiguous
-ranges, one per process (:func:`shot_ranges`), and each range into batches
-whose per-shot working memory fits :data:`BATCH_BYTES`, whatever the shot
-count.  Because every shot seeds itself from its index, the per-shot
-results, returned in shot order, do not depend on the split.  One range
-runs in the calling process; ``concurrent.futures`` is imported, and a
-process pool started, only when there are two or more.  The annealing
-commands of the CLI ask for :func:`default_workers` processes unless told
-otherwise; ``circuit nor-inverse`` and the library functions default to one.
+:func:`run_batches` is the one place that decides how the shots of
+either solver run: it cuts them lazily into batches that fit
+:data:`BATCH_BYTES` (:func:`shot_batches`) and yields each batch's results
+in shot order, so a solver folds them as they arrive, in memory that does
+not grow with the shot count.  Every shot seeds itself from its index, so
+the results do not depend on the cut.  ``concurrent.futures`` is imported, and a process pool
+started, only for two or more processes.  The annealing commands of the
+CLI ask for :func:`default_workers` processes unless told otherwise;
+``circuit nor-inverse`` and the library functions default to one.
 """
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -44,21 +44,6 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     if shot_index < 0:
         raise ValueError("shot index must be >= 0")
     return splitmix64((master_seed & _MASK) ^ ((shot_index * _GOLDEN) & _MASK))
-
-
-def shot_ranges(n_shots: int, workers: int, cpus: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` shot ranges, one per process to run.
-
-    There are ``min(workers, n_shots, cpus)`` ranges, of sizes differing
-    by at most one, covering ``0 .. n_shots-1`` in order.
-    """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    count = min(workers, n_shots, cpus)
-    cuts = [n_shots * w // count for w in range(count + 1)]
-    return list(zip(cuts, cuts[1:]))
 
 
 def _usable_cpus() -> int:
@@ -87,29 +72,45 @@ def batch_size(shot_bytes: int) -> int:
     return max(1, BATCH_BYTES // shot_bytes)
 
 
-def _run_range(batch, args: tuple, size: int, lo: int, hi: int) -> list:
-    """``batch(*args, shots)`` over shots ``lo .. hi-1``, ``size`` at a time."""
-    results: list = []
-    for start in range(lo, hi, size):
-        results += batch(*args, range(start, min(start + size, hi)))
-    return results
+def shot_batches(n_shots: int, workers: int, shot_bytes: int) -> range:
+    """The first shot of each batch of a run, in shot order, cut lazily.
 
-
-def run_shot_ranges(batch, args: tuple, n_shots: int, workers: int,
-                    shot_bytes: int) -> list:
-    """``batch(*args, shots)`` over batches of the ranges of :func:`shot_ranges`.
-
-    ``shots`` is a ``range`` of shot indices; ``batch`` returns one result
-    per shot of it, in shot order, and must be picklable (a module-level
-    function) when ``workers`` > 1.  A batch holds at most
-    :func:`batch_size` shots.
+    The returned range's step is the batch size: the smaller of
+    :func:`batch_size` and ceil(``n_shots`` / processes), where processes
+    is ``workers`` capped at the usable CPUs.  The last batch may be shorter.
     """
-    ranges = shot_ranges(n_shots, workers, _usable_cpus())
-    size = batch_size(shot_bytes)
-    if len(ranges) == 1:
-        return _run_range(batch, args, size, 0, n_shots)
+    if n_shots < 1 or workers < 1:
+        raise ValueError(f"n_shots and workers must be >= 1, got {n_shots} and {workers}")
+    processes = min(workers, _usable_cpus())
+    return range(0, n_shots, min(batch_size(shot_bytes), -(-n_shots // processes)))
+
+
+def run_batches(batch, args: tuple, n_shots: int, workers: int,
+                shot_bytes: int) -> Iterator[list]:
+    """Yield ``batch(*args, shots)``, one result per shot of the ``range``
+    ``shots``, for each batch of :func:`shot_batches`, in shot order.
+
+    A pool (``batch`` must then pickle) holds at most one batch per process,
+    plus one, in flight, and cancels the queued ones when a batch raises or
+    the caller stops iterating.
+    """
+    starts = shot_batches(n_shots, workers, shot_bytes)
+    batches = (range(lo, min(lo + starts.step, n_shots)) for lo in starts)
+    processes = min(workers, _usable_cpus(), -(-n_shots // starts.step))
+    if processes == 1:
+        yield from (batch(*args, shots) for shots in batches)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        parts = [pool.submit(_run_range, batch, args, size, lo, hi) for lo, hi in ranges]
-        return [r for part in parts for r in part.result()]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pending = []
+        try:
+            for shots in batches:
+                pending.append(pool.submit(batch, *args, shots))
+                if len(pending) > processes:
+                    yield pending.pop(0).result()
+            while pending:
+                yield pending.pop(0).result()
+        finally:
+            for future in pending:
+                future.cancel()

@@ -4,8 +4,9 @@ Feasibility is linear: every valid vector must sit at a common energy e0
 and every invalid one at least ``gap`` above it.  We maximize the
 achievable gap by LP, then walk the coefficients one at a time onto a 1/4
 grid, choosing the lexicographically smallest grid value that keeps the
-remaining problem feasible.  The grid pass makes emitted models
-reproducible across platforms and LP solver builds.
+remaining problem feasible at the best gap snapped down to the grid, or
+as few grid steps below it as needed, down to ``gap``.  The grid pass
+makes emitted models reproducible across platforms and LP solver builds.
 
 The 6-qubit multiplier cell is this synthesis applied to
 :func:`multiplier_unit_table`; :func:`mult_unit_gate` ships its result as a
@@ -129,7 +130,8 @@ def synthesize_penalty(
     every coefficient within ``bound``, on the complete coupling graph.
 
     Raises :class:`SynthesisError` naming the number of separation
-    constraints that cannot be met when the table is infeasible.
+    constraints that cannot be met when the table is infeasible, or when
+    no 1/4-grid model reaches ``gap``.
     """
     if table.n_vars > _MAX_SYNTH_VARS:
         raise ValueError(f"synthesis limited to {_MAX_SYNTH_VARS} variables")
@@ -139,11 +141,10 @@ def synthesize_penalty(
         raise ValueError("coefficient bound must be at least gap/2")
 
     prob = _build_problem(table, bound)
-    nc = prob.n_coeff
 
     # Maximize the gap.  Zero coefficients with e0 = 0 meet every constraint
     # at gap 0, so this LP always has a solution.
-    obj = np.zeros(nc + 2)
+    obj = np.zeros(prob.n_coeff + 2)
     obj[-1] = -1.0
     best = _solve(prob, obj, {}, target_gap=None)
     best_gap = best[-1]
@@ -155,14 +156,13 @@ def synthesize_penalty(
             f"(best achievable gap {best_gap:.6g})"
         )
 
-    # Snap the enforced gap down to the grid so grid coefficients can meet it.
+    # Snap the enforced gap down to the grid, then lower it a grid step at a
+    # time, down to the requested gap, until grid coefficients meet it.
     target = max(gap, np.floor(best_gap / GRID + _SNAP_EPS) * GRID)
-
-    coeffs = _lex_grid_coefficients(prob, target)
-    if coeffs is None:
-        # Degenerate geometry where no grid vector fits; fall back to the
-        # plain LP optimum (still verified below).
-        coeffs = list(best[:nc])
+    while (coeffs := _lex_grid_coefficients(prob, target)) is None:
+        if target <= gap:
+            raise SynthesisError(f"no 1/4-grid coefficients within bound {bound} reach gap {gap}")
+        target = max(gap, target - GRID)
 
     h = tuple(coeffs[: prob.n])
     couplings = {p: c for p, c in zip(prob.pairs, coeffs[prob.n:]) if c != 0.0}

@@ -1,8 +1,10 @@
+import concurrent.futures
 import importlib.machinery
 import io
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from qafactor.formats import write_shot_csv
 from qafactor.gates import half_adder, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
 from qafactor.multiplier import FOLD, build_multiplier, clamp_product
-from qafactor.seeds import run_shot_ranges, shot_ranges, shot_seed, splitmix64
+from qafactor.seeds import run_batches, shot_batches, shot_seed, splitmix64
 
 NOR = nor_gate().model
 
@@ -333,12 +335,26 @@ class TestBatchedOracle:
             run_shots(NOR, schedule, 6, master_seed=1)
         assert ran == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flip_cap_does_not_depend_on_workers(self, monkeypatch, workers):
+        """Two processes cut a run into more batches than one, but the cap
+        charges the batches of the budget alone: the same runs pass."""
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 10 * anneal._shot_bytes(NOR.n))
+        assert len(shot_batches(6, workers, anneal._shot_bytes(NOR.n))) == workers
+        schedule = Schedule(sweeps=10)
+        monkeypatch.setattr(anneal, "MAX_FLIP_ATTEMPTS", 10 * (
+            anneal.SWEEP_OVERHEAD + 6 * (NOR.n + anneal.SHOT_OVERHEAD)))
+        assert run_shots(NOR, schedule, 6, master_seed=1, workers=workers).shots == 6
+        with pytest.raises(ValueError, match=r"1000 per batch x 1 \+ 7 shots"):
+            run_shots(NOR, schedule, 7, master_seed=1, workers=workers)
+
     def test_per_sweep_overhead_counts_against_the_cap(self, monkeypatch):
         """A one-spin, one-shot run pays for its sweeps, not only its flips:
         10^11 sweeps would take weeks at about 10 us each."""
         def refuse(*args):
             raise AssertionError("shots were dispatched")
-        monkeypatch.setattr(anneal, "run_shot_ranges", refuse)
+        monkeypatch.setattr(anneal, "run_batches", refuse)
         with pytest.raises(ValueError, match="more than the 1e\\+12 allowed"):
             run_shots(IsingModel(1, (0.5,), {}), Schedule(sweeps=10**11), 1, master_seed=1)
 
@@ -348,7 +364,7 @@ class TestBatchedOracle:
         shot-sweeps would take over 8 hours."""
         def refuse(*args):
             raise AssertionError("shots were dispatched")
-        monkeypatch.setattr(anneal, "run_shot_ranges", refuse)
+        monkeypatch.setattr(anneal, "run_batches", refuse)
         model, schedule = IsingModel(1, (0.5,), {}), Schedule(sweeps=20_000)
         shots = 10**7
         batches = -(-shots // seeds.batch_size(anneal._shot_bytes(1)))
@@ -448,53 +464,150 @@ class TestSeeds:
             shot_seed(1, -1)
 
 
-class TestShotRanges:
-    def test_seven_shots_over_three_workers(self):
-        assert shot_ranges(7, 3, cpus=8) == [(0, 2), (2, 4), (4, 7)]
+def batches_of(n_shots: int, workers: int, shot_bytes: int) -> list[range]:
+    """The shot ranges of the batches :func:`shot_batches` cuts."""
+    starts = shot_batches(n_shots, workers, shot_bytes)
+    return [range(lo, min(lo + starts.step, n_shots)) for lo in starts]
 
-    def test_huge_worker_count_capped_by_cpus_and_shots(self):
-        assert shot_ranges(7, 10**6, cpus=2) == [(0, 3), (3, 7)]
-        assert shot_ranges(7, 10**6, cpus=64) == [(k, k + 1) for k in range(7)]
-        assert shot_ranges(7, 3, cpus=1) == [(0, 7)]
+
+class _LazyFuture(concurrent.futures.Future):
+    """A future that runs its call when its result is first asked for."""
+
+    def __init__(self, call):
+        super().__init__()
+        self.call = call
+
+    def result(self, timeout=None):
+        if not self.done():
+            try:
+                self.set_result(self.call())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class _FakePool:
+    """An executor that runs nothing until asked, and keeps its futures."""
+
+    def __init__(self):
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.futures.append(_LazyFuture(lambda: fn(*args)))
+        return self.futures[-1]
+
+
+def refuse_shot_zero(shots: range) -> list[int]:
+    if 0 in shots:
+        raise ArithmeticError("shot 0 failed")
+    return list(shots)
+
+
+class TestShotRanges:
+    def test_seven_shots_over_three_workers(self, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 8)
+        assert batches_of(7, 3, 1) == [range(0, 3), range(3, 6), range(6, 7)]
+
+    def test_huge_worker_count_capped_by_cpus_and_shots(self, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert batches_of(7, 10**6, 1) == [range(0, 4), range(4, 7)]
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 64)
+        assert batches_of(7, 10**6, 1) == [range(k, k + 1) for k in range(7)]
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
+        assert batches_of(7, 3, 1) == [range(0, 7)]
 
     @pytest.mark.parametrize("workers", [0, -1, -10**6])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            shot_ranges(7, workers, cpus=8)
+            shot_batches(7, workers, 1)
 
     def test_no_shots_rejected(self):
         with pytest.raises(ValueError, match="n_shots"):
-            shot_ranges(0, 1, cpus=8)
+            shot_batches(0, 1, 1)
 
-    @given(st.integers(1, 10**4), st.integers(1, 10**7), st.integers(1, 256))
-    def test_ranges_tile_the_shots_evenly(self, n_shots, workers, cpus):
-        ranges = shot_ranges(n_shots, workers, cpus)
-        assert len(ranges) == min(n_shots, workers, cpus)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n_shots
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        sizes = {hi - lo for lo, hi in ranges}
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    @given(st.integers(1, 10**4), st.integers(1, 10**7), st.integers(1, 256),
+           st.integers(1, 2 * seeds.BATCH_BYTES))
+    @example(5, 4, 4, 1)
+    def test_batches_tile_the_shots_in_order(self, n_shots, workers, cpus, shot_bytes):
+        """Batches fit the budget and give every process an even share at
+        most.  Below p (p - 1) shots on p processes that share can leave
+        fewer batches than processes (5 shots on 4: 2 + 2 + 1), which still
+        run in one round."""
+        with mock.patch.object(seeds, "_usable_cpus", lambda: cpus):
+            batches = batches_of(n_shots, workers, shot_bytes)
+        assert [k for shots in batches for k in shots] == list(range(n_shots))
+        processes = min(workers, cpus)
+        for shots in batches:
+            assert len(shots) * shot_bytes <= seeds.BATCH_BYTES or len(shots) == 1
+            assert len(shots) <= -(-n_shots // processes)
+        if n_shots >= processes * (processes - 1):
+            assert len(batches) >= min(processes, n_shots)
 
     def test_one_range_runs_in_process(self, monkeypatch):
         # A lambda cannot be pickled, so these calls fail if a pool starts.
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
         task = lambda tag, shots: [(tag, k) for k in shots]  # noqa: E731
-        assert run_shot_ranges(task, ("x",), 5, 10**6, 1) == [("x", k) for k in range(5)]
+        assert list(run_batches(task, ("x",), 5, 10**6, 1)) == [[("x", k) for k in range(5)]]
         monkeypatch.undo()
-        assert run_shot_ranges(task, ("y",), 1, 10**6, 1) == [("y", 0)]
+        assert list(run_batches(task, ("y",), 1, 10**6, 1)) == [[("y", 0)]]
 
     def test_batches_fit_the_budget(self, monkeypatch):
         monkeypatch.setattr(seeds, "BATCH_BYTES", 100)
-        assert run_shot_ranges(batch_of_each_shot, (), 7, 1, 30) == (
-            [range(0, 3)] * 3 + [range(3, 6)] * 3 + [range(6, 7)])
+        assert list(run_batches(batch_of_each_shot, (), 7, 1, 30)) == (
+            [[range(0, 3)] * 3, [range(3, 6)] * 3, [range(6, 7)]])
         # A shot larger than the budget still runs, one per batch.
-        assert run_shot_ranges(batch_of_each_shot, (), 2, 1, 10**9) == [range(0, 1), range(1, 2)]
+        assert list(run_batches(batch_of_each_shot, (), 2, 1, 10**9)) == [[range(0, 1)],
+                                                                         [range(1, 2)]]
 
-    def test_batches_stay_inside_worker_ranges(self, monkeypatch):
+    def test_batches_run_through_a_pool_in_shot_order(self, monkeypatch):
+        """Three batches on two processes, cut with no regard to which
+        process runs them."""
         monkeypatch.setattr(seeds, "BATCH_BYTES", 2)
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
-        assert run_shot_ranges(batch_of_each_shot, (), 6, 2, 1) == (
-            [range(0, 2)] * 2 + [range(2, 3)] + [range(3, 5)] * 2 + [range(5, 6)])
+        assert list(run_batches(batch_of_each_shot, (), 6, 2, 1)) == (
+            [[range(0, 2)] * 2, [range(2, 4)] * 2, [range(4, 6)] * 2])
+
+    def test_cut_is_lazy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        shot_bytes = seeds.BATCH_BYTES // 4
+        assert len(shot_batches(10**15, 1, shot_bytes)) == 10**15 // 4
+        batches = run_batches(batch_of_each_shot, (), 10**15, 1, shot_bytes)
+        assert next(batches) == [range(0, 4)] * 4
+        assert next(batches) == [range(4, 8)] * 4
+
+    def test_pool_holds_one_batch_per_process_plus_one(self, monkeypatch):
+        """A failing batch, or a caller that stops, cancels the queued
+        batches, and no more are submitted."""
+        pools = []
+
+        def fake_pool(max_workers):
+            pools.append(_FakePool())
+            return pools[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        shot_bytes = seeds.BATCH_BYTES // 2
+        with pytest.raises(ArithmeticError, match="shot 0 failed"):
+            list(run_batches(refuse_shot_zero, (), 12, 2, shot_bytes))
+        futures = pools[-1].futures
+        assert len(futures) == 3
+        assert futures[0].exception() is not None
+        assert all(f.cancelled() for f in futures[1:])
+
+        stopped = run_batches(list, (), 12, 2, shot_bytes)
+        assert next(stopped) == [0, 1]
+        stopped.close()
+        futures = pools[-1].futures
+        assert len(futures) == 3
+        assert futures[0].done() and all(f.cancelled() for f in futures[1:])
 
 
 class TestReporting:

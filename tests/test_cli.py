@@ -605,8 +605,8 @@ class TestOutputPaths:
         def dispatch(*args, **kwargs):
             raise AssertionError("a shot was dispatched")
 
-        monkeypatch.setattr(anneal, "run_shot_ranges", dispatch)
-        monkeypatch.setattr(fluxsim, "run_shot_ranges", dispatch)
+        monkeypatch.setattr(anneal, "run_batches", dispatch)
+        monkeypatch.setattr(fluxsim, "run_batches", dispatch)
         code, out, err = run(capsys, *_SAVING[case], "missing/out.csv", "--workers", workers)
         assert code == 2
         assert out == ""

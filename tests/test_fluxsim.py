@@ -388,7 +388,7 @@ class TestEnsemble:
     def test_refused_before_any_shot_is_dispatched(self, monkeypatch, ramp, dt):
         def refuse(*args):
             raise AssertionError("shots were dispatched")
-        monkeypatch.setattr(fluxsim, "run_shot_ranges", refuse)
+        monkeypatch.setattr(fluxsim, "run_batches", refuse)
         with pytest.raises(ValueError, match="noise hold|integrator steps"):
             run_ensemble(inverse_nor_layout(0), NoiseSpec(), ramp=ramp, n_shots=4, dt=dt,
                          workers=2)
@@ -524,6 +524,31 @@ class TestEnsemble:
         one_batch_scale = transient_peak(20)
         ten_times_the_shots = transient_peak(200)
         assert ten_times_the_shots < 1.25 * one_batch_scale + (32 << 10)
+
+    def test_untraced_run_keeps_no_shot_records(self, monkeypatch):
+        """An untraced run counts each batch as it arrives: 16 times the
+        shots, the same peak, with no record kept per shot."""
+        layout = inverse_nor_layout(0, ramp=RampSpec(ramp_s=0.005e-9, hold_s=0.0))
+        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 5))
+
+        def peak(n_shots):
+            # CPython keeps up to 2,000 freed tuples of each small size for
+            # reuse, and tracemalloc counts them as live.  Fill that cache
+            # first, so that the batches' read-out tuples do not show as
+            # growth; a record kept per shot still does.
+            cached = [(k, k, k, k) for k in range(4000)]
+            del cached
+            tracemalloc.start()
+            try:
+                run_ensemble(layout, NoiseSpec(), n_shots=n_shots, master_seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)
+        four_batches = peak(20)
+        sixty_four_batches = peak(320)
+        assert sixty_four_batches < four_batches + (32 << 10)
 
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)

@@ -100,6 +100,22 @@ class TestSynthesizePenalty:
         }
         assert len(energies) == 1
 
+    def test_target_lowered_to_a_grid_model(self):
+        """The LP reaches gap 8/3 here, which snaps to 2.5, and no 1/4-grid
+        model reaches 2.5 or 2.25: the walk settles at the requested 2.0
+        rather than return the LP's thirds, and refuses a gap no grid model
+        reaches."""
+        table = TruthTable(4, ((0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 0),
+                               (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)))
+        gate = synthesize_penalty(table, gap=2.0, bound=2.0)
+        coeffs = (*gate.model.h, *gate.model.couplings.values())
+        assert all(c == round(c / GRID) * GRID and abs(c) <= 2.0 for c in coeffs)
+        report = verify_gate(gate)
+        assert report.passed and report.achieved_gap >= 2.0
+        assert gate.gap == 2.0
+        with pytest.raises(SynthesisError, match="1/4-grid"):
+            synthesize_penalty(table, gap=2.5, bound=2.0)
+
     @given(st.sets(st.tuples(*[st.integers(0, 1)] * 3), min_size=1, max_size=8))
     @settings(max_examples=25, deadline=None)
     def test_feasible_syntheses_always_verify(self, valid):
