@@ -17,11 +17,11 @@ the product of the class's couplings with ``moved``: a column range of the
 one coupling matrix, through SciPy's compiled CSC kernel.  Every step
 writes with ``out=`` into arrays allocated, and sliced per class, once per
 batch.  The limits -T ln u are held one sweep at a time in one (spins,
-shots) buffer.  The shot runner (:func:`qafactor.seeds.run_batches`)
-fits the batches' uniforms, limits, spins, fields and step buffers
-(:func:`_shot_bytes` per shot) in :data:`qafactor.seeds.BATCH_BYTES`, and
-:func:`run_shots` folds each batch as it arrives.  :func:`anneal_shot` is
-the scalar reference loop over the same order, and the faster path for one shot.
+shots) buffer.  The shot runner (:func:`qafactor.seeds.run_batches`) fits
+each batch in :data:`qafactor.seeds.BATCH_BYTES` (:func:`_shot_bytes` per
+shot); a batch returns two arrays, final states and energies, which
+:func:`run_shots` folds as they arrive.  :func:`anneal_shot` is the scalar
+reference loop over the same order, and the faster path for one shot.
 
 A proposed flip with energy change dE is accepted when dE <= -T ln u,
 which is the Metropolis rule u <= exp(-dE/T).  Both paths compute the
@@ -29,14 +29,14 @@ limit -T ln u with the same NumPy call, and both accumulate field changes
 in the same order, so they agree bit for bit.  Both score their final
 states with :func:`qafactor.ising.energies`, the package's one energy sum.
 
-Seeding contract: shot k draws from its own
-``PCG64(shot_seed(master_seed, k))`` stream (:mod:`qafactor.seeds`):
-first ``integers(0, 2, n)`` for the start state (bit 1 is spin +1), then
-one uniform per (sweep, spin index), sweep-major and in spin-index order
-whatever the visiting order.  The uniforms and temperatures are taken
-:data:`SWEEP_BLOCK` sweeps at a time.  A shot's result therefore depends
-only on the model, the schedule and its seed:
-``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
+Seeding contract: the shot runner (:mod:`qafactor.seeds`) hands shot k
+the seed ``shot_seed(master_seed, k)``, and the shot draws from its own
+``PCG64`` stream of that seed: first ``integers(0, 2, n)`` for the start
+state (bit 1 is spin +1), then one uniform per (sweep, spin index),
+sweep-major and in spin-index order whatever the visiting order.  The
+uniforms and temperatures are taken :data:`SWEEP_BLOCK` sweeps at a time.
+A shot's result therefore depends only on the model, the schedule and its
+seed: ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
 shot_seed(master_seed, k), k)`` for any batch size or worker count.
 
 Of SciPy only the compiled CSC kernel ``csc_matvecs`` is used, loaded from
@@ -59,8 +59,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ising import GROUND_TOL, IsingModel, energies, spins_to_bits
-from .seeds import batch_size, run_batches, shot_seed
+from .ising import GROUND_TOL, IsingModel, energies
+from .seeds import GENERATOR_BYTES, batch_size, run_batches
 
 GEOMETRIC = "geometric"
 LINEAR = "linear"
@@ -275,9 +275,9 @@ def _flip_limits(rngs, order: np.ndarray, temps: Iterable[float], out: np.ndarra
 
 
 def _shot_bytes(n: int) -> int:
-    """Working memory of one shot of an ``n``-spin batch: its uniforms,
-    its limits, delta, fields and moved (float64) and accept (bool)."""
-    return 8 * n * (SWEEP_BLOCK + 4) + n
+    """Working memory of one shot of an ``n``-spin batch: its generator, its
+    uniforms, its limits, delta, fields and moved (float64), accept (bool)."""
+    return GENERATOR_BYTES + 8 * n * (SWEEP_BLOCK + 4) + n
 
 
 def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0) -> ShotResult:
@@ -322,16 +322,16 @@ def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0
 
 
 def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
-                  master_seed: int, indices: range) -> list[ShotResult]:
-    """Shots ``indices`` advanced together; see the module docstring."""
+                  seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One shot per seed, advanced together: final int8 states, a row each, and energies."""
     # SciPy's CSC kernel, y += A @ x in place over a class's columns, adds
     # each row's entries into y one by one in column order.  That is the
     # order in which the scalar loop applies flips, so the two paths round
     # alike; summing a row first and adding the total would not.
     csc_matvecs = _sparsetools().csc_matvecs
     indptr, cols, data = plan.couplings
-    n, shots = model.n, len(indices)
-    rngs = [np.random.Generator(np.random.PCG64(shot_seed(master_seed, k))) for k in indices]
+    n, shots = model.n, len(seeds)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     bits = np.array([rng.integers(0, 2, n) for rng in rngs])
     # delta = -2 s: the change a flip makes to each spin.
     delta = 2.0 - 4.0 * bits.T[plan.order]
@@ -359,10 +359,9 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
     drift = float(np.max(np.abs(fields - _fields(plan, spins))))
     if drift > DRIFT_TOL:
         raise ArithmeticError(f"incremental local fields drifted by {drift!r}")
-    final = np.empty((n, shots), dtype=np.int64)
-    final[plan.order] = spins
-    return [ShotResult(tuple(state), e, k)
-            for k, state, e in zip(indices, final.T.tolist(), energies(model, final).tolist())]
+    final = np.empty((shots, n), dtype=np.int8)
+    final[:, plan.order] = spins.T
+    return final, energies(model, final.T)
 
 
 def check_flip_cap(n_spins: int, schedule: Schedule, n_shots: int) -> None:
@@ -403,16 +402,19 @@ def run_shots(
     hits: list[bool] = []
     best_energy = math.inf
     kept: list[ShotResult] = []
-    for results in run_batches(_anneal_batch, (model, plan, schedule, master_seed),
-                               n_shots, workers, _shot_bytes(model.n)):
-        for r in results:
-            key = "".join(str(b) for b in spins_to_bits(r.state))
-            histogram[key] = histogram.get(key, 0) + 1
+    for states, energy in run_batches(_anneal_batch, (model, plan, schedule), n_shots,
+                                      master_seed, workers, _shot_bytes(model.n)):
+        # Bit 1 is spin +1: each row's bits as one ASCII byte string.
+        rows = np.where(states > 0, ord("1"), ord("0")).astype(np.uint8).view(f"S{model.n}")
+        for row, count in zip(*np.unique(rows, return_counts=True)):
+            key = row.decode()
+            histogram[key] = histogram.get(key, 0) + int(count)
         if reference_e0 is not None:
-            hits += (r.energy <= reference_e0 + GROUND_TOL for r in results)
-        best_energy = min(best_energy, *(r.energy for r in results))
+            hits += (energy <= reference_e0 + GROUND_TOL).tolist()
+        best_energy = min(best_energy, float(energy.min()))
         if keep_shots:
-            kept += results
+            kept += (ShotResult(tuple(state), e, k) for k, state, e in
+                     zip(range(len(kept), n_shots), states.tolist(), energy.tolist()))
     summary = RunSummary(n_shots, best_energy, reference_e0,
                          None if reference_e0 is None else tuple(hits), histogram)
     return (summary, kept) if keep_shots else summary

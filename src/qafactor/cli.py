@@ -172,9 +172,10 @@ def cmd_anneal(args) -> int:
         # A run the flip cap refuses enumerates nothing first.
         annealing.check_flip_cap(model.n, schedule, args.shots)
         reference = brute_force_ground(model, cap=args.cap).e0
-    summary, shots = _run(args, annealing.run_shots, model, schedule,
-                          reference_e0=reference, keep_shots=True)
+    summary = _run(args, annealing.run_shots, model, schedule,
+                   reference_e0=reference, keep_shots=bool(args.csv))
     if args.csv:
+        summary, shots = summary
         _save_shot_csv(args.csv, shots, summary.hits)
     sys.stdout.write(summary.to_text())
     return 0

@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .gates import nor_gate
 from .ising import IsingModel
-from .seeds import run_batches, shot_seed
+from .seeds import GENERATOR_BYTES, run_batches
 
 PHI0 = 2.067833848e-15  # flux quantum, Wb
 KB = 1.380649e-23       # Boltzmann constant, J/K
@@ -518,15 +519,9 @@ class EnsembleResult:
 
 
 def _shot_bytes(n: int) -> int:
-    """Working memory of one shot of an ``n``-qubit batch: five state rows,
-    two n x n mat-vec arrays and one noise block (float64)."""
-    return 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n)
-
-
-def _ensemble_batch(layout: NetworkLayout, noise: NoiseSpec, ramp: RampSpec, dt: float,
-                    master_seed: int, decimate: int, shots: range) -> list[ShotTrace]:
-    seeds = [shot_seed(master_seed, k) for k in shots]
-    return _integrate_batch(layout, noise, ramp, dt, seeds, decimate)
+    """Working memory of one shot of an ``n``-qubit batch: its generator,
+    five state rows, two n x n mat-vec arrays and one noise block (float64)."""
+    return GENERATOR_BYTES + 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n)
 
 
 def run_ensemble(
@@ -539,23 +534,22 @@ def run_ensemble(
     workers: int = 1,
     decimate: int = 0,
 ) -> EnsembleResult:
-    """Independent shots with derived per-shot noise seeds, their read-out
-    bits counted; the counts do not depend on worker count or batch size.
-    The shot runner (:func:`qafactor.seeds.run_batches`) batches the shots
-    by the integrator's per-shot buffers (:func:`_shot_bytes`), counted as
-    they arrive.  Only with ``decimate`` > 0 does the result keep every
-    shot's record: its loop currents at every ``decimate``-th step.
-
-    Shot k draws its noise from ``shot_seed(master_seed, k)``;
-    ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A ``ramp``
-    argument overrides ``layout.ramp``; without one the layout's ramp is
-    used.  A step or run :func:`step_count` refuses raises ValueError first."""
+    """Independent shots, their read-out bits counted; the counts do not
+    depend on worker count or batch size.  The shot runner
+    (:func:`qafactor.seeds.run_batches`) batches the shots by the
+    integrator's per-shot bytes (:func:`_shot_bytes`) and hands shot k the
+    noise seed ``shot_seed(master_seed, k)``; ``noise.seed`` is ignored,
+    only ``noise.sigma`` is read.  The batches are counted as they arrive;
+    only with ``decimate`` > 0 does the result keep every shot's record:
+    its loop currents at every ``decimate``-th step.  A ``ramp`` argument
+    overrides ``layout.ramp``; without one the layout's ramp is used.  A step or run :func:`step_count` refuses raises ValueError first."""
     ramp = ramp or layout.ramp
     step_count(ramp, dt)
     counts: dict[tuple[int, ...], int] = {}
     traces: list[ShotTrace] = []
-    for shots in run_batches(_ensemble_batch, (layout, noise, ramp, dt, master_seed, decimate),
-                             n_shots, workers, _shot_bytes(layout.n)):
+    for shots in run_batches(partial(_integrate_batch, record_every=decimate),
+                             (layout, noise, ramp, dt), n_shots, master_seed, workers,
+                             _shot_bytes(layout.n)):
         for shot in shots:
             counts[shot.bits] = counts.get(shot.bits, 0) + 1
         if decimate > 0:

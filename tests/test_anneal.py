@@ -52,9 +52,14 @@ temperatures = st.one_of(
 )
 
 
-def batch_of_each_shot(shots: range) -> list[range]:
-    """A shot-runner batch whose result per shot is the batch it ran in."""
-    return [shots] * len(shots)
+def batch_of_each_shot(seeds: list[int]) -> list[list[int]]:
+    """A shot-runner batch whose result per shot is the seeds it was handed."""
+    return [seeds] * len(seeds)
+
+
+def seeds_of(master_seed: int, lo: int, hi: int) -> list[int]:
+    """The seeds of shots ``lo``..``hi - 1``, in shot order."""
+    return [shot_seed(master_seed, k) for k in range(lo, hi)]
 
 
 class TestSchedule:
@@ -413,6 +418,36 @@ class TestBatchedOracle:
         ten_batches = transient_peak(200)
         assert ten_batches < 1.25 * one_batch + (32 << 10)
 
+    def test_peak_fits_the_batch_budget(self, monkeypatch):
+        """Generators and results included, a run of 25 batches peaks within
+        the budget plus 1/16 of it, for the seed list, the returned arrays
+        and the fold."""
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 20)
+        schedule = Schedule(sweeps=2)
+        run_shots(NOR, schedule, 10, master_seed=1)
+        shots = 25 * seeds.batch_size(anneal._shot_bytes(NOR.n))
+        tracemalloc.start()
+        try:
+            run_shots(NOR, schedule, shots, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < seeds.BATCH_BYTES * 17 / 16
+
+    def test_generator_bytes_cover_one_generator(self):
+        """The per-shot constant is not below what one seeded generator
+        allocates, whatever the NumPy version."""
+        seed = shot_seed(1, 0)
+        np.random.Generator(np.random.PCG64(seed))
+        tracemalloc.start()
+        try:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del rng
+        assert 0 < size <= seeds.GENERATOR_BYTES
+
     def test_temperatures_are_streamed_one_block_ahead(self, monkeypatch):
         """No run holds a value per sweep: the schedule streams its
         temperatures, and the flip limits read at most one block ahead."""
@@ -503,10 +538,10 @@ class _FakePool:
         return self.futures[-1]
 
 
-def refuse_shot_zero(shots: range) -> list[int]:
-    if 0 in shots:
+def refuse_shot_zero(master_seed: int, seeds: list[int]) -> list[int]:
+    if shot_seed(master_seed, 0) in seeds:
         raise ArithmeticError("shot 0 failed")
-    return list(shots)
+    return seeds
 
 
 class TestShotRanges:
@@ -552,26 +587,36 @@ class TestShotRanges:
     def test_one_range_runs_in_process(self, monkeypatch):
         # A lambda cannot be pickled, so these calls fail if a pool starts.
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
-        task = lambda tag, shots: [(tag, k) for k in shots]  # noqa: E731
-        assert list(run_batches(task, ("x",), 5, 10**6, 1)) == [[("x", k) for k in range(5)]]
+        task = lambda tag, seeds: [(tag, s) for s in seeds]  # noqa: E731
+        assert list(run_batches(task, ("x",), 5, 3, 10**6, 1)) == [
+            [("x", s) for s in seeds_of(3, 0, 5)]]
         monkeypatch.undo()
-        assert list(run_batches(task, ("y",), 1, 10**6, 1)) == [[("y", 0)]]
+        assert list(run_batches(task, ("y",), 1, 3, 10**6, 1)) == [[("y", shot_seed(3, 0))]]
 
     def test_batches_fit_the_budget(self, monkeypatch):
         monkeypatch.setattr(seeds, "BATCH_BYTES", 100)
-        assert list(run_batches(batch_of_each_shot, (), 7, 1, 30)) == (
-            [[range(0, 3)] * 3, [range(3, 6)] * 3, [range(6, 7)]])
+        assert list(run_batches(batch_of_each_shot, (), 7, 1, 1, 30)) == (
+            [[seeds_of(1, 0, 3)] * 3, [seeds_of(1, 3, 6)] * 3, [seeds_of(1, 6, 7)]])
         # A shot larger than the budget still runs, one per batch.
-        assert list(run_batches(batch_of_each_shot, (), 2, 1, 10**9)) == [[range(0, 1)],
-                                                                         [range(1, 2)]]
+        assert list(run_batches(batch_of_each_shot, (), 2, 1, 1, 10**9)) == [
+            [seeds_of(1, 0, 1)], [seeds_of(1, 1, 2)]]
 
     def test_batches_run_through_a_pool_in_shot_order(self, monkeypatch):
         """Three batches on two processes, cut with no regard to which
         process runs them."""
         monkeypatch.setattr(seeds, "BATCH_BYTES", 2)
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
-        assert list(run_batches(batch_of_each_shot, (), 6, 2, 1)) == (
-            [[range(0, 2)] * 2, [range(2, 4)] * 2, [range(4, 6)] * 2])
+        assert list(run_batches(batch_of_each_shot, (), 6, 9, 2, 1)) == (
+            [[seeds_of(9, 0, 2)] * 2, [seeds_of(9, 2, 4)] * 2, [seeds_of(9, 4, 6)] * 2])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_batch_is_handed_its_shots_seeds(self, monkeypatch, workers):
+        """In process and through a real pool, each batch receives exactly
+        the seeds of its shots, in shot order."""
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 3)
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert list(run_batches(list, (), 8, 2024, workers, 1)) == [
+            seeds_of(2024, lo, min(lo + 3, 8)) for lo in range(0, 8, 3)]
 
     def test_cut_is_lazy(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -579,9 +624,9 @@ class TestShotRanges:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         shot_bytes = seeds.BATCH_BYTES // 4
         assert len(shot_batches(10**15, 1, shot_bytes)) == 10**15 // 4
-        batches = run_batches(batch_of_each_shot, (), 10**15, 1, shot_bytes)
-        assert next(batches) == [range(0, 4)] * 4
-        assert next(batches) == [range(4, 8)] * 4
+        batches = run_batches(batch_of_each_shot, (), 10**15, 1, 1, shot_bytes)
+        assert next(batches) == [seeds_of(1, 0, 4)] * 4
+        assert next(batches) == [seeds_of(1, 4, 8)] * 4
 
     def test_pool_holds_one_batch_per_process_plus_one(self, monkeypatch):
         """A failing batch, or a caller that stops, cancels the queued
@@ -596,14 +641,14 @@ class TestShotRanges:
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
         shot_bytes = seeds.BATCH_BYTES // 2
         with pytest.raises(ArithmeticError, match="shot 0 failed"):
-            list(run_batches(refuse_shot_zero, (), 12, 2, shot_bytes))
+            list(run_batches(refuse_shot_zero, (5,), 12, 5, 2, shot_bytes))
         futures = pools[-1].futures
         assert len(futures) == 3
         assert futures[0].exception() is not None
         assert all(f.cancelled() for f in futures[1:])
 
-        stopped = run_batches(list, (), 12, 2, shot_bytes)
-        assert next(stopped) == [0, 1]
+        stopped = run_batches(list, (), 12, 5, 2, shot_bytes)
+        assert next(stopped) == seeds_of(5, 0, 2)
         stopped.close()
         futures = pools[-1].futures
         assert len(futures) == 3

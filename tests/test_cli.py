@@ -308,6 +308,25 @@ class TestAnnealCommand:
         assert out == ""
         assert "flip attempts, more than the 1e+12 allowed" in err
 
+    def test_keeps_no_shots_without_csv(self, capsys, monkeypatch):
+        """Without ``--csv`` the command holds one batch at a time: ten times
+        the shots, the same peak."""
+        run(capsys, "gates", "emit", "nor")
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 18)
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "anneal", "nor.model", "--sweeps", "2",
+                                 "--workers", "1", "--shots", str(shots))
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)
+        assert peak(20_000) < 1.25 * peak(2_000) + (32 << 10)
+
 
 class TestMultiply:
     def test_three_times_five(self, capsys):
@@ -414,6 +433,9 @@ class TestCircuit:
             if workers == "1":
                 # One pass: the CSV comes from the ensemble's own batch.
                 assert len(calls) == 1
+                # A pool pickles the integrator by its import path, which
+                # the local wrapper lacks.
+                monkeypatch.setattr(fluxsim, "_integrate_batch", integrate)
             text = Path("waves.csv").read_text()
             lines = text.splitlines()
             assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
