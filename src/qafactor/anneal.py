@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -141,29 +141,30 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ShotResult:
+    """``hit``: the run's ground label, whether ``energy`` reached the run's
+    reference within :data:`GROUND_TOL`; ``None`` without one.  It belongs
+    to the run, not to the trajectory, so equality ignores it."""
+
     state: tuple[int, ...]
     energy: float
     index: int
+    hit: bool | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class RunSummary:
-    """``hits``: per shot, in shot order, whether its energy reached
-    ``reference_e0`` within :data:`GROUND_TOL`; ``None`` without one."""
+    """``ground_hits``: how many shots reached ``reference_e0`` within
+    :data:`GROUND_TOL`; ``None`` without one."""
 
     shots: int
     best_energy: float
     reference_e0: float | None
-    hits: tuple[bool, ...] | None
+    ground_hits: int | None
     histogram: dict[str, int]
 
     @property
-    def ground_hits(self) -> int | None:
-        return None if self.hits is None else sum(self.hits)
-
-    @property
     def ground_hit_rate(self) -> float | None:
-        return None if self.hits is None else self.ground_hits / self.shots
+        return None if self.ground_hits is None else self.ground_hits / self.shots
 
     def to_text(self) -> str:
         """Line-oriented key-value rendering; byte-stable for fixed inputs."""
@@ -389,17 +390,18 @@ def run_shots(
     """Run ``n_shots`` independent shots and aggregate in shot-index order.
 
     Returns a :class:`RunSummary`, or ``(summary, shots)`` when
-    ``keep_shots`` is set; its ``hits`` are the package's one ground label
-    per shot.  Histogram keys are the final states' bit strings (spin 0
-    first); the module docstring says how the shots are batched.  A run
-    :func:`check_flip_cap` refuses raises ValueError before any shot.
+    ``keep_shots`` is set, each kept :class:`ShotResult` carrying the
+    package's one ground label; the summary counts the labels, and so holds
+    nothing per shot.  Histogram keys are the final states' bit strings
+    (spin 0 first); the module docstring says how the shots are batched.  A
+    run :func:`check_flip_cap` refuses raises ValueError before any shot.
     """
     if reference_e0 is not None and not math.isfinite(reference_e0):
         raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
     plan = _sweep_plan(model)
     check_flip_cap(model.n, schedule, n_shots)
     histogram: dict[str, int] = {}
-    hits: list[bool] = []
+    ground_hits = 0
     best_energy = math.inf
     kept: list[ShotResult] = []
     for states, energy in run_batches(_anneal_batch, (model, plan, schedule), n_shots,
@@ -409,12 +411,14 @@ def run_shots(
         for row, count in zip(*np.unique(rows, return_counts=True)):
             key = row.decode()
             histogram[key] = histogram.get(key, 0) + int(count)
+        labels = repeat(None)
         if reference_e0 is not None:
-            hits += (energy <= reference_e0 + GROUND_TOL).tolist()
+            labels = (energy <= reference_e0 + GROUND_TOL).tolist()
+            ground_hits += sum(labels)
         best_energy = min(best_energy, float(energy.min()))
         if keep_shots:
-            kept += (ShotResult(tuple(state), e, k) for k, state, e in
-                     zip(range(len(kept), n_shots), states.tolist(), energy.tolist()))
+            kept += (ShotResult(tuple(state), e, k, hit) for k, state, e, hit in
+                     zip(range(len(kept), n_shots), states.tolist(), energy.tolist(), labels))
     summary = RunSummary(n_shots, best_energy, reference_e0,
-                         None if reference_e0 is None else tuple(hits), histogram)
+                         None if reference_e0 is None else ground_hits, histogram)
     return (summary, kept) if keep_shots else summary

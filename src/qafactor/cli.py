@@ -176,17 +176,17 @@ def cmd_anneal(args) -> int:
                    reference_e0=reference, keep_shots=bool(args.csv))
     if args.csv:
         summary, shots = summary
-        _save_shot_csv(args.csv, shots, summary.hits)
+        _save_shot_csv(args.csv, shots)
     sys.stdout.write(summary.to_text())
     return 0
 
 
-def _save_shot_csv(path: str, shots, hits, outcomes=None) -> None:
+def _save_shot_csv(path: str, shots, outcomes=None) -> None:
     """``--csv``: the shot log, with M,N,P per shot when ``outcomes`` (one
     decoded outcome per shot) is given."""
     decoded = None if outcomes is None else [(o.m, o.n, o.p) for o in outcomes]
     with open(path, "w", encoding="utf-8") as fh:
-        write_shot_csv(fh, shots, hits=hits, decoded=decoded)
+        write_shot_csv(fh, shots, decoded=decoded)
     print(f"wrote {path}")
 
 
@@ -216,10 +216,10 @@ def cmd_factor(args) -> int:
     print(f"reference_e0 {reference!r}")
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
-    for out, hit in zip(outcomes, summary.hits):
+    for shot, out in zip(shots, outcomes):
         key = f"({out.m},{out.n})"
         hist[key] = hist.get(key, 0) + 1
-        hits[key] = hits.get(key, 0) + hit
+        hits[key] = hits.get(key, 0) + shot.hit
     print(f"shots {summary.shots}")
     print(f"best_energy {summary.best_energy!r}")
     print(f"ground_hits {summary.ground_hits}")
@@ -227,7 +227,7 @@ def cmd_factor(args) -> int:
     for key in sorted(hist, key=lambda k: (-hist[k], k)):
         print(f"count {key} {hist[key]} ground {hits[key]}")
     if args.csv:
-        _save_shot_csv(args.csv, shots, summary.hits, outcomes)
+        _save_shot_csv(args.csv, shots, outcomes)
     return 0
 
 
@@ -252,7 +252,7 @@ def cmd_multiply(args) -> int:
     print(f"ground_reached {summary.ground_hits > 0}")
     print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     if args.csv:
-        _save_shot_csv(args.csv, shots, summary.hits, outcomes)
+        _save_shot_csv(args.csv, shots, outcomes)
     return 0
 
 

@@ -158,23 +158,19 @@ def format_roles(net: MultiplierNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_shot_csv(
-    fh,
-    results: Sequence[ShotResult],
-    hits: Sequence[bool] | None = None,
-    decoded: Sequence[tuple[int, int, int]] | None = None,
-) -> None:
+def write_shot_csv(fh, results: Sequence[ShotResult],
+                   decoded: Sequence[tuple[int, int, int]] | None = None) -> None:
     """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P].  The
-    ground_hit column writes ``hits`` (the run's labels, one per result;
-    empty without them) and the last three columns ``decoded``, one
-    (M, N, P) row per result."""
+    ground_hit column writes each result's own label (empty where it is
+    ``None``) and the last three columns ``decoded``, one (M, N, P) row per
+    result."""
     header = "shot,energy,ground_hit,state_bits"
     if decoded is not None:
         header += ",M,N,P"
     fh.write(header + "\n")
     for k, r in enumerate(results):
         bits = "".join(str(b) for b in spins_to_bits(r.state))
-        hit = "" if hits is None else str(int(hits[k]))
+        hit = "" if r.hit is None else str(int(r.hit))
         row = f"{r.index},{r.energy!r},{hit},{bits}"
         if decoded is not None:
             m, n, p = decoded[k]

@@ -194,7 +194,7 @@ def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:
     """Read (M, N, P) off the role spins of a full network state.
 
     ``is_ground`` means a valid multiplication at the network's E0, not
-    that a run reached its reference (that is ``RunSummary.hits``)."""
+    that a run reached its reference (that is ``ShotResult.hit``)."""
     return decode_reduced(net, {}, [state])[0]
 
 

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -238,15 +239,20 @@ class TestRunShots:
         assert [r.index for r in shots] == list(range(10))
         assert summary.shots == 10
 
-    def test_hits_label_each_shot_in_order(self):
+    def test_hits_label_each_shot_in_order(self, monkeypatch):
+        """Each kept shot carries its own ground label, over several batches
+        and through a pool; the summary counts them, and a shot equals its
+        unlabelled scalar run."""
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 7 * anneal._shot_bytes(NOR.n))
         hot = Schedule(t_hot=5.0, t_cold=5.0, sweeps=1)
-        summary, shots = run_shots(NOR, hot, 40, master_seed=4, reference_e0=-1.5,
-                                   keep_shots=True)
-        assert len(summary.hits) == 40
-        assert summary.ground_hits == sum(summary.hits)
-        assert 0 < summary.ground_hits < 40
-        for r, hit in zip(shots, summary.hits):
-            assert hit == (r.energy == -1.5)
+        for workers in (1, 2):
+            summary, shots = run_shots(NOR, hot, 40, master_seed=4, reference_e0=-1.5,
+                                       workers=workers, keep_shots=True)
+            assert [r.index for r in shots] == list(range(40))
+            assert [r.hit for r in shots] == [r.energy == -1.5 for r in shots]
+            assert summary.ground_hits == sum(r.hit for r in shots)
+            assert 0 < summary.ground_hits < 40
+            assert shots == [anneal_shot(NOR, hot, shot_seed(4, k), k) for k in range(40)]
 
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
@@ -657,7 +663,7 @@ class TestShotRanges:
 
 class TestReporting:
     def test_summary_text_layout(self):
-        summary = RunSummary(3, -1.5, -1.5, (True, False, True), {"01": 2, "10": 1})
+        summary = RunSummary(3, -1.5, -1.5, 2, {"01": 2, "10": 1})
         text = summary.to_text()
         assert text.splitlines() == [
             "shots 3",
@@ -673,12 +679,13 @@ class TestReporting:
     def test_csv_format(self):
         _, shots = run_shots(NOR, Schedule(sweeps=50), 3, master_seed=1,
                              keep_shots=True)
+        labelled = [replace(r, hit=hit) for r, hit in zip(shots, (False, True, None))]
         buf = io.StringIO()
-        write_shot_csv(buf, shots, hits=(False, True, False), decoded=[(1, 2, 3)] * 3)
+        write_shot_csv(buf, labelled, decoded=[(1, 2, 3)] * 3)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
         assert len(lines) == 4
-        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "0"]
+        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", ""]
         first = lines[1].split(",")
         assert first[0] == "0"
         assert set(first[3]) <= {"0", "1"}

@@ -308,24 +308,35 @@ class TestAnnealCommand:
         assert out == ""
         assert "flip attempts, more than the 1e+12 allowed" in err
 
+    @staticmethod
+    def peak(capsys, shots, *flags):
+        """The tracemalloc peak of an ``anneal`` of the NOR gate at 2 sweeps."""
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "anneal", "nor.model", "--sweeps", "2",
+                             "--workers", "1", "--shots", str(shots), *flags)
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_keeps_no_shots_without_csv(self, capsys, monkeypatch):
         """Without ``--csv`` the command holds one batch at a time: ten times
         the shots, the same peak."""
         run(capsys, "gates", "emit", "nor")
         monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 18)
+        self.peak(capsys, 2_000)
+        assert self.peak(capsys, 20_000) < 1.25 * self.peak(capsys, 2_000) + (32 << 10)
 
-        def peak(shots):
-            tracemalloc.start()
-            try:
-                code, _, _ = run(capsys, "anneal", "nor.model", "--sweeps", "2",
-                                 "--workers", "1", "--shots", str(shots))
-                assert code == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(2_000)
-        assert peak(20_000) < 1.25 * peak(2_000) + (32 << 10)
+    def test_summary_does_not_grow_with_a_reference(self, capsys, monkeypatch):
+        """With a reference the summary counts the ground hits and keeps no
+        label per shot: ten times the shots, the same peak."""
+        run(capsys, "gates", "emit", "nor")
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 18)
+        reference = ("--reference-e0", "-1.5")
+        self.peak(capsys, 2_000, *reference)
+        assert (self.peak(capsys, 20_000, *reference)
+                < 1.25 * self.peak(capsys, 2_000, *reference) + (32 << 10))
 
 
 class TestMultiply:
