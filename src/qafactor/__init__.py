@@ -5,7 +5,7 @@ product); inverse operation factors (clamp the product, anneal, read the
 factors).  A circuit-level simulator of the underlying tunable-barrier
 flux qubits drives the same gate models with physical Johnson noise.
 """
-from .anneal import Schedule, ShotResult, RunSummary, anneal_shot, run_shots
+from .anneal import Schedule, ShotResult, RunSummary, anneal_batches, anneal_shot, run_shots
 from .capacity import CapacityInput, CapacityReport, capacity_estimate
 from .formats import format_model, parse_model
 from .gates import (

@@ -7,7 +7,7 @@ class 1, and so on, each class in index order.  Spins of one class are not
 coupled to each other, so flipping a whole class at once is the same as
 visiting its spins one by one.
 
-:func:`run_shots` is batched: all shots of a batch advance together, one
+:func:`anneal_batches` is batched: all shots of a batch advance together, one
 colour class per step.  With ``d = -2 s``, the change a flip makes to each
 spin, a class step computes dE = d * field, marks ``accept`` where dE is at
 most the limit, sets ``moved = d * accept`` (d, or +-0.0 where rejected)
@@ -19,8 +19,8 @@ writes with ``out=`` into arrays allocated, and sliced per class, once per
 batch.  The limits -T ln u are held one sweep at a time in one (spins,
 shots) buffer.  The shot runner (:func:`qafactor.seeds.run_batches`) fits
 each batch in :data:`qafactor.seeds.BATCH_BYTES` (:func:`_shot_bytes` per
-shot); a batch returns two arrays, final states and energies, which
-:func:`run_shots` folds as they arrive.  :func:`anneal_shot` is the scalar
+shot); a batch returns two arrays, final states and energies, which a
+:class:`RunSummary` folds as they arrive.  :func:`anneal_shot` is the scalar
 reference loop over the same order, and the faster path for one shot.
 
 A proposed flip with energy change dE is accepted when dE <= -T ln u,
@@ -36,8 +36,8 @@ state (bit 1 is spin +1), then one uniform per (sweep, spin index),
 sweep-major and in spin-index order whatever the visiting order.  The
 uniforms and temperatures are taken :data:`SWEEP_BLOCK` sweeps at a time.
 A shot's result therefore depends only on the model, the schedule and its
-seed: ``run_shots(...)`` shot k equals ``anneal_shot(model, schedule,
-shot_seed(master_seed, k), k)`` for any batch size or worker count.
+seed: shot k of ``anneal_batches(...)`` equals ``anneal_shot(model,
+schedule, shot_seed(master_seed, k), k)`` for any batch size or worker count.
 
 Of SciPy only the compiled CSC kernel ``csc_matvecs`` is used, loaded from
 its extension file on first use by :func:`_sparsetools`.  Importing
@@ -54,12 +54,12 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
-from itertools import islice, repeat
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ising import GROUND_TOL, IsingModel, energies
+from .ising import GROUND_TOL, IsingModel, bit_strings, energies
 from .seeds import GENERATOR_BYTES, batch_size, run_batches
 
 GEOMETRIC = "geometric"
@@ -68,7 +68,7 @@ LINEAR = "linear"
 #: Sweeps of uniforms drawn from a shot's stream at a time.
 SWEEP_BLOCK = 8
 
-#: Most flip attempts one :func:`run_shots` call may be charged, sweeps x
+#: Most flip attempts one :func:`anneal_batches` run may be charged, sweeps x
 #: (batches x SWEEP_OVERHEAD + shots x (spins + SHOT_OVERHEAD)): 4 to 5
 #: CPU-hours at the 56-70 M attempts/s of a 4x4 or 8x8 batch on a 2-core
 #: x86 machine.
@@ -141,26 +141,42 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ShotResult:
-    """``hit``: the run's ground label, whether ``energy`` reached the run's
-    reference within :data:`GROUND_TOL`; ``None`` without one.  It belongs
-    to the run, not to the trajectory, so equality ignores it."""
-
     state: tuple[int, ...]
     energy: float
     index: int
-    hit: bool | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunSummary:
-    """``ground_hits``: how many shots reached ``reference_e0`` within
-    :data:`GROUND_TOL`; ``None`` without one."""
+    """The counts of a run, folded batch by batch (:meth:`add`).  ``ground_hits``:
+    how many shots reached ``reference_e0`` within :data:`GROUND_TOL`, ``None``
+    without one; ``histogram``: shots per final state's bit string (spin 0
+    first), ``None`` when not counted."""
 
-    shots: int
-    best_energy: float
-    reference_e0: float | None
-    ground_hits: int | None
-    histogram: dict[str, int]
+    shots: int = 0
+    best_energy: float = math.inf
+    reference_e0: float | None = None
+    ground_hits: int | None = None
+    histogram: dict[str, int] | None = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.reference_e0 is not None and not math.isfinite(self.reference_e0):
+            raise ValueError(f"reference energy must be finite, got {self.reference_e0!r}")
+
+    def add(self, states: np.ndarray, energy: np.ndarray) -> np.ndarray | None:
+        """Fold in one batch, int8 final states a row each and their
+        energies; return its ground labels, ``None`` without a reference."""
+        self.shots += len(energy)
+        self.best_energy = min(self.best_energy, float(energy.min()))
+        if self.histogram is not None:
+            for row, times in zip(*np.unique(bit_strings(states), return_counts=True)):
+                key = row.decode()
+                self.histogram[key] = self.histogram.get(key, 0) + int(times)
+        if self.reference_e0 is None:
+            return None
+        labels = energy <= self.reference_e0 + GROUND_TOL
+        self.ground_hits = (self.ground_hits or 0) + int(np.count_nonzero(labels))
+        return labels
 
     @property
     def ground_hit_rate(self) -> float | None:
@@ -284,7 +300,7 @@ def _shot_bytes(n: int) -> int:
 def anneal_shot(model: IsingModel, schedule: Schedule, seed: int, index: int = 0) -> ShotResult:
     """Run one shot from a random +-1 start drawn from ``seed``.
 
-    The scalar reference for :func:`run_shots`.  One uniform is consumed
+    The scalar reference for :func:`anneal_batches`.  One uniform is consumed
     per flip attempt whatever the outcome, which keeps the stream position
     independent of the trajectory.
     """
@@ -367,9 +383,9 @@ def _anneal_batch(model: IsingModel, plan: _SweepPlan, schedule: Schedule,
 
 def check_flip_cap(n_spins: int, schedule: Schedule, n_shots: int) -> None:
     """Refuse with ValueError a run of ``n_shots`` shots of ``n_spins`` spins
-    charged more than :data:`MAX_FLIP_ATTEMPTS`.  :func:`run_shots` calls
-    it before any shot; a caller with costly work to do first, such as an
-    exact reference energy, calls it before that work."""
+    charged more than :data:`MAX_FLIP_ATTEMPTS`.  :func:`anneal_batches`
+    calls it before any shot; a caller with costly work to do first, such as
+    an exact reference energy, calls it before that work."""
     batches = -(-n_shots // batch_size(_shot_bytes(n_spins)))
     flips = schedule.sweeps * (batches * SWEEP_OVERHEAD + n_shots * (n_spins + SHOT_OVERHEAD))
     if flips > MAX_FLIP_ATTEMPTS:
@@ -378,47 +394,27 @@ def check_flip_cap(n_spins: int, schedule: Schedule, n_shots: int) -> None:
                          f"{flips:.3g} flip attempts, more than the {MAX_FLIP_ATTEMPTS:.0e} allowed")
 
 
-def run_shots(
-    model: IsingModel,
-    schedule: Schedule,
-    n_shots: int,
-    master_seed: int,
-    reference_e0: float | None = None,
-    workers: int = 1,
-    keep_shots: bool = False,
-):
-    """Run ``n_shots`` independent shots and aggregate in shot-index order.
-
-    Returns a :class:`RunSummary`, or ``(summary, shots)`` when
-    ``keep_shots`` is set, each kept :class:`ShotResult` carrying the
-    package's one ground label; the summary counts the labels, and so holds
-    nothing per shot.  Histogram keys are the final states' bit strings
-    (spin 0 first); the module docstring says how the shots are batched.  A
-    run :func:`check_flip_cap` refuses raises ValueError before any shot.
-    """
-    if reference_e0 is not None and not math.isfinite(reference_e0):
-        raise ValueError(f"reference energy must be finite, got {reference_e0!r}")
+def anneal_batches(model: IsingModel, schedule: Schedule, n_shots: int, master_seed: int,
+                   workers: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A run's batches in shot order, each its final states (int8, a row per
+    shot) and energies.  The sweep plan is built, and a run that
+    :func:`check_flip_cap` refuses raises ValueError, when this is called."""
     plan = _sweep_plan(model)
     check_flip_cap(model.n, schedule, n_shots)
-    histogram: dict[str, int] = {}
-    ground_hits = 0
-    best_energy = math.inf
+    return run_batches(_anneal_batch, (model, plan, schedule), n_shots, master_seed, workers,
+                       _shot_bytes(model.n))
+
+
+def run_shots(model: IsingModel, schedule: Schedule, n_shots: int, master_seed: int,
+              reference_e0: float | None = None, workers: int = 1, keep_shots: bool = False):
+    """The :class:`RunSummary` of :func:`anneal_batches`, or ``(summary,
+    shots)`` when ``keep_shots`` is set: one :class:`ShotResult` per shot,
+    in shot order."""
+    summary = RunSummary(reference_e0=reference_e0)
     kept: list[ShotResult] = []
-    for states, energy in run_batches(_anneal_batch, (model, plan, schedule), n_shots,
-                                      master_seed, workers, _shot_bytes(model.n)):
-        # Bit 1 is spin +1: each row's bits as one ASCII byte string.
-        rows = np.where(states > 0, ord("1"), ord("0")).astype(np.uint8).view(f"S{model.n}")
-        for row, count in zip(*np.unique(rows, return_counts=True)):
-            key = row.decode()
-            histogram[key] = histogram.get(key, 0) + int(count)
-        labels = repeat(None)
-        if reference_e0 is not None:
-            labels = (energy <= reference_e0 + GROUND_TOL).tolist()
-            ground_hits += sum(labels)
-        best_energy = min(best_energy, float(energy.min()))
+    for states, energy in anneal_batches(model, schedule, n_shots, master_seed, workers):
         if keep_shots:
-            kept += (ShotResult(tuple(state), e, k, hit) for k, state, e, hit in
-                     zip(range(len(kept), n_shots), states.tolist(), energy.tolist(), labels))
-    summary = RunSummary(n_shots, best_energy, reference_e0,
-                         None if reference_e0 is None else ground_hits, histogram)
+            kept += map(ShotResult, map(tuple, states.tolist()), energy.tolist(),
+                        count(summary.shots))
+        summary.add(states, energy)
     return (summary, kept) if keep_shots else summary

@@ -10,6 +10,8 @@ import argparse
 import os
 import re
 import sys
+import tempfile
+from contextlib import contextmanager
 
 from . import anneal as annealing
 from . import fluxsim
@@ -21,7 +23,7 @@ from .formats import (
     format_roles,
     parse_model,
     parse_ports,
-    write_shot_csv,
+    write_shot_rows,
     write_trace_csv,
 )
 from .gates import NOR_TRUTH, and_gate, check_manifold, half_adder, nor_gate, verify_gate
@@ -146,8 +148,8 @@ def _positive_int(text: str) -> int:
 def _output_path(path: str) -> str:
     """``--csv`` and ``--trace``: a path that opens for writing, so a run
     that could not save its output is refused (OSError, a data error)
-    before any shot.  The file is written only after the run; one that
-    already exists is left as it is until then."""
+    before any shot.  The file is written only after the run (``--csv``
+    from :func:`_shot_log`); one that already exists is left as it is until then."""
     existed = os.path.lexists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
@@ -164,6 +166,35 @@ def _cap(text: str) -> int:
     return value
 
 
+@contextmanager
+def _shot_log(path: str | None):
+    """``--csv``: the open log that rows go to, an unnamed temporary file
+    (None without a path), written to ``path`` only once the block ends
+    without an error, so a failed run leaves the path as it was."""
+    if path is None:
+        yield None
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as rows:
+        yield rows
+        rows.seek(0)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(rows)
+    print(f"wrote {path}")
+
+
+def _fold_shots(model, schedule, summary, log, each=None, **run):
+    """Anneal ``model`` and fold each batch as it arrives: into ``summary``,
+    then ``each(states, energies, labels)``, whose (M, N, P) arrays join the
+    batch's ``--csv`` rows in ``log``; the batch is then dropped."""
+    for states, energy in annealing.anneal_batches(model, schedule, **run):
+        first = summary.shots
+        labels = summary.add(states, energy)
+        decoded = each(states, energy, labels) if each else None
+        if log:
+            write_shot_rows(log, first, states, energy, labels, decoded)
+    return summary
+
+
 def cmd_anneal(args) -> int:
     schedule = _schedule_from(args)
     model = parse_model(_read(args.model))
@@ -172,31 +203,11 @@ def cmd_anneal(args) -> int:
         # A run the flip cap refuses enumerates nothing first.
         annealing.check_flip_cap(model.n, schedule, args.shots)
         reference = brute_force_ground(model, cap=args.cap).e0
-    summary = _run(args, annealing.run_shots, model, schedule,
-                   reference_e0=reference, keep_shots=bool(args.csv))
-    if args.csv:
-        summary, shots = summary
-        _save_shot_csv(args.csv, shots)
+    with _shot_log(args.csv) as log:
+        summary = _run(args, _fold_shots, model, schedule,
+                       annealing.RunSummary(reference_e0=reference), log)
     sys.stdout.write(summary.to_text())
     return 0
-
-
-def _save_shot_csv(path: str, shots, outcomes=None) -> None:
-    """``--csv``: the shot log, with M,N,P per shot when ``outcomes`` (one
-    decoded outcome per shot) is given."""
-    decoded = None if outcomes is None else [(o.m, o.n, o.p) for o in outcomes]
-    with open(path, "w", encoding="utf-8") as fh:
-        write_shot_csv(fh, shots, decoded=decoded)
-    print(f"wrote {path}")
-
-
-def _anneal_network(args, schedule, net, clamps, clamped, reference):
-    """The run of ``factor`` and ``multiply``: anneal ``clamped``, the
-    multiplier ``net`` with ``clamps`` folded out or biased, and decode every
-    shot with one call: ``(summary, shots, outcomes)``."""
-    summary, shots = _run(args, annealing.run_shots, clamped, schedule,
-                          reference_e0=reference, keep_shots=True)
-    return summary, shots, decode_reduced(net, clamps, [r.state for r in shots])
 
 
 def cmd_factor(args) -> int:
@@ -211,23 +222,27 @@ def cmd_factor(args) -> int:
     clamped, offset = clamp_product(net, args.p, method=args.method)
     reference = net.expected_e0 - offset
     clamps = product_clamp_assignment(net, args.p) if args.method == FOLD else {}
-    summary, shots, outcomes = _anneal_network(args, schedule, net, clamps, clamped, reference)
-    print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
-    print(f"reference_e0 {reference!r}")
     hist: dict[str, int] = {}
     hits: dict[str, int] = {}
-    for shot, out in zip(shots, outcomes):
-        key = f"({out.m},{out.n})"
-        hist[key] = hist.get(key, 0) + 1
-        hits[key] = hits.get(key, 0) + shot.hit
-    print(f"shots {summary.shots}")
-    print(f"best_energy {summary.best_energy!r}")
-    print(f"ground_hits {summary.ground_hits}")
-    print(f"ground_hit_rate {summary.ground_hit_rate!r}")
-    for key in sorted(hist, key=lambda k: (-hist[k], k)):
-        print(f"count {key} {hist[key]} ground {hits[key]}")
-    if args.csv:
-        _save_shot_csv(args.csv, shots, outcomes)
+
+    def tally(states, energy, labels):
+        m, n, p, _ = decode_reduced(net, clamps, states)
+        for key, hit in zip(map("({},{})".format, m.tolist(), n.tolist()), labels.tolist()):
+            hist[key] = hist.get(key, 0) + 1
+            hits[key] = hits.get(key, 0) + hit
+        return m, n, p
+
+    with _shot_log(args.csv) as log:
+        summary = _run(args, _fold_shots, clamped, schedule,
+                       annealing.RunSummary(reference_e0=reference, histogram=None), log, tally)
+        print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
+        print(f"reference_e0 {reference!r}")
+        print(f"shots {summary.shots}")
+        print(f"best_energy {summary.best_energy!r}")
+        print(f"ground_hits {summary.ground_hits}")
+        print(f"ground_hit_rate {summary.ground_hit_rate!r}")
+        for key in sorted(hist, key=lambda k: (-hist[k], k)):
+            print(f"count {key} {hist[key]} ground {hits[key]}")
     return 0
 
 
@@ -244,15 +259,23 @@ def cmd_multiply(args) -> int:
     net = build_multiplier(n1, n2, chains=args.chains)
     clamps = factor_clamp_assignment(net, args.m, args.n)
     clamped, offset = clamp_fold(net.model, clamps)
-    summary, shots, outcomes = _anneal_network(args, schedule, net, clamps, clamped,
-                                               net.expected_e0 - offset)
-    best = min(shots, key=lambda r: (r.energy, r.index))
-    # The lowest-energy shot reached ground exactly when any shot did.
-    print(f"product {outcomes[best.index].p}")
-    print(f"ground_reached {summary.ground_hits > 0}")
-    print(f"ground_hit_rate {summary.ground_hit_rate!r}")
-    if args.csv:
-        _save_shot_csv(args.csv, shots, outcomes)
+    lowest = [float("inf"), None]  # the first lowest energy so far, and its shot's product
+
+    def keep_lowest(states, energy, labels):
+        m, n, p, _ = decode_reduced(net, clamps, states)
+        k = int(energy.argmin())
+        if energy[k] < lowest[0]:
+            lowest[:] = energy[k], p[k]
+        return m, n, p
+
+    with _shot_log(args.csv) as log:
+        summary = _run(args, _fold_shots, clamped, schedule,
+                       annealing.RunSummary(reference_e0=net.expected_e0 - offset, histogram=None),
+                       log, keep_lowest)
+        # The lowest-energy shot reached ground exactly when any shot did.
+        print(f"product {lowest[1]}")
+        print(f"ground_reached {summary.ground_hits > 0}")
+        print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     return 0
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .ising import IsingModel, spins_to_bits
+from .ising import IsingModel, bit_strings
 
 if TYPE_CHECKING:
-    from .anneal import ShotResult
     from .fluxsim import ShotTrace
     from .gates import GateTemplate
     from .multiplier import MultiplierNetwork
@@ -158,24 +157,18 @@ def format_roles(net: MultiplierNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_shot_csv(fh, results: Sequence[ShotResult],
-                   decoded: Sequence[tuple[int, int, int]] | None = None) -> None:
-    """Per-shot log: shot,energy,ground_hit,state_bits[,M,N,P].  The
-    ground_hit column writes each result's own label (empty where it is
-    ``None``) and the last three columns ``decoded``, one (M, N, P) row per
-    result."""
-    header = "shot,energy,ground_hit,state_bits"
-    if decoded is not None:
-        header += ",M,N,P"
-    fh.write(header + "\n")
-    for k, r in enumerate(results):
-        bits = "".join(str(b) for b in spins_to_bits(r.state))
-        hit = "" if r.hit is None else str(int(r.hit))
-        row = f"{r.index},{r.energy!r},{hit},{bits}"
-        if decoded is not None:
-            m, n, p = decoded[k]
-            row += f",{m},{n},{p}"
-        fh.write(row + "\n")
+def write_shot_rows(fh, first: int, states, energies, labels, decoded) -> None:
+    """One batch's rows of the per-shot log, shot,energy,ground_hit,state_bits[,M,N,P],
+    numbered from shot ``first``, after the header where ``first`` is 0.
+    ``labels``, a bool per shot, fill ground_hit (empty without them) and
+    ``decoded``, the batch's (M, N, P) arrays, the last three columns."""
+    if first == 0:
+        header = "shot,energy,ground_hit,state_bits" + ("" if decoded is None else ",M,N,P")
+        fh.write(header + "\n")
+    hits = [""] * len(energies) if labels is None else ["01"[hit] for hit in labels.tolist()]
+    columns = [range(first, first + len(energies)), map(repr, energies.tolist()), hits,
+               bit_strings(states).astype(str).tolist(), *(a.tolist() for a in decoded or ())]
+    fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
 def write_trace_csv(fh, traces: Sequence[ShotTrace], period: float) -> None:

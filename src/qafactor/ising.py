@@ -129,6 +129,12 @@ def spins_to_bits(state: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def bit_strings(states: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) array of +-1 as bit strings, spin 0 first and
+    bit 1 for +1: one ASCII byte string per row, a (k,) ``S{n}`` array."""
+    return ((states > 0).astype(np.uint8) + ord("0")).view(f"S{states.shape[1]}")[:, 0]
+
+
 def _check_clamps(n: int, clamps: Mapping[int, int]) -> dict[int, int]:
     out = {}
     for idx, bit in clamps.items():

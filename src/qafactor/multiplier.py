@@ -22,13 +22,12 @@ from .formats import MAX_MODEL_SPINS
 from .gates import WIRE, compose, free_spin
 from .ising import (
     GROUND_TOL,
+    DimensionError,
     IsingModel,
     brute_force_ground,
     clamp_fold,
     energies,
     free_indices,
-    merge_spins,
-    spins_to_bits,
 )
 from .synth import mult_unit_gate
 
@@ -191,26 +190,31 @@ def clamp_product(net: MultiplierNetwork, p: int,
 
 
 def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:
-    """Read (M, N, P) off the role spins of a full network state.
+    """Read (M, N, P) off the role spins of a full network state: the one-row
+    case of :func:`decode_reduced`.  ``is_ground`` means a valid
+    multiplication at the network's E0, not that a run reached its reference."""
+    (m,), (n,), (p,), (ground,) = decode_reduced(net, {}, np.array([state], dtype=np.int8))
+    return FactorOutcome(m, n, p, bool(ground))
 
-    ``is_ground`` means a valid multiplication at the network's E0, not
-    that a run reached its reference (that is ``ShotResult.hit``)."""
-    return decode_reduced(net, {}, [state])[0]
 
-
-def decode_reduced(net: MultiplierNetwork, clamps: Mapping[int, int],
-                   reduced_states: Sequence[Sequence[int]]) -> list[FactorOutcome]:
-    """Decode states of a clamped model, in order, by splicing the clamps
-    back in; one :func:`energies` call scores them all."""
-    full = [merge_spins(net.model.n, clamps, s) for s in reduced_states]
-    bits = [spins_to_bits(s) for s in full]
-    spins = np.array(full, dtype=np.int8).reshape(len(full), net.model.n).T
-    out = []
-    for b, e in zip(bits, energies(net.model, spins).tolist()):
-        m, n, p = (sum(b[s] << k for k, s in enumerate(register))
-                   for register in (net.factor_a, net.factor_b, net.product))
-        out.append(FactorOutcome(m, n, p, e <= net.expected_e0 + GROUND_TOL))
-    return out
+def decode_reduced(net: MultiplierNetwork, clamps: Mapping[int, int], states: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, N, P, ground) of each row of a (k, free spins) int8 array of +-1
+    states of ``net.model`` with ``clamps`` folded out, spliced back in by
+    index.  Registers are read as dot products with powers of two in Python
+    ints, as they may be wider than 63 bits, so M, N and P are object
+    arrays; one :func:`energies` call scores the k full states for ``ground``."""
+    free = free_indices(net.model.n, clamps)
+    if states.ndim != 2 or states.shape[1] != len(free):
+        raise DimensionError(f"states of shape {states.shape}, expected (k, {len(free)})")
+    if np.any(np.abs(states) != 1):
+        raise ValueError("every spin must be -1 or +1")
+    full = np.empty((net.model.n, len(states)), dtype=np.int8)
+    full[list(free)] = states.T
+    full[list(clamps)] = np.reshape([2 * bit - 1 for bit in clamps.values()], (-1, 1))
+    m, n, p = (np.array([1 << k for k in range(len(reg))], dtype=object) @ (full[list(reg)] > 0)
+               for reg in (net.factor_a, net.factor_b, net.product))
+    return m, n, p, energies(net.model, full) <= net.expected_e0 + GROUND_TOL
 
 
 def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
@@ -218,6 +222,6 @@ def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
     folded to p.  Exhaustive; only valid within the enumeration cap."""
     clamps = product_clamp_assignment(net, p)
     reduced, offset = clamp_fold(net.model, clamps)
-    report = brute_force_ground(reduced)
-    return {(out.m, out.n) for out in decode_reduced(net, clamps, report.states)
-            if out.is_ground}
+    states = np.array(brute_force_ground(reduced).states, dtype=np.int8)
+    m, n, _, ground = decode_reduced(net, clamps, states)
+    return set(zip(m[ground].tolist(), n[ground].tolist()))

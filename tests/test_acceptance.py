@@ -10,10 +10,11 @@ invalid outcomes at the published circuit constants (see the README note).
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from conftest import j_unit_kt, readout_wells
-from qafactor.anneal import Schedule, run_shots
+from qafactor.anneal import RunSummary, Schedule, anneal_batches
 from qafactor.capacity import CapacityInput, capacity_estimate
 from qafactor.fluxsim import (
     NoiseSpec,
@@ -63,8 +64,13 @@ def factor15_run(net44):
     reference = net44.expected_e0 - offset
 
     def run(workers=1):
-        return run_shots(reduced, Schedule(), 200, SEED, reference_e0=reference,
-                         workers=workers, keep_shots=True)
+        """The run's summary, and the (M, N, P, ground) arrays of each batch."""
+        summary = RunSummary(reference_e0=reference)
+        decoded = []
+        for states, energy in anneal_batches(reduced, Schedule(), 200, SEED, workers):
+            summary.add(states, energy)
+            decoded.append(decode_reduced(net44, clamps, states))
+        return summary, decoded
 
     return {"clamps": clamps, "reference": reference, "run": run}
 
@@ -149,9 +155,9 @@ def test_c04_forward_multiplication_exhaustive(net22):
         clamps = factor_clamp_assignment(net22, m, n)
         reduced, _ = clamp_fold(net22.model, clamps)
         rep = brute_force_ground(reduced)
-        out = decode_reduced(net22, clamps, rep.states)[0]
-        if rep.degeneracy != 1 or not out.is_ground or out.p != m * n:
-            failures.append((m, n, rep.degeneracy, out.p))
+        _, _, p, ground = decode_reduced(net22, clamps, np.array(rep.states, dtype=np.int8))
+        if rep.degeneracy != 1 or not ground[0] or p[0] != m * n:
+            failures.append((m, n, rep.degeneracy, p[0]))
     elapsed = time.time() - start
     ok = not failures and elapsed < 60.0
     _report(4, "forward multiplication (2x2, all 16 pairs exhaustive)", ok,
@@ -162,15 +168,12 @@ def test_c04_forward_multiplication_exhaustive(net22):
 
 def test_c05_inverse_factoring_of_15(net44, factor15_run):
     start = time.time()
-    summary, shots = factor15_run["run"]()
-    clamps = factor15_run["clamps"]
+    summary, decoded = factor15_run["run"]()
     ground_pairs = set()
     bad_pairs = set()
-    for out in decode_reduced(net44, clamps, [r.state for r in shots]):
-        if out.is_ground:
-            (ground_pairs if (out.m, out.n) in FACTORS_OF_15 else bad_pairs).add(
-                (out.m, out.n)
-            )
+    for m, n, _, ground in decoded:
+        for pair in zip(m[ground].tolist(), n[ground].tolist()):
+            (ground_pairs if pair in FACTORS_OF_15 else bad_pairs).add(pair)
     elapsed = time.time() - start
     rate = summary.ground_hit_rate
     ok = summary.ground_hits >= 1 and not bad_pairs and elapsed < 120.0

@@ -4,7 +4,6 @@ import io
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,10 +18,12 @@ from qafactor.anneal import (
     LINEAR,
     RunSummary,
     Schedule,
+    ShotResult,
+    anneal_batches,
     anneal_shot,
     run_shots,
 )
-from qafactor.formats import write_shot_csv
+from qafactor.formats import write_shot_rows
 from qafactor.gates import half_adder, nor_gate
 from qafactor.ising import IsingModel, brute_force_ground, clamp_fold, energy
 from qafactor.multiplier import FOLD, build_multiplier, clamp_product
@@ -240,19 +241,23 @@ class TestRunShots:
         assert summary.shots == 10
 
     def test_hits_label_each_shot_in_order(self, monkeypatch):
-        """Each kept shot carries its own ground label, over several batches
-        and through a pool; the summary counts them, and a shot equals its
-        unlabelled scalar run."""
+        """The summary labels each batch's shots as they arrive, over several
+        batches and through a pool, and counts the labels; row k of the
+        batches equals the scalar run of shot k."""
         monkeypatch.setattr(seeds, "BATCH_BYTES", 7 * anneal._shot_bytes(NOR.n))
         hot = Schedule(t_hot=5.0, t_cold=5.0, sweeps=1)
         for workers in (1, 2):
-            summary, shots = run_shots(NOR, hot, 40, master_seed=4, reference_e0=-1.5,
-                                       workers=workers, keep_shots=True)
-            assert [r.index for r in shots] == list(range(40))
-            assert [r.hit for r in shots] == [r.energy == -1.5 for r in shots]
-            assert summary.ground_hits == sum(r.hit for r in shots)
+            summary = RunSummary(reference_e0=-1.5)
+            rows, labels = [], []
+            for states, energy in anneal_batches(NOR, hot, 40, 4, workers):
+                assert len(energy) <= 7
+                labels += summary.add(states, energy).tolist()
+                rows += zip(map(tuple, states.tolist()), energy.tolist())
+            assert labels == [e == -1.5 for _, e in rows]
+            assert summary.ground_hits == sum(labels) and summary.shots == 40
             assert 0 < summary.ground_hits < 40
-            assert shots == [anneal_shot(NOR, hot, shot_seed(4, k), k) for k in range(40)]
+            assert [ShotResult(*row, k) for k, row in enumerate(rows)] == [
+                anneal_shot(NOR, hot, shot_seed(4, k), k) for k in range(40)]
 
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
@@ -677,16 +682,20 @@ class TestReporting:
         ]
 
     def test_csv_format(self):
-        _, shots = run_shots(NOR, Schedule(sweeps=50), 3, master_seed=1,
-                             keep_shots=True)
-        labelled = [replace(r, hit=hit) for r, hit in zip(shots, (False, True, None))]
+        """Batches append rows under one header, written before shot 0 only;
+        a batch without labels leaves ground_hit empty."""
+        states = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        energy = np.array([-1.5, 0.1])
+        decoded = tuple(np.array([v, v + 1], dtype=object) for v in (1, 2, 2**70))
         buf = io.StringIO()
-        write_shot_csv(buf, labelled, decoded=[(1, 2, 3)] * 3)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "shot,energy,ground_hit,state_bits,M,N,P"
-        assert len(lines) == 4
-        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", ""]
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert set(first[3]) <= {"0", "1"}
-        assert first[4:] == ["1", "2", "3"]
+        write_shot_rows(buf, 0, states, energy, np.array([False, True]), decoded)
+        write_shot_rows(buf, 2, states[:1], energy[:1], None, tuple(a[:1] for a in decoded))
+        assert buf.getvalue().splitlines() == [
+            "shot,energy,ground_hit,state_bits,M,N,P",
+            f"0,-1.5,0,101,1,2,{2**70}",
+            f"1,0.1,1,001,2,3,{2**70 + 1}",
+            f"2,-1.5,,101,1,2,{2**70}",
+        ]
+        buf = io.StringIO()
+        write_shot_rows(buf, 0, states, energy, None, None)
+        assert buf.getvalue().splitlines()[0] == "shot,energy,ground_hit,state_bits"

@@ -38,6 +38,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def traced_peak(capsys, *argv):
+    """The tracemalloc peak of a command that succeeds."""
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGatesEmit:
     def test_nor_round_trip(self, capsys):
         code, out, _ = run(capsys, "gates", "emit", "nor")
@@ -311,14 +321,8 @@ class TestAnnealCommand:
     @staticmethod
     def peak(capsys, shots, *flags):
         """The tracemalloc peak of an ``anneal`` of the NOR gate at 2 sweeps."""
-        tracemalloc.start()
-        try:
-            code, _, _ = run(capsys, "anneal", "nor.model", "--sweeps", "2",
-                             "--workers", "1", "--shots", str(shots), *flags)
-            assert code == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(capsys, "anneal", "nor.model", "--sweeps", "2", "--workers", "1",
+                           "--shots", str(shots), *flags)
 
     def test_keeps_no_shots_without_csv(self, capsys, monkeypatch):
         """Without ``--csv`` the command holds one batch at a time: ten times
@@ -660,6 +664,58 @@ class TestOutputPaths:
             assert out == ""
         assert Path("kept.csv").read_bytes() == b"earlier bytes\n"
         assert not Path("absent.csv").exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    @pytest.mark.parametrize("case", ["anneal", "factor", "multiply"])
+    def test_failed_run_leaves_stdout_and_the_path_alone(self, capsys, monkeypatch, case,
+                                                         existing):
+        """A run that fails at its second batch, after the first one's rows
+        were written, prints nothing and leaves the ``--csv`` path as it was."""
+        run(capsys, "gates", "emit", "nor")
+        if existing:
+            Path("out.csv").write_bytes(b"earlier bytes\n")
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1)
+        real, calls = anneal._anneal_batch, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ArithmeticError("injected at the second batch")
+            return real(*args)
+
+        monkeypatch.setattr(anneal, "_anneal_batch", fail_second)
+        code, out, err = run(capsys, *_SAVING[case], "out.csv", "--workers", "1")
+        assert code == 4 and len(calls) == 2
+        assert out == ""
+        assert "injected at the second batch" in err
+        if existing:
+            assert Path("out.csv").read_bytes() == b"earlier bytes\n"
+        else:
+            assert not Path("out.csv").exists()
+
+
+#: The three commands that fold each annealing batch; the memory test adds ``--csv``.
+_FOLDING = {
+    "factor": ("factor", "6", "--bits-a", "2", "--bits-b", "2"),
+    "multiply": ("multiply", "2", "3"),
+    "anneal": ("anneal", "nor.model"),
+}
+
+
+class TestBatchFolds:
+    @pytest.mark.parametrize("case", sorted(_FOLDING))
+    def test_memory_does_not_grow_with_shots(self, capsys, monkeypatch, case):
+        """Each batch is decoded, counted and written to the ``--csv`` log as
+        it arrives, then dropped: ten times the shots, the same peak."""
+        run(capsys, "gates", "emit", "nor")
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 17)
+
+        def peak(shots):
+            return traced_peak(capsys, *_FOLDING[case], "--sweeps", "1", "--workers", "1",
+                               "--shots", str(shots), "--csv", "shots.csv")
+
+        peak(400)
+        assert peak(4000) < 1.25 * peak(400) + (32 << 10)
 
 
 class TestDefaults:

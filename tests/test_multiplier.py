@@ -2,10 +2,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qafactor import multiplier
-from qafactor.ising import brute_force_ground, clamp_fold, energy, free_indices, merge_spins
+from qafactor.ising import (
+    DimensionError,
+    brute_force_ground,
+    clamp_fold,
+    energy,
+    free_indices,
+    merge_spins,
+)
 from qafactor.multiplier import (
     BIAS,
     FOLD,
@@ -97,9 +105,9 @@ class TestForward:
             reduced, _ = clamp_fold(net22.model, clamps)
             report = brute_force_ground(reduced)
             assert report.degeneracy == 1, (m, n)
-            out, = decode_reduced(net22, clamps, report.states)
-            assert out.is_ground
-            assert out.p == m * n
+            states = np.array(report.states, dtype=np.int8)
+            assert [a.tolist() for a in decode_reduced(net22, clamps, states)] == [
+                [m], [n], [m * n], [True]]
 
     def test_clamp_factors_reference_energy(self, net22):
         reduced, offset = clamp_fold(net22.model, factor_clamp_assignment(net22, 3, 2))
@@ -116,7 +124,7 @@ class TestForward:
     def test_annealed_four_bit_products_match_integer_multiplication(self):
         # Too large to enumerate once clamped? 4x4 clamps leave 80 spins, so
         # use the annealer with the ground-energy oracle instead.
-        from qafactor.anneal import Schedule, run_shots
+        from qafactor.anneal import RunSummary, Schedule, anneal_batches
         from qafactor.seeds import shot_seed
 
         net = build_multiplier(4, 4)
@@ -124,13 +132,13 @@ class TestForward:
         for m, n in rng_pairs:
             clamps = factor_clamp_assignment(net, m, n)
             reduced, offset = clamp_fold(net.model, clamps)
-            reference = net.expected_e0 - offset
-            summary, shots = run_shots(reduced, Schedule(), 40, shot_seed(m, n),
-                                       reference_e0=reference, keep_shots=True)
+            summary = RunSummary(reference_e0=net.expected_e0 - offset)
+            for states, energy in anneal_batches(reduced, Schedule(), 40, shot_seed(m, n)):
+                hits = summary.add(states, energy)
+                _, _, p, ground = decode_reduced(net, clamps, states)
+                assert (ground == hits).all()
+                assert set(p[ground].tolist()) <= {m * n}
             assert summary.ground_hits >= 1
-            for out in decode_reduced(net, clamps, [r.state for r in shots]):
-                if out.is_ground:
-                    assert out.p == m * n
 
 
 class TestInverse:
@@ -196,8 +204,8 @@ class TestDecode:
         clamps = factor_clamp_assignment(net22, 3, 2)
         reduced, _ = clamp_fold(net22.model, clamps)
         state = brute_force_ground(reduced).states[0]
-        out, = decode_reduced(net22, clamps, [state])
-        assert (out.m, out.n, out.p) == (3, 2, 6)
+        m, n, p, _ = decode_reduced(net22, clamps, np.array([state], dtype=np.int8))
+        assert (m.tolist(), n.tolist(), p.tolist()) == ([3], [2], [6])
 
     def test_all_zero_state(self, net11):
         out = decode(net11, (-1,) * net11.model.n)
@@ -214,8 +222,38 @@ class TestDecode:
                 break
 
     def test_dimension_mismatch(self, net22):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionError):
             decode(net22, (1, -1))
+        clamps = factor_clamp_assignment(net22, 3, 2)
+        with pytest.raises(DimensionError):
+            decode_reduced(net22, clamps, np.ones((2, net22.model.n), dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_spin_values_other_than_plus_minus_one_refused(self, net22, bad):
+        state = [1] * net22.model.n
+        state[5] = bad
+        with pytest.raises(ValueError, match="must be -1 or \\+1"):
+            decode(net22, state)
+
+    def test_registers_wider_than_63_bits_decode_exactly(self):
+        """A 33x32 network has a 65-bit product register: clamped factors
+        read back as exact ints from random free states, and a random full
+        state decodes as the per-bit shift-sum reference."""
+        net = build_multiplier(33, 32)
+        assert len(net.product) == 65
+        m, n = 2**33 - 1, 2**32 - 1
+        clamps = factor_clamp_assignment(net, m, n)
+        rng = np.random.default_rng(33)
+        free = rng.choice(np.array([-1, 1], dtype=np.int8), (3, net.model.n - len(clamps)))
+        got_m, got_n, got_p, _ = decode_reduced(net, clamps, free)
+        assert got_m.tolist() == [m] * 3 and got_n.tolist() == [n] * 3
+        state = rng.choice([-1, 1], net.model.n).tolist()
+        state[net.product[-1]] = 1
+        out = decode(net, state)
+        m_ref, n_ref, p_ref = (sum((state[s] > 0) << k for k, s in enumerate(register))
+                               for register in (net.factor_a, net.factor_b, net.product))
+        assert (out.m, out.n, out.p) == (m_ref, n_ref, p_ref)
+        assert p_ref >= 2**64
 
 
 def test_product_clamp_assignment_bits(net22):
