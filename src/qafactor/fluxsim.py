@@ -344,7 +344,9 @@ def _integrate_batch(
     vel *= exp(-G_eff dt / C_eff), a second half drift, and a half kick
     with F(phi_k+1, t_k+1) and the same xi (Leimkuhler & Matthews 2013).
     The end force is the next step's start force, so a step costs one
-    ``sin`` and one loop-current mat-vec.  The bias in I_q follows the
+    ``sin`` and one loop-current mat-vec, and a step that reads the same
+    noise sample as the step before starts with that step's second half
+    kick, added again rather than recomputed.  The bias in I_q follows the
     design's well curve, normalised at full barrier, where every run reads
     out: at t = ``step_count(ramp, dt)`` dt, cos(pi phi_t / Phi0) is 1.
 
@@ -395,17 +397,18 @@ def _integrate_batch(
     drift = 0.5 * dt * (1.0 + decay)
 
     def force_inputs(k0: int, k1: int):
-        """Times k0..k1-1: the barrier drive Ic_eff(t) and the bias share
-        of the loop currents, the static one times I*(t)/I*."""
+        """Times k0..k1-1: the barrier drive Ic_eff(t), as Python floats, and
+        the bias share of the loop currents, the static one times I*(t)/I*."""
         cos_steps = np.cos(np.pi * ramp.phi_t(np.arange(k0, k1) * dt) / PHI0)
         bias_scale = np.interp(cos_steps, _BARRIER_GRID, _WELL_CURVE) / _WELL_CURVE[-1]
-        return (ic2 * cos_steps)[:, None, None], (bias_scale[:, None] * iq_bias)[:, :, None]
+        return (ic2 * cos_steps).tolist(), (bias_scale[:, None] * iq_bias)[:, :, None]
 
     phi = np.zeros((n, batch))
     vel = np.zeros((n, batch))
     iq = np.empty((n, batch))
     force = np.empty((n, batch))
     tmp = np.empty((n, batch))
+    kicked = np.empty((n, batch))  # the last half kick dt/(2 C_eff) (F + xi)
     ainv_t = np.repeat(a_inv.T[:, :, None], batch, axis=2)
     phi_j = phi[:, None, :]
     prod = np.empty((n, n, batch))
@@ -413,7 +416,7 @@ def _integrate_batch(
 
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
 
-    def update_force(drive_row: np.ndarray, bias_row: np.ndarray) -> None:
+    def update_force(drive_row: float, bias_row: np.ndarray) -> None:
         """force = drive sin(w phi) - iq, iq = A^-1 phi - bias, at phi."""
         mul(ainv_t, phi_j, out=prod)
         add_reduce(prod, axis=0, out=iq)
@@ -423,10 +426,9 @@ def _integrate_batch(
         mul(drive_row, force, out=force)
         sub(force, iq, out=force)
 
-    def kick(xi: np.ndarray) -> None:
-        add(force, xi, out=tmp)
-        mul(half_kick, tmp, out=tmp)
-        add(vel, tmp, out=vel)
+    def half_kick_at(xi: np.ndarray) -> None:
+        add(force, xi, out=kicked)
+        mul(half_kick, kicked, out=kicked)
 
     t = rec_iq = None
     if record_every > 0:
@@ -435,6 +437,7 @@ def _integrate_batch(
 
     barrier_limit = 10.0 * PHI0
     noise_lo = noise_hi = 0  # noise_block holds samples [noise_lo, noise_hi)
+    kicked_sample = -1  # the sample whose force and noise ``kicked`` holds
     drive, bias_iq = force_inputs(0, 1)
     update_force(drive[0], bias_iq[0])
     for k0 in range(0, n_steps, _STEP_BLOCK):
@@ -453,14 +456,20 @@ def _integrate_batch(
                     drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
                     np.add(drawn[:, 0::2], drawn[:, 1::2], out=noise_block[:take, :, b])
             # Half kick, both half drifts around the exact damping, the
-            # end force, and the second half kick with the same noise.
+            # end force, and the second half kick with the same noise.  The
+            # start force is the last step's end force, so a step that reads
+            # the last step's sample repeats its second half kick exactly.
             xi = noise_block[s - noise_lo]
-            kick(xi)
+            if s != kicked_sample:
+                half_kick_at(xi)
+                kicked_sample = s
+            add(vel, kicked, out=vel)
             mul(drift, vel, out=tmp)
             add(phi, tmp, out=phi)
             mul(decay, vel, out=vel)
             update_force(drive[j], bias_iq[j])
-            kick(xi)
+            half_kick_at(xi)
+            add(vel, kicked, out=vel)
             if (k % 2000 == 1999 or k == n_steps - 1) and (
                     not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit):
                 raise ShotError(f"integration diverged at t={k * dt:.3e}s: max|phi|="
@@ -516,8 +525,8 @@ class EnsembleResult:
 
 def _shot_bytes(n: int) -> int:
     """Working memory of one shot of an ``n``-qubit batch: its generator,
-    five state rows, two n x n mat-vec arrays and one noise block (float64)."""
-    return GENERATOR_BYTES + 8 * (5 * n + 2 * n * n + _NOISE_BLOCK * n)
+    six state rows, two n x n mat-vec arrays and one noise block (float64)."""
+    return GENERATOR_BYTES + 8 * (6 * n + 2 * n * n + _NOISE_BLOCK * n)
 
 
 def run_ensemble(

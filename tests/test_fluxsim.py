@@ -47,6 +47,52 @@ def single_qubit_layout(i_x=0.0, ramp=None):
     return NetworkLayout(i_x=(i_x,), ramp=ramp or RampSpec())
 
 
+def integrate_kicking_twice(layout, noise, ramp, dt, seeds, record_every):
+    """The integrator's step as one plain loop over whole-run tables, with
+    both half kicks recomputed at every step.  Returns the read-out currents
+    (batch, n) and the currents recorded as ``_integrate_batch`` records
+    them, (rows, n, batch)."""
+    n, batch = layout.n, len(seeds)
+    n_steps = step_count(ramp, dt)
+    samples = _sample_index(np.arange(n_steps) * dt)
+    drawn = np.stack([np.random.Generator(np.random.PCG64(s)).normal(
+        0.0, noise.sigma, size=(samples[-1] + 1, 2 * n)) for s in seeds], axis=2)
+    xi = drawn[:, 0::2] + drawn[:, 1::2]
+    a_inv = np.linalg.inv(layout.inductance_matrix())
+    ainv_t = a_inv.T[:, :, None]
+    cos_t = np.cos(np.pi * ramp.phi_t(np.arange(n_steps + 1) * dt) / PHI0)
+    drive = 2.0 * IC * cos_t
+    bias_scale = np.interp(cos_t, fluxsim._BARRIER_GRID, fluxsim._WELL_CURVE) / (
+        fluxsim._WELL_CURVE[-1])
+    bias = bias_scale[:, None] * (a_inv @ layout.bias_flux())
+    inv_c = 1.0 / (2.0 * fluxsim.C_SHUNT)
+    g_eff = 2.0 / R_SHUNT
+    half_kick = 0.5 * dt * inv_c
+    decay = math.exp(-g_eff * dt * inv_c)
+    drift = 0.5 * dt * (1.0 + decay)
+    w = 2.0 * math.pi / PHI0
+
+    def force_at(k, phi):
+        iq = np.add.reduce(ainv_t * phi[:, None, :], axis=0) - bias[k][:, None]
+        return drive[k] * np.sin(w * phi) - iq, iq
+
+    phi = np.zeros((n, batch))
+    vel = np.zeros((n, batch))
+    force, iq = force_at(0, phi)
+    recorded = []
+    for k in range(n_steps):
+        if k % record_every == 0:
+            recorded.append(iq)
+        x = xi[samples[k]]
+        vel = vel + half_kick * (force + x)
+        phi = phi + drift * vel
+        vel = decay * vel
+        force, iq = force_at(k + 1, phi)
+        vel = vel + half_kick * (force + x)
+    recorded.append(iq)
+    return iq.T, np.array(recorded)
+
+
 class TestJohnsonSigma:
     def test_reference_shunt_matches_quoted_value(self):
         sigma = johnson_sigma(3.2e3, 1.0, 1e12)
@@ -431,6 +477,19 @@ class TestEnsemble:
         ])
         assert np.array_equal(np.array([shot.final_iq for shot in shots]), expected)
         assert [shot.bits for shot in shots] == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
+
+    @pytest.mark.parametrize("dt", [1e-13, 2.5e-13, 5e-13], ids=["100fs", "250fs", "500fs"])
+    def test_reused_half_kick_equals_the_recomputed_one(self, dt):
+        # A step that reads the last step's noise sample adds that step's
+        # second half kick again: 4 of 5 steps at 100 fs, every other step at
+        # 250 fs, none at 500 fs, where each step reads a new sample.
+        ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
+        layout = inverse_nor_layout(0, ramp=ramp)
+        seeds = [shot_seed(42, k) for k in range(3)]
+        shots = _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds, record_every=7)
+        final_iq, recorded = integrate_kicking_twice(layout, NoiseSpec(), ramp, dt, seeds, 7)
+        assert np.array_equal(np.array([shot.final_iq for shot in shots]), final_iq)
+        assert np.array_equal(np.stack([shot.iq for shot in shots], axis=2), recorded)
 
     @pytest.mark.parametrize("dt", [DT_DEFAULT, 3e-14], ids=["default-dt", "dt-3e-14"])
     def test_block_sizes_do_not_change_results(self, monkeypatch, dt):
