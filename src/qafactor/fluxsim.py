@@ -12,7 +12,9 @@ measured from the half-quantum working point:
     C_eff phi'' = Ic_eff(t) sin(2 pi phi / Phi0) - I_q - G_eff phi' + I_noise
 
 with Ic_eff(t) = 2 Ic cos(pi phi_t(t) / Phi0), C_eff = 2C, G_eff = 2/R,
-and loop currents solved from (diag(L) + M) I_q = phi - phi_bias.  At
+I_noise the sum of the two junctions' noise currents, drawn as one value
+(:class:`NoiseSpec`), and loop currents solved from
+(diag(L) + M) I_q = phi - phi_bias.  At
 phi_t = Phi0/2 the cosine kills the barrier (single well); at phi_t = 0
 the potential is a symmetric double well and the circulating-current
 sign encodes the bit: "1" is the declared clockwise-positive direction
@@ -63,7 +65,7 @@ BIAS_WINDING = -1.0
 #: 0.5-ps noise sample.  Chosen by weak convergence against a 12.5-fs run of
 #: the same integrator (README, "Step size"): on either clamp of the inverse
 #: NOR the read-out distributions pass a two-sample chi-squared test, and
-#: their total variation distance is below 0.008 (95 % upper bound from
+#: their total variation distance is below 0.007 (95 % upper bound from
 #: 5,000 paired shots).
 DT_DEFAULT = 2.5e-13
 RAMP_DEFAULT = 2.0e-9    # barrier ramp duration
@@ -133,11 +135,14 @@ class NoiseSpec:
     The default sigma is the Johnson-Nyquist value for the 3.2-kOhm shunt
     at 1 K over a 1-THz bandwidth, 0.1314 uA, rounded as specified for the
     reference runs to 0.13 uA, which is the Johnson value at 0.98 K; it is
-    sampled at ``NOISE_SAMPLE_RATE`` (2 THz).  A shot seeded ``seed``
-    draws its samples in order from ``PCG64(seed)``, two junction values
-    per qubit per sample, so sample i's values depend on i and the seed
-    alone, not on how many samples the integrator draws at a time.  Only :func:`simulate_shot` reads ``seed``;
-    :func:`run_ensemble` seeds each shot from its master seed.
+    sampled at ``NOISE_SAMPLE_RATE`` (2 THz).  A qubit's two junction
+    currents enter its equation only as their sum, which is normal with
+    twice the variance, so one value per qubit per sample stands for both:
+    a draw from N(0, 2 sigma^2).  A shot seeded ``seed`` draws its samples
+    in order from ``PCG64(seed)``, so sample i's values depend on i and the
+    seed alone, not on how many samples the integrator draws at a time.
+    Only :func:`simulate_shot` reads ``seed``; :func:`run_ensemble` seeds
+    each shot from its master seed.
     """
 
     sigma: float = 0.13e-6
@@ -395,6 +400,8 @@ def _integrate_batch(
     decay = math.exp(-g_eff * dt * inv_c)
     # Both half drifts at once: dt/2 vel + dt/2 (decay vel).
     drift = 0.5 * dt * (1.0 + decay)
+    # A qubit's two junction noise currents enter only as their sum.
+    qubit_sigma = noise.sigma * math.sqrt(2.0)
 
     def force_inputs(k0: int, k1: int):
         """Times k0..k1-1: the barrier drive Ic_eff(t), as Python floats, and
@@ -453,8 +460,7 @@ def _integrate_batch(
                 take = min(_NOISE_BLOCK, n_samples - noise_lo)
                 noise_hi = noise_lo + take
                 for b, g in enumerate(gens):
-                    drawn = g.normal(0.0, noise.sigma, size=(take, 2 * n))
-                    np.add(drawn[:, 0::2], drawn[:, 1::2], out=noise_block[:take, :, b])
+                    noise_block[:take, :, b] = g.normal(0.0, qubit_sigma, size=(take, n))
             # Half kick, both half drifts around the exact damping, the
             # end force, and the second half kick with the same noise.  The
             # start force is the last step's end force, so a step that reads

@@ -538,10 +538,10 @@ _WRITTEN = {
     "circuit-trace": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
                        "--ramp-ns", "0.2", "--hold-ns", "0.05", "--dt-fs", "50",
                        "--trace", "t.csv"), {
-        "t.csv": "75c27b4420994f1ecbdafa32ab6d63611a7040fb64e267f967dd87175c0422fd"}),
+        "t.csv": "ce94a621fc4079bb97e8f3c48137e4c8d046a1a489a2b9c9e482f7e0c88b1100"}),
     "circuit-trace-default": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
                                "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
-        "t.csv": "07ab256ab6ef779735c66df9074627f3224f0f3ea4d732960fdbcc719192a27a"}),
+        "t.csv": "3357ee7b7c3fc8303705142ce8d803a3499558705623ac2a70a30a1ef10f1f6f"}),
 }
 
 
@@ -577,10 +577,10 @@ _PRINTED = {
         "a.csv": "1dd6f7aa97bc44f46654af070a19a995d3e8d833da7cba97bccf4427706ccb2c"}),
     "circuit-clamp0-200": (("circuit", "nor-inverse", "--clamp", "0", "--shots", "200",
                             "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "ace650abe4fc392a228a67e3685ad8fe50b984cef7d92db48f81c395c2c5a241", {}),
+                           "c634dfb53b34e8334262b434a2305642c821b8b3c7cf33ddadcee17d42973bc8", {}),
     "circuit-clamp1-200": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "200",
                             "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "0ccd692479026ac1e34e45d9335c5dfc24ce4e57dd31e7a77aa0080a16b64f30", {}),
+                           "1b41da03013478a3b2225436d937e6ac727a0ec10488ada679b6096215a75773", {}),
 }
 
 

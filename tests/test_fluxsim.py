@@ -55,9 +55,8 @@ def integrate_kicking_twice(layout, noise, ramp, dt, seeds, record_every):
     n, batch = layout.n, len(seeds)
     n_steps = step_count(ramp, dt)
     samples = _sample_index(np.arange(n_steps) * dt)
-    drawn = np.stack([np.random.Generator(np.random.PCG64(s)).normal(
-        0.0, noise.sigma, size=(samples[-1] + 1, 2 * n)) for s in seeds], axis=2)
-    xi = drawn[:, 0::2] + drawn[:, 1::2]
+    xi = np.stack([np.random.Generator(np.random.PCG64(s)).normal(
+        0.0, noise.sigma * math.sqrt(2.0), size=(samples[-1] + 1, n)) for s in seeds], axis=2)
     a_inv = np.linalg.inv(layout.inductance_matrix())
     ainv_t = a_inv.T[:, :, None]
     cos_t = np.cos(np.pi * ramp.phi_t(np.arange(n_steps + 1) * dt) / PHI0)
@@ -468,15 +467,15 @@ class TestEnsemble:
         shots = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14,
                                  [shot_seed(42, k) for k in range(3)])
         expected = np.array([
-            (3.434245849181522e-06, 3.382707344738115e-06,
-             -3.188659772275043e-06, 3.5571151176162053e-06),
-            (3.409501294987299e-06, 3.4405691871593763e-06,
-             -3.000960550879008e-06, -3.2049096894071593e-06),
-            (3.335666141943882e-06, 3.3626217796488557e-06,
-             -3.409664493086473e-06, 3.5845305847798617e-06),
+            (-3.1613063795941535e-06, 3.5679618892642824e-06,
+             3.629165318598567e-06, -3.3362630180924118e-06),
+            (3.5248023385487485e-06, 3.3517687887136834e-06,
+             -3.2046512651269644e-06, -3.3384975076145693e-06),
+            (3.574780732246252e-06, 3.3222800364683943e-06,
+             -3.1088942359461645e-06, -3.1553205621542383e-06),
         ])
         assert np.array_equal(np.array([shot.final_iq for shot in shots]), expected)
-        assert [shot.bits for shot in shots] == [(1, 1, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)]
+        assert [shot.bits for shot in shots] == [(0, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0, 0)]
 
     @pytest.mark.parametrize("dt", [1e-13, 2.5e-13, 5e-13], ids=["100fs", "250fs", "500fs"])
     def test_reused_half_kick_equals_the_recomputed_one(self, dt):
