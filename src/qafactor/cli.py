@@ -226,7 +226,7 @@ def cmd_factor(args) -> int:
     hits: dict[str, int] = {}
 
     def tally(states, energy, labels):
-        m, n, p, _ = decode_reduced(net, clamps, states)
+        m, n, p = decode_reduced(net, clamps, states)
         for key, hit in zip(map("({},{})".format, m.tolist(), n.tolist()), labels.tolist()):
             hist[key] = hist.get(key, 0) + 1
             hits[key] = hits.get(key, 0) + hit
@@ -262,7 +262,7 @@ def cmd_multiply(args) -> int:
     lowest = [float("inf"), None]  # the first lowest energy so far, and its shot's product
 
     def keep_lowest(states, energy, labels):
-        m, n, p, _ = decode_reduced(net, clamps, states)
+        m, n, p = decode_reduced(net, clamps, states)
         k = int(energy.argmin())
         if energy[k] < lowest[0]:
             lowest[:] = energy[k], p[k]

@@ -193,17 +193,18 @@ def decode(net: MultiplierNetwork, state: Sequence[int]) -> FactorOutcome:
     """Read (M, N, P) off the role spins of a full network state: the one-row
     case of :func:`decode_reduced`.  ``is_ground`` means a valid
     multiplication at the network's E0, not that a run reached its reference."""
-    (m,), (n,), (p,), (ground,) = decode_reduced(net, {}, np.array([state], dtype=np.int8))
-    return FactorOutcome(m, n, p, bool(ground))
+    states = np.array([state], dtype=np.int8)
+    (m,), (n,), (p,) = decode_reduced(net, {}, states)
+    (energy,) = energies(net.model, states.T)
+    return FactorOutcome(m, n, p, bool(energy <= net.expected_e0 + GROUND_TOL))
 
 
 def decode_reduced(net: MultiplierNetwork, clamps: Mapping[int, int], states: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(M, N, P, ground) of each row of a (k, free spins) int8 array of +-1
-    states of ``net.model`` with ``clamps`` folded out, spliced back in by
-    index.  Registers are read as dot products with powers of two in Python
-    ints, as they may be wider than 63 bits, so M, N and P are object
-    arrays; one :func:`energies` call scores the k full states for ``ground``."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, N, P) of each row of a (k, free spins) int8 array of +-1 states
+    of ``net.model`` with ``clamps`` folded out, spliced back in by index.
+    Registers are read as dot products with powers of two in Python ints,
+    as they may be wider than 63 bits, so M, N and P are object arrays."""
     free = free_indices(net.model.n, clamps)
     if states.ndim != 2 or states.shape[1] != len(free):
         raise DimensionError(f"states of shape {states.shape}, expected (k, {len(free)})")
@@ -214,7 +215,7 @@ def decode_reduced(net: MultiplierNetwork, clamps: Mapping[int, int], states: np
     full[list(clamps)] = np.reshape([2 * bit - 1 for bit in clamps.values()], (-1, 1))
     m, n, p = (np.array([1 << k for k in range(len(reg))], dtype=object) @ (full[list(reg)] > 0)
                for reg in (net.factor_a, net.factor_b, net.product))
-    return m, n, p, energies(net.model, full) <= net.expected_e0 + GROUND_TOL
+    return m, n, p
 
 
 def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
@@ -223,5 +224,6 @@ def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
     clamps = product_clamp_assignment(net, p)
     reduced, offset = clamp_fold(net.model, clamps)
     states = np.array(brute_force_ground(reduced).states, dtype=np.int8)
-    m, n, _, ground = decode_reduced(net, clamps, states)
+    m, n, _ = decode_reduced(net, clamps, states)
+    ground = energies(reduced, states.T) + offset <= net.expected_e0 + GROUND_TOL
     return set(zip(m[ground].tolist(), n[ground].tolist()))

@@ -10,7 +10,6 @@ invalid outcomes at the published circuit constants (see the README note).
 import itertools
 import time
 
-import numpy as np
 import pytest
 
 from conftest import j_unit_kt, readout_wells
@@ -30,10 +29,12 @@ from qafactor.ising import (
     bits_to_spins,
     brute_force_ground,
     clamp_fold,
+    merge_spins,
     spins_to_bits,
 )
 from qafactor.multiplier import (
     build_multiplier,
+    decode,
     decode_reduced,
     factor_clamp_assignment,
     product_clamp_assignment,
@@ -64,12 +65,13 @@ def factor15_run(net44):
     reference = net44.expected_e0 - offset
 
     def run(workers=1):
-        """The run's summary, and the (M, N, P, ground) arrays of each batch."""
+        """The run's summary, and the M and N arrays and ground labels of each batch."""
         summary = RunSummary(reference_e0=reference)
         decoded = []
         for states, energy in anneal_batches(reduced, Schedule(), 200, SEED, workers):
-            summary.add(states, energy)
-            decoded.append(decode_reduced(net44, clamps, states))
+            hits = summary.add(states, energy)
+            m, n, _ = decode_reduced(net44, clamps, states)
+            decoded.append((m, n, hits))
         return summary, decoded
 
     return {"clamps": clamps, "reference": reference, "run": run}
@@ -155,9 +157,9 @@ def test_c04_forward_multiplication_exhaustive(net22):
         clamps = factor_clamp_assignment(net22, m, n)
         reduced, _ = clamp_fold(net22.model, clamps)
         rep = brute_force_ground(reduced)
-        _, _, p, ground = decode_reduced(net22, clamps, np.array(rep.states, dtype=np.int8))
-        if rep.degeneracy != 1 or not ground[0] or p[0] != m * n:
-            failures.append((m, n, rep.degeneracy, p[0]))
+        out = decode(net22, merge_spins(net22.model.n, clamps, rep.states[0]))
+        if rep.degeneracy != 1 or not out.is_ground or out.p != m * n:
+            failures.append((m, n, rep.degeneracy, out.p))
     elapsed = time.time() - start
     ok = not failures and elapsed < 60.0
     _report(4, "forward multiplication (2x2, all 16 pairs exhaustive)", ok,
@@ -171,7 +173,7 @@ def test_c05_inverse_factoring_of_15(net44, factor15_run):
     summary, decoded = factor15_run["run"]()
     ground_pairs = set()
     bad_pairs = set()
-    for m, n, _, ground in decoded:
+    for m, n, ground in decoded:
         for pair in zip(m[ground].tolist(), n[ground].tolist()):
             (ground_pairs if pair in FACTORS_OF_15 else bad_pairs).add(pair)
     elapsed = time.time() - start

@@ -107,7 +107,8 @@ class TestForward:
             assert report.degeneracy == 1, (m, n)
             states = np.array(report.states, dtype=np.int8)
             assert [a.tolist() for a in decode_reduced(net22, clamps, states)] == [
-                [m], [n], [m * n], [True]]
+                [m], [n], [m * n]]
+            assert decode(net22, merge_spins(net22.model.n, clamps, report.states[0])).is_ground
 
     def test_clamp_factors_reference_energy(self, net22):
         reduced, offset = clamp_fold(net22.model, factor_clamp_assignment(net22, 3, 2))
@@ -135,9 +136,11 @@ class TestForward:
             summary = RunSummary(reference_e0=net.expected_e0 - offset)
             for states, energy in anneal_batches(reduced, Schedule(), 40, shot_seed(m, n)):
                 hits = summary.add(states, energy)
-                _, _, p, ground = decode_reduced(net, clamps, states)
-                assert (ground == hits).all()
-                assert set(p[ground].tolist()) <= {m * n}
+                _, _, p = decode_reduced(net, clamps, states)
+                ground = [decode(net, merge_spins(net.model.n, clamps, state)).is_ground
+                          for state in states.tolist()]
+                assert ground == hits.tolist()
+                assert set(p[hits].tolist()) <= {m * n}
             assert summary.ground_hits >= 1
 
 
@@ -204,7 +207,7 @@ class TestDecode:
         clamps = factor_clamp_assignment(net22, 3, 2)
         reduced, _ = clamp_fold(net22.model, clamps)
         state = brute_force_ground(reduced).states[0]
-        m, n, p, _ = decode_reduced(net22, clamps, np.array([state], dtype=np.int8))
+        m, n, p = decode_reduced(net22, clamps, np.array([state], dtype=np.int8))
         assert (m.tolist(), n.tolist(), p.tolist()) == ([3], [2], [6])
 
     def test_all_zero_state(self, net11):
@@ -245,7 +248,7 @@ class TestDecode:
         clamps = factor_clamp_assignment(net, m, n)
         rng = np.random.default_rng(33)
         free = rng.choice(np.array([-1, 1], dtype=np.int8), (3, net.model.n - len(clamps)))
-        got_m, got_n, got_p, _ = decode_reduced(net, clamps, free)
+        got_m, got_n, got_p = decode_reduced(net, clamps, free)
         assert got_m.tolist() == [m] * 3 and got_n.tolist() == [n] * 3
         state = rng.choice([-1, 1], net.model.n).tolist()
         state[net.product[-1]] = 1
