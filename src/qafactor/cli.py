@@ -24,7 +24,7 @@ from .formats import (
     parse_model,
     parse_ports,
     write_shot_rows,
-    write_trace_csv,
+    write_trace_rows,
 )
 from .gates import NOR_TRUTH, and_gate, check_manifold, half_adder, nor_gate, verify_gate
 from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_force_ground,
@@ -148,8 +148,8 @@ def _positive_int(text: str) -> int:
 def _output_path(path: str) -> str:
     """``--csv`` and ``--trace``: a path that opens for writing, so a run
     that could not save its output is refused (OSError, a data error)
-    before any shot.  The file is written only after the run (``--csv``
-    from :func:`_shot_log`); one that already exists is left as it is until then."""
+    before any shot.  Either file is written only after the run, from
+    :func:`_shot_log`; one that already exists is left as it is until then."""
     existed = os.path.lexists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
@@ -168,9 +168,9 @@ def _cap(text: str) -> int:
 
 @contextmanager
 def _shot_log(path: str | None):
-    """``--csv``: the open log that rows go to, an unnamed temporary file
-    (None without a path), written to ``path`` only once the block ends
-    without an error, so a failed run leaves the path as it was."""
+    """``--csv`` and ``--trace``: the open log that rows go to, an unnamed
+    temporary file (None without a path), written to ``path`` only once the
+    block ends without an error, so a failed run leaves the path as it was."""
     if path is None:
         yield None
         return
@@ -315,28 +315,38 @@ def cmd_verify(args) -> int:
 # circuit nor-inverse
 # ---------------------------------------------------------------------------
 
+def _fold_ensemble(layout, noise, log, **run):
+    """Integrate ``layout`` and fold each batch as it arrives: its read-out
+    bits into the counts, its recorded currents into the ``--trace`` rows
+    in ``log``; the batch is then dropped."""
+    result = fluxsim.EnsembleResult()
+    for bits, _, t, iq in fluxsim.ensemble_batches(layout, noise, **run):
+        if log:
+            write_trace_rows(log, result.shots, t, iq, layout.ramp.total_s)
+        result.add(bits)
+        del t, iq  # so the next batch is integrated with no other recording alive
+    return result
+
+
 def cmd_circuit_nor_inverse(args) -> int:
     # Divided, not multiplied, into SI units: 0.2 / 1e9 is the float 2e-10,
     # 0.2 * 1e-9 one ulp above it, so every default rebuilds the library's.
     layout = fluxsim.inverse_nor_layout(
         args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
     noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
-    # One worker by default: a split batch makes every shot dearer (README).
-    result = _run(args, fluxsim.run_ensemble, layout, noise, dt=args.dt_fs / 1e15,
-                  decimate=args.decimate if args.trace else 0, pooled=False)
-    sys.stdout.write(result.to_text())
-    violations = sum(c for bits, c in result.counts.items()
-                     if bits[:3] not in NOR_TRUTH.valid)
-    clamp_misses = sum(
-        c for bits, c in result.counts.items()
-        if bits[2] != args.clamp or bits[3] != args.clamp
-    )
-    print(f"nor_violations {violations}")
-    print(f"clamp_misses {clamp_misses}")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            write_trace_csv(fh, result.traces, layout.ramp.total_s)
-        print(f"wrote {args.trace}")
+    with _shot_log(args.trace) as log:
+        # One worker by default: a split batch makes every shot dearer (README).
+        result = _run(args, _fold_ensemble, layout, noise, log, dt=args.dt_fs / 1e15,
+                      decimate=args.decimate if log else 0, pooled=False)
+        sys.stdout.write(result.to_text())
+        violations = sum(c for bits, c in result.counts.items()
+                         if bits[:3] not in NOR_TRUTH.valid)
+        clamp_misses = sum(
+            c for bits, c in result.counts.items()
+            if bits[2] != args.clamp or bits[3] != args.clamp
+        )
+        print(f"nor_violations {violations}")
+        print(f"clamp_misses {clamp_misses}")
     return 0
 
 

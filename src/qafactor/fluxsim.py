@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -141,8 +141,8 @@ class NoiseSpec:
     a draw from N(0, 2 sigma^2).  A shot seeded ``seed`` draws its samples
     in order from ``PCG64(seed)``, so sample i's values depend on i and the
     seed alone, not on how many samples the integrator draws at a time.
-    Only :func:`simulate_shot` reads ``seed``; :func:`run_ensemble` seeds
-    each shot from its master seed.
+    Only :func:`simulate_shot` reads ``seed``; :func:`ensemble_batches`
+    seeds each shot from its master seed.
     """
 
     sigma: float = 0.13e-6
@@ -225,11 +225,11 @@ class NetworkLayout:
 
 @dataclass(frozen=True)
 class ShotTrace:
-    """One circuit shot: its read-out and, when the run recorded them, its
-    decimated loop currents as ``--trace`` writes them (else ``None``)."""
+    """One shot of :func:`simulate_shot`: its decimated loop currents, as
+    ``--trace`` writes them, and its read-out."""
 
-    t: np.ndarray | None     # (n_samples,) seconds
-    iq: np.ndarray | None    # (n_samples, n) circulating currents, A
+    t: np.ndarray     # (n_samples,) seconds
+    iq: np.ndarray    # (n_samples, n) circulating currents, A
     final_iq: tuple[float, ...]
     bits: tuple[int, ...]
 
@@ -356,19 +356,20 @@ def _integrate_batch(
     out: at t = ``step_count(ramp, dt)`` dt, cos(pi phi_t / Phi0) is 1.
 
     Every shot carries its own noise generator, so results per shot are
-    independent of how shots are grouped into batches.  Returns one
-    :class:`ShotTrace` per seed, in seed order.  With ``record_every`` > 0,
-    the loop currents of every row of the batch are recorded at every
-    ``record_every``-th step and at the read-out step, and a shot's ``iq``
-    is a view of the batch's recording.  Otherwise nothing is recorded and
-    ``t`` and ``iq`` are None.
+    independent of how shots are grouped into batches.  Returns the batch
+    as arrays, a row per seed in seed order: the read-out ``bits`` (int8,
+    (batch, n)), the read-out currents ``final_iq`` (batch, n), and ``t``
+    and ``iq``.  With ``record_every`` > 0, the loop currents of every row
+    of the batch are recorded at every ``record_every``-th step and at the
+    read-out step: ``t`` (samples,) and ``iq`` (samples, n, batch).
+    Otherwise nothing is recorded and both are None.
 
     The run streams in blocks.  Each block of ``_STEP_BLOCK`` steps builds
     its own per-step inputs (barrier drive, bias share of the loop
     currents, noise sample index) elementwise, exactly as whole-run arrays
     would, and noise is drawn ``_NOISE_BLOCK`` samples per generator at a
     time.  Working memory is therefore O(n * batch * block) whatever the
-    ramp length, plus the traces when they are recorded.
+    ramp length, plus the recording.
 
     State is qubit-major: ``phi``, ``vel``, ``iq`` and each step's noise
     row are (n, batch) arrays, so a qubit's row is contiguous, and every
@@ -439,8 +440,8 @@ def _integrate_batch(
 
     t = rec_iq = None
     if record_every > 0:
-        rec_steps = np.append(np.arange(0, n_steps, record_every), n_steps)
-        rec_iq = np.empty((len(rec_steps), n, batch))
+        t = np.append(np.arange(0, n_steps, record_every), n_steps) * dt
+        rec_iq = np.empty((len(t), n, batch))
 
     barrier_limit = 10.0 * PHI0
     noise_lo = noise_hi = 0  # noise_block holds samples [noise_lo, noise_hi)
@@ -484,14 +485,9 @@ def _integrate_batch(
 
     # The last force saw the full barrier and so the static bias: iq holds
     # the read-out currents.
-    final_iq = iq.T.tolist()
     if record_every > 0:
         rec_iq[-1] = iq
-        t = rec_steps * dt
-
-    return [ShotTrace(t, None if rec_iq is None else rec_iq[:, :, b], tuple(row),
-                      tuple(1 if x > 0 else 0 for x in row))
-            for b, row in enumerate(final_iq)]
+    return (iq.T > 0).astype(np.int8), iq.T.copy(), t, rec_iq
 
 
 def simulate_shot(
@@ -508,18 +504,25 @@ def simulate_shot(
     A ``ramp`` argument overrides ``layout.ramp``; without one the layout's
     ramp is used."""
     ramp = ramp or layout.ramp
-    return _integrate_batch(layout, noise, ramp, dt, [noise.seed],
-                            record_every=max(1, decimate))[0]
+    bits, final_iq, t, iq = _integrate_batch(layout, noise, ramp, dt, [noise.seed],
+                                             record_every=max(1, decimate))
+    return ShotTrace(t, iq[:, :, 0], tuple(final_iq[0].tolist()), tuple(bits[0].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass
 class EnsembleResult:
-    """Final-state counts over an ensemble of independent shots, plus every
-    shot's traces, in shot order, when the ensemble recorded them."""
+    """Final-state counts over an ensemble of independent shots, folded
+    batch by batch (:meth:`add`)."""
 
-    shots: int
-    counts: dict[tuple[int, ...], int]
-    traces: tuple[ShotTrace, ...] = field(default=(), compare=False)
+    shots: int = 0
+    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
+
+    def add(self, bits: np.ndarray) -> None:
+        """Fold in one batch's read-out bits, int8, a row per shot."""
+        self.shots += len(bits)
+        for row, times in zip(*np.unique(bits, axis=0, return_counts=True)):
+            key = tuple(row.tolist())
+            self.counts[key] = self.counts.get(key, 0) + int(times)
 
     def to_text(self) -> str:
         lines = [f"shots {self.shots}"]
@@ -529,10 +532,39 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
-def _shot_bytes(n: int) -> int:
+def _shot_bytes(n: int, n_steps: int = 0, decimate: int = 0) -> int:
     """Working memory of one shot of an ``n``-qubit batch: its generator,
-    six state rows, two n x n mat-vec arrays and one noise block (float64)."""
-    return GENERATOR_BYTES + 8 * (6 * n + 2 * n * n + _NOISE_BLOCK * n)
+    six state rows, two n x n mat-vec arrays, one noise block and, when it
+    records every ``decimate``-th of ``n_steps`` steps, its ceil(n_steps /
+    decimate) + 1 recorded rows (float64)."""
+    rows = -(-n_steps // decimate) + 1 if decimate > 0 else 0
+    return GENERATOR_BYTES + 8 * (6 * n + 2 * n * n + _NOISE_BLOCK * n + rows * n)
+
+
+def ensemble_batches(
+    layout: NetworkLayout,
+    noise: NoiseSpec,
+    ramp: RampSpec | None = None,
+    n_shots: int = 200,
+    master_seed: int = 0,
+    dt: float = DT_DEFAULT,
+    workers: int = 1,
+    decimate: int = 0,
+) -> Iterator[tuple]:
+    """A run's batches in shot order, each as :func:`_integrate_batch`
+    returns it: read-out bits and currents and, with ``decimate`` > 0, the
+    loop currents recorded at every ``decimate``-th step.  The shot runner
+    (:func:`qafactor.seeds.run_batches`) cuts the batches to fit the
+    integrator's per-shot bytes (:func:`_shot_bytes`), the recording
+    included, and hands shot k the noise seed ``shot_seed(master_seed,
+    k)``; ``noise.seed`` is ignored, only ``noise.sigma`` is read.  A
+    ``ramp`` argument overrides ``layout.ramp``; without one the layout's
+    ramp is used.  A step or run :func:`step_count` refuses raises
+    ValueError when this is called."""
+    ramp = ramp or layout.ramp
+    shot_bytes = _shot_bytes(layout.n, step_count(ramp, dt), decimate)
+    return run_batches(partial(_integrate_batch, record_every=decimate),
+                       (layout, noise, ramp, dt), n_shots, master_seed, workers, shot_bytes)
 
 
 def run_ensemble(
@@ -543,29 +575,14 @@ def run_ensemble(
     master_seed: int = 0,
     dt: float = DT_DEFAULT,
     workers: int = 1,
-    decimate: int = 0,
 ) -> EnsembleResult:
-    """Independent shots, their read-out bits counted; the counts do not
-    depend on worker count or batch size.  The shot runner
-    (:func:`qafactor.seeds.run_batches`) batches the shots by the
-    integrator's per-shot bytes (:func:`_shot_bytes`) and hands shot k the
-    noise seed ``shot_seed(master_seed, k)``; ``noise.seed`` is ignored,
-    only ``noise.sigma`` is read.  The batches are counted as they arrive;
-    only with ``decimate`` > 0 does the result keep every shot's record:
-    its loop currents at every ``decimate``-th step.  A ``ramp`` argument
-    overrides ``layout.ramp``; without one the layout's ramp is used.  A step or run :func:`step_count` refuses raises ValueError first."""
-    ramp = ramp or layout.ramp
-    step_count(ramp, dt)
-    counts: dict[tuple[int, ...], int] = {}
-    traces: list[ShotTrace] = []
-    for shots in run_batches(partial(_integrate_batch, record_every=decimate),
-                             (layout, noise, ramp, dt), n_shots, master_seed, workers,
-                             _shot_bytes(layout.n)):
-        for shot in shots:
-            counts[shot.bits] = counts.get(shot.bits, 0) + 1
-        if decimate > 0:
-            traces += shots
-    return EnsembleResult(shots=n_shots, counts=counts, traces=tuple(traces))
+    """The :class:`EnsembleResult` of :func:`ensemble_batches`, untraced:
+    the read-out bits counted batch by batch, so the counts do not depend
+    on worker count or batch size and nothing is kept per shot."""
+    result = EnsembleResult()
+    for bits, *_ in ensemble_batches(layout, noise, ramp, n_shots, master_seed, dt, workers):
+        result.add(bits)
+    return result
 
 
 def potential_minima(phi_t: float) -> tuple[float, ...]:

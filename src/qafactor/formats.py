@@ -12,12 +12,11 @@ quotes the line.  The shot and trace logs are CSV.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .ising import IsingModel, bit_strings
 
 if TYPE_CHECKING:
-    from .fluxsim import ShotTrace
     from .gates import GateTemplate
     from .multiplier import MultiplierNetwork
 
@@ -171,11 +170,13 @@ def write_shot_rows(fh, first: int, states, energies, labels, decoded) -> None:
     fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
-def write_trace_csv(fh, traces: Sequence[ShotTrace], period: float) -> None:
-    """Plot-ready CSV of one or more shots: t,Iq_1..Iq_n under one header,
-    shot k's times shifted by ``k * period``."""
-    n = traces[0].iq.shape[1]
-    fh.write("t," + ",".join(f"Iq_{q + 1}" for q in range(n)) + "\n")
-    for k, trace in enumerate(traces):
-        for row_t, row_iq in zip((trace.t + k * period).tolist(), trace.iq.tolist()):
-            fh.write(f"{row_t!r}," + ",".join(map(repr, row_iq)) + "\n")
+def write_trace_rows(fh, first: int, t, iq, period: float) -> None:
+    """One batch's rows of the plot-ready trace CSV, t,Iq_1..Iq_n, after the
+    header where ``first`` is 0: ``iq`` (samples, n, shots) recorded at the
+    times ``t``, shot ``first + b``'s times shifted by ``(first + b) * period``."""
+    if first == 0:
+        fh.write("t," + ",".join(f"Iq_{q + 1}" for q in range(iq.shape[1])) + "\n")
+    for b in range(iq.shape[2]):
+        rows = zip((t + (first + b) * period).tolist(), iq[:, :, b].tolist())
+        fh.writelines(f"{row_t!r}," + ",".join(map(repr, row_iq)) + "\n"
+                      for row_t, row_iq in rows)

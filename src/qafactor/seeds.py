@@ -12,12 +12,16 @@ identical shots regardless of worker count or execution order.
 :func:`run_batches` is the one place that decides how the shots of
 either solver run, and the one that seeds them: it cuts them lazily into
 batches that fit :data:`BATCH_BYTES` (:func:`shot_batches`), hands each
-batch its shots' seeds and yields the results in shot order, to be folded
-as they arrive, in memory that does not grow with the shot count.  Each
-seed becomes a ``Generator``, which every solver's per-shot bytes count as
-:data:`GENERATOR_BYTES`.  A process pool is started (``concurrent.futures``
-imported) only for two or more processes: the CLI's annealing commands ask
-for :func:`default_workers`; ``circuit nor-inverse`` and the library, one.
+batch its shots' seeds and yields the results in shot order.  Each solver
+has one public iterator over it, ``anneal.anneal_batches`` and
+``fluxsim.ensemble_batches``, and the commands fold each batch as it
+arrives and drops it, so memory does not grow with the shot count.  A
+solver's per-shot bytes count what a shot holds in its batch: its seed's
+``Generator`` (:data:`GENERATOR_BYTES`), its working arrays and, in a
+traced circuit batch, its recorded rows.  A process pool is started
+(``concurrent.futures`` imported) only for two or more processes: the
+CLI's annealing commands ask for :func:`default_workers`; ``circuit
+nor-inverse`` and the library, one.
 """
 from __future__ import annotations
 

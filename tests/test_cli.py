@@ -20,7 +20,7 @@ from conftest import random_model, small_models
 from qafactor import anneal, cli, fluxsim, multiplier, seeds
 from qafactor.capacity import CapacityInput
 from qafactor.cli import main
-from qafactor.formats import format_model, format_ports, parse_model, write_trace_csv
+from qafactor.formats import format_model, format_ports, parse_model, write_trace_rows
 from qafactor.gates import GateTemplate, nor_gate, verify_gate
 from qafactor.ising import MAX_BRUTE_FORCE_CAP, IsingModel, brute_force_ground, spins_to_bits
 from qafactor.seeds import shot_seed
@@ -426,7 +426,8 @@ class TestCircuit:
         shots = [fluxsim.simulate_shot(layout, noise, ramp=ramp, dt=50 / 1e15, decimate=200)
                  for noise in noises]
         expected = io.StringIO()
-        write_trace_csv(expected, shots, ramp.total_s)
+        for k, shot in enumerate(shots):
+            write_trace_rows(expected, k, shot.t, shot.iq[:, :, None], ramp.total_s)
 
         calls = []
         integrate = fluxsim._integrate_batch
@@ -694,28 +695,48 @@ class TestOutputPaths:
             assert not Path("out.csv").exists()
 
 
-#: The three commands that fold each annealing batch; the memory test adds ``--csv``.
+#: The four commands that fold each batch, each writing its per-shot log.
 _FOLDING = {
-    "factor": ("factor", "6", "--bits-a", "2", "--bits-b", "2"),
-    "multiply": ("multiply", "2", "3"),
-    "anneal": ("anneal", "nor.model"),
+    "factor": ("factor", "6", "--bits-a", "2", "--bits-b", "2", "--sweeps", "1", "--csv"),
+    "multiply": ("multiply", "2", "3", "--sweeps", "1", "--csv"),
+    "anneal": ("anneal", "nor.model", "--sweeps", "1", "--csv"),
+    "circuit": ("circuit", "nor-inverse", "--clamp", "0", "--ramp-ns", "0.002", "--hold-ns",
+                "0", "--decimate", "1", "--trace"),
 }
 
 
 class TestBatchFolds:
     @pytest.mark.parametrize("case", sorted(_FOLDING))
     def test_memory_does_not_grow_with_shots(self, capsys, monkeypatch, case):
-        """Each batch is decoded, counted and written to the ``--csv`` log as
-        it arrives, then dropped: ten times the shots, the same peak."""
+        """Each batch is decoded, counted and written to the ``--csv`` or
+        ``--trace`` log as it arrives, then dropped: ten times the shots,
+        the same peak."""
         run(capsys, "gates", "emit", "nor")
         monkeypatch.setattr(seeds, "BATCH_BYTES", 1 << 17)
 
         def peak(shots):
-            return traced_peak(capsys, *_FOLDING[case], "--sweeps", "1", "--workers", "1",
-                               "--shots", str(shots), "--csv", "shots.csv")
+            return traced_peak(capsys, *_FOLDING[case], "shots.csv", "--workers", "1",
+                               "--shots", str(shots))
 
         peak(400)
         assert peak(4000) < 1.25 * peak(400) + (32 << 10)
+
+    def test_recorded_batch_fits_the_batch_budget(self):
+        """A batch's per-shot bytes count its recording, and the circuit fold
+        drops each batch before the next one is integrated: two batches that
+        record all 1,002 rows of a 0.25-ns run peak within the default
+        budget plus 1/16 of it."""
+        layout = fluxsim.inverse_nor_layout(0, ramp=fluxsim.RampSpec(0.2e-9, 0.05e-9))
+        steps = fluxsim.step_count(layout.ramp, fluxsim.DT_DEFAULT)
+        shots = 2 * seeds.batch_size(fluxsim._shot_bytes(layout.n, steps, 1))
+        tracemalloc.start()
+        try:
+            cli._fold_ensemble(layout, fluxsim.NoiseSpec(), None, n_shots=shots, master_seed=1,
+                               workers=1, decimate=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < seeds.BATCH_BYTES * 17 / 16
 
 
 class TestDefaults:

@@ -30,6 +30,7 @@ from qafactor.fluxsim import (
     ShotTrace,
     _integrate_batch,
     _sample_index,
+    ensemble_batches,
     inverse_nor_layout,
     johnson_sigma,
     layout_from_ising,
@@ -38,13 +39,24 @@ from qafactor.fluxsim import (
     simulate_shot,
     step_count,
 )
-from qafactor.formats import write_trace_csv
+from qafactor.formats import write_trace_rows
 from qafactor.ising import IsingModel
 from qafactor.seeds import shot_seed
 
 
 def single_qubit_layout(i_x=0.0, ramp=None):
     return NetworkLayout(i_x=(i_x,), ramp=ramp or RampSpec())
+
+
+def recorded_run(layout, n_shots, master_seed, decimate, workers=1):
+    """The batches of an ensemble recorded at every ``decimate``-th step,
+    joined in shot order: bits and final currents (shots, n), the record
+    times, and the loop currents (samples, n, shots)."""
+    bits, final_iq, times, iq = zip(*ensemble_batches(
+        layout, NoiseSpec(), n_shots=n_shots, master_seed=master_seed, workers=workers,
+        decimate=decimate))
+    assert all(np.array_equal(t, times[0]) for t in times)
+    return np.concatenate(bits), np.concatenate(final_iq), times[0], np.concatenate(iq, axis=2)
 
 
 def integrate_kicking_twice(layout, noise, ramp, dt, seeds, record_every):
@@ -242,16 +254,6 @@ class TestDataclasses:
 
 
 class TestNoiseStatistics:
-    def test_per_junction_stream_mean_and_std(self):
-        spec = NoiseSpec(seed=1234)
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        n_samples = 1 << 20
-        stream = rng.normal(0.0, spec.sigma, size=(n_samples, 2))
-        for junction in range(2):
-            s = stream[:, junction]
-            assert abs(s.mean()) < 3 * spec.sigma / math.sqrt(n_samples)
-            assert abs(s.std() - spec.sigma) / spec.sigma < 0.01
-
     def test_lone_qubit_settles_at_the_noise_temperature(self):
         # Equipartition: a lone unbiased qubit held at full barrier after a
         # 10-ps ramp, its loop current sampled every 10 ps from 1 to 6 ns
@@ -263,10 +265,8 @@ class TestNoiseStatistics:
         # power, noise in one half kick only, or each sample held twice as
         # long moves the temperature by a factor of 2 or more.
         ramp = RampSpec(ramp_s=0.01e-9, hold_s=5.99e-9)
-        run = run_ensemble(single_qubit_layout(ramp=ramp), NoiseSpec(), n_shots=200,
-                           master_seed=1, decimate=40)
-        settled = run.traces[0].t >= 1e-9
-        current = np.abs([shot.iq[settled, 0] for shot in run.traces])
+        _, _, t, iq = recorded_run(single_qubit_layout(ramp=ramp), 200, 1, 40)
+        current = np.abs(iq[t >= 1e-9, 0].T)
 
         phi = np.linspace(0.0, PHI0, 20001)
         well = phi ** 2 / (2 * L_LOOP) + IC * PHI0 / math.pi * np.cos(2 * math.pi * phi / PHI0)
@@ -297,9 +297,8 @@ class TestNoiseStatistics:
         ramp = RampSpec(ramp_s=0.01e-9, hold_s=4.49e-9)
         layout = NetworkLayout(i_x=(0.0,) * 4, ramp=ramp,
                                mutuals={(0, 1): -MUTUAL_PER_UNIT_J, (2, 3): MUTUAL_PER_UNIT_J})
-        run = run_ensemble(layout, NoiseSpec(), n_shots=200, master_seed=1, decimate=40)
-        settled = run.traces[0].t >= 0.5e-9
-        current = np.array([shot.iq[settled] for shot in run.traces])
+        _, _, t, iq = recorded_run(layout, 200, 1, 40)
+        current = np.moveaxis(iq[t >= 0.5e-9], 2, 0)
         t_noise = (NoiseSpec().sigma / johnson_sigma(R_SHUNT, 1.0, 1e12)) ** 2
         grid = np.linspace(0.0, PHI0, 301)
         bound = np.array([[0.07, 0.04], [0.04, 0.07]])
@@ -363,8 +362,7 @@ class TestNoiselessDynamics:
         layout = inverse_nor_layout(0, ramp=ramp)
 
         def final_iq(dt):
-            shot = _integrate_batch(layout, NoiseSpec(sigma=0.0), ramp, dt, [0])[0]
-            return np.array(shot.final_iq)
+            return _integrate_batch(layout, NoiseSpec(sigma=0.0), ramp, dt, [0])[1][0]
 
         reference = final_iq(12.5e-15)
         errors = [np.max(np.abs(final_iq(dt) - reference)) for dt in (200e-15, 100e-15, 50e-15)]
@@ -397,7 +395,7 @@ class TestSimulateShot:
     def test_trace_csv_layout(self):
         tr = simulate_shot(single_qubit_layout(), NoiseSpec(seed=5), decimate=2000)
         buf = io.StringIO()
-        write_trace_csv(buf, [tr], RampSpec().total_s)
+        write_trace_rows(buf, 0, tr.t, tr.iq[:, :, None], RampSpec().total_s)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,Iq_1"
         assert len(lines) == tr.t.shape[0] + 1
@@ -440,11 +438,12 @@ class TestEnsemble:
 
     @staticmethod
     def assert_batch_equals_singles(layout, seeds):
-        batched = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)
-        singles = [_integrate_batch(layout, NoiseSpec(seed=0), layout.ramp, DT_DEFAULT,
-                                    [s])[0] for s in seeds]
-        assert [shot.bits for shot in batched] == [shot.bits for shot in singles]
-        assert [shot.final_iq for shot in batched] == [shot.final_iq for shot in singles]
+        bits, final_iq, _, _ = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT,
+                                                seeds)
+        singles = [_integrate_batch(layout, NoiseSpec(seed=0), layout.ramp, DT_DEFAULT, [s])
+                   for s in seeds]
+        assert np.array_equal(bits, np.concatenate([single[0] for single in singles]))
+        assert np.array_equal(final_iq, np.concatenate([single[1] for single in singles]))
 
     def test_batching_matches_per_shot_integration(self):
         self.assert_batch_equals_singles(inverse_nor_layout(0),
@@ -464,8 +463,8 @@ class TestEnsemble:
         # streams shows here.
         ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
         layout = inverse_nor_layout(0, ramp=ramp)
-        shots = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14,
-                                 [shot_seed(42, k) for k in range(3)])
+        bits, final_iq, _, _ = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14,
+                                                [shot_seed(42, k) for k in range(3)])
         expected = np.array([
             (-3.1613063795941535e-06, 3.5679618892642824e-06,
              3.629165318598567e-06, -3.3362630180924118e-06),
@@ -474,8 +473,9 @@ class TestEnsemble:
             (3.574780732246252e-06, 3.3222800364683943e-06,
              -3.1088942359461645e-06, -3.1553205621542383e-06),
         ])
-        assert np.array_equal(np.array([shot.final_iq for shot in shots]), expected)
-        assert [shot.bits for shot in shots] == [(0, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0, 0)]
+        assert np.array_equal(final_iq, expected)
+        assert bits.dtype == np.int8
+        assert bits.tolist() == [[0, 1, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0]]
 
     @pytest.mark.parametrize("dt", [1e-13, 2.5e-13, 5e-13], ids=["100fs", "250fs", "500fs"])
     def test_reused_half_kick_equals_the_recomputed_one(self, dt):
@@ -485,10 +485,11 @@ class TestEnsemble:
         ramp = RampSpec(ramp_s=0.2e-9, hold_s=0.05e-9)
         layout = inverse_nor_layout(0, ramp=ramp)
         seeds = [shot_seed(42, k) for k in range(3)]
-        shots = _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds, record_every=7)
-        final_iq, recorded = integrate_kicking_twice(layout, NoiseSpec(), ramp, dt, seeds, 7)
-        assert np.array_equal(np.array([shot.final_iq for shot in shots]), final_iq)
-        assert np.array_equal(np.stack([shot.iq for shot in shots], axis=2), recorded)
+        _, final_iq, _, iq = _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds,
+                                              record_every=7)
+        expected_iq, recorded = integrate_kicking_twice(layout, NoiseSpec(), ramp, dt, seeds, 7)
+        assert np.array_equal(final_iq, expected_iq)
+        assert np.array_equal(iq, recorded)
 
     @pytest.mark.parametrize("dt", [DT_DEFAULT, 3e-14], ids=["default-dt", "dt-3e-14"])
     def test_block_sizes_do_not_change_results(self, monkeypatch, dt):
@@ -502,16 +503,13 @@ class TestEnsemble:
         def run():
             return _integrate_batch(layout, NoiseSpec(), ramp, dt, seeds, record_every=3)
 
-        shots = run()
+        default = run()
         monkeypatch.setattr(fluxsim, "_STEP_BLOCK", 7)
         monkeypatch.setattr(fluxsim, "_NOISE_BLOCK", 3)
-        small_shots = run()
-        assert len(small_shots) == len(shots) == 3
-        for small, default in zip(small_shots, shots):
-            assert small.final_iq == default.final_iq
-            assert small.bits == default.bits
-            assert np.array_equal(small.t, default.t)
-            assert np.array_equal(small.iq, default.iq)
+        small = run()
+        assert default[0].shape == (3, 4)
+        for small_part, default_part in zip(small, default):
+            assert np.array_equal(small_part, default_part)
 
     def test_working_memory_does_not_grow_with_ramp(self, monkeypatch):
         """Beyond what it returns, a batch holds one block of step inputs
@@ -539,44 +537,38 @@ class TestEnsemble:
         assert ten_times_longer < 1.25 * short + (32 << 10)
 
     @staticmethod
-    def batch_bytes_for(layout, shots):
-        """A ``seeds.BATCH_BYTES`` that fits ``shots`` shots of ``layout`` per batch."""
-        return shots * fluxsim._shot_bytes(layout.n)
+    def batch_bytes_for(layout, shots, decimate=0):
+        """A ``seeds.BATCH_BYTES`` that fits ``shots`` shots of ``layout`` per
+        batch, recorded at every ``decimate``-th step when it is > 0."""
+        return shots * fluxsim._shot_bytes(layout.n, step_count(layout.ramp, DT_DEFAULT),
+                                           decimate)
 
     def test_batches_and_workers_do_not_change_shots(self, monkeypatch):
         layout = inverse_nor_layout(1, ramp=RampSpec(ramp_s=0.1e-9, hold_s=0.02e-9))
-
-        def run(workers):
-            return run_ensemble(layout, NoiseSpec(), n_shots=7, master_seed=3,
-                                workers=workers, decimate=5)
-
-        whole = run(1)
-        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 2))
+        whole = recorded_run(layout, 7, 3, 5)
+        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 2, decimate=5))
+        batches = ensemble_batches(layout, NoiseSpec(), n_shots=7, master_seed=3, decimate=5)
+        assert [len(bits) for bits, *_ in batches] == [2, 2, 2, 1]
         for workers in (1, 2):
-            split = run(workers)
-            assert split.counts == whole.counts
-            assert len(split.traces) == len(whole.traces) == 7
-            for a, b in zip(split.traces, whole.traces):
-                assert np.array_equal(a.t, b.t)
-                assert np.array_equal(a.iq, b.iq)
-                assert a.final_iq == b.final_iq
+            split = recorded_run(layout, 7, 3, 5, workers=workers)
+            for a, b in zip(split, whole):
+                assert np.array_equal(a, b)
 
     def test_working_memory_does_not_grow_with_shots(self, monkeypatch):
-        """Beyond the records it returns, run_ensemble holds one batch at a
-        time: ten times the shots, the same transient peak."""
+        """A recorded ensemble whose batches are dropped as they arrive holds
+        one batch at a time: ten times the shots, the same peak."""
         layout = inverse_nor_layout(0, ramp=RampSpec(ramp_s=0.02e-9, hold_s=0.005e-9))
-        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 4))
+        monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 4, decimate=50))
 
         def transient_peak(n_shots):
             tracemalloc.start()
             try:
-                kept = run_ensemble(layout, NoiseSpec(), n_shots=n_shots, master_seed=1,
-                                    decimate=50)
-                current, peak = tracemalloc.get_traced_memory()
+                for _ in ensemble_batches(layout, NoiseSpec(), n_shots=n_shots, master_seed=1,
+                                          decimate=50):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            del kept
-            return peak - current
 
         transient_peak(2)
         one_batch_scale = transient_peak(20)
@@ -611,9 +603,9 @@ class TestEnsemble:
     def test_halving_dt_rarely_changes_readout(self):
         layout = inverse_nor_layout(0)
         seeds = [shot_seed(314, k) for k in range(50)]
-        coarse = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)
-        fine = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT / 2, seeds)
-        flips = sum(1 for x, y in zip(coarse, fine) if x.bits != y.bits)
+        coarse = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT, seeds)[0]
+        fine = _integrate_batch(layout, NoiseSpec(), layout.ramp, DT_DEFAULT / 2, seeds)[0]
+        flips = np.count_nonzero(np.any(coarse != fine, axis=1))
         assert flips <= 1
 
     def test_text_layout(self):
