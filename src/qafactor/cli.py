@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -124,13 +125,12 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
-def _run(args, solve, *problem, pooled=True, **options):
+def _run(args, solve, *problem, **options):
     """``solve(*problem, **options)`` with the shot commands' ``--shots``,
-    ``--seed`` and ``--workers`` (default :func:`default_workers` where
-    ``pooled``, else 1), then the master seed printed: a run its solver
-    refuses leaves stdout empty."""
+    ``--seed`` and ``--workers`` (default :func:`default_workers`), then the
+    master seed printed: a run its solver refuses leaves stdout empty."""
     result = solve(*problem, n_shots=args.shots, master_seed=args.seed,
-                   workers=args.workers or (default_workers() if pooled else 1), **options)
+                   workers=args.workers or default_workers(), **options)
     print(f"master_seed {args.seed}")
     return result
 
@@ -146,14 +146,19 @@ def _positive_int(text: str) -> int:
 
 
 def _output_path(path: str) -> str:
-    """``--csv`` and ``--trace``: a path that opens for writing, so a run
-    that could not save its output is refused (OSError, a data error)
-    before any shot.  Either file is written only after the run, from
-    :func:`_shot_log`; one that already exists is left as it is until then."""
-    existed = os.path.lexists(path)
-    open(path, "a", encoding="utf-8").close()
+    """``--csv`` and ``--trace``: a path that opens for writing, in a
+    directory that can take the temporary file of :func:`_shot_log`, so a
+    run that could not save its output is refused (OSError, a data error)
+    before any shot.  A file already at the path is left as it is until the
+    run has ended."""
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
+    open(target, "a", encoding="utf-8").close()
     if not existed:
-        os.remove(path)
+        os.remove(target)
+    fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=os.path.dirname(target))
+    os.close(fd)
+    os.remove(rows)
     return path
 
 
@@ -168,17 +173,31 @@ def _cap(text: str) -> int:
 
 @contextmanager
 def _shot_log(path: str | None):
-    """``--csv`` and ``--trace``: the open log that rows go to, an unnamed
-    temporary file (None without a path), written to ``path`` only once the
-    block ends without an error, so a failed run leaves the path as it was."""
+    """``--csv`` and ``--trace``: the open log that rows go to (None without
+    a path), a temporary file beside the path's real target that replaces
+    the target only once the block ends without an error; otherwise it is
+    removed, so a failed run leaves the path as it was.  The file keeps the
+    mode of the one it replaces, and a new one gets the mode that
+    ``open(path, "w")`` would give it."""
     if path is None:
         yield None
         return
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as rows:
-        yield rows
-        rows.seek(0)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(rows)
+    target = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8") as log:
+            os.chmod(rows, mode)
+            yield log
+        os.replace(rows, target)
+    except BaseException:
+        os.remove(rows)
+        raise
     print(f"wrote {path}")
 
 
@@ -335,9 +354,8 @@ def cmd_circuit_nor_inverse(args) -> int:
         args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
     noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
     with _shot_log(args.trace) as log:
-        # One worker by default: a split batch makes every shot dearer (README).
         result = _run(args, _fold_ensemble, layout, noise, log, dt=args.dt_fs / 1e15,
-                      decimate=args.decimate if log else 0, pooled=False)
+                      decimate=args.decimate if log else 0)
         sys.stdout.write(result.to_text())
         violations = sum(c for bits, c in result.counts.items()
                          if bits[:3] not in NOR_TRUTH.valid)
@@ -383,7 +401,7 @@ def build_parser() -> _Parser:
                              help="master seed (printed; derives per-shot seeds)")
     shot_parent.add_argument("--workers", type=_positive_int, default=None,
                              help="processes (default: every usable CPU where the pool"
-                                  " starts by fork, else 1; 1 for the circuit)")
+                                  " starts by fork, else 1)")
     anneal_parent = _Parser(add_help=False)
     anneal_parent.add_argument("--sweeps", type=int, default=annealing.Schedule.sweeps)
     anneal_parent.add_argument("--t-hot", type=float, default=annealing.Schedule.t_hot)

@@ -20,8 +20,8 @@ solver's per-shot bytes count what a shot holds in its batch: its seed's
 ``Generator`` (:data:`GENERATOR_BYTES`), its working arrays and, in a
 traced circuit batch, its recorded rows.  A process pool is started
 (``concurrent.futures`` imported) only for two or more processes: the
-CLI's annealing commands ask for :func:`default_workers`; ``circuit
-nor-inverse`` and the library, one.
+CLI's four shot commands ask for :func:`default_workers`, the library
+functions for one.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ def _usable_cpus() -> int:
 
 
 def default_workers() -> int:
-    """Worker count of the annealing commands when ``--workers`` is not given.
+    """Worker count of the CLI's shot commands when ``--workers`` is not given.
 
     Every usable CPU where a process pool starts by ``fork``, else 1: a
     spawned worker must first import NumPy and this package (about 0.2 s).

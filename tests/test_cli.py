@@ -559,9 +559,8 @@ class TestWrittenBytes:
 
 #: sha256 of stdout and of the ``--csv`` file of full-size runs of every
 #: shot command at the default worker count.  Their batches are as wide as
-#: the flagship runs', 200 shots (100 per annealing worker on two CPUs, one
-#: worker for the circuit; 50 for ``multiply``, its default); the pins above
-#: run 5.
+#: the flagship runs', 200 shots (100 per worker on two CPUs; 50 for
+#: ``multiply``, its default); the pins above run 5.
 _PRINTED = {
     "factor-200": (("factor", "15", "--shots", "200", "--seed", "2024", "--csv", "f.csv"),
                    "53434044c6ccb0741225af73fc29d09929c8d36cc69ff9ef30c0863421a8ee6d", {
@@ -659,40 +658,86 @@ class TestOutputPaths:
     def test_refused_run_leaves_the_path_as_it_was(self, capsys, case, refused):
         run(capsys, "gates", "emit", "nor")
         Path("kept.csv").write_bytes(b"earlier bytes\n")
+        listing = sorted(os.listdir())
         for path in ("kept.csv", "absent.csv"):
             code, out, _ = run(capsys, *_SAVING[case], path, *refused)
             assert code == 1
             assert out == ""
         assert Path("kept.csv").read_bytes() == b"earlier bytes\n"
-        assert not Path("absent.csv").exists()
+        assert sorted(os.listdir()) == listing
 
     @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
-    @pytest.mark.parametrize("case", ["anneal", "factor", "multiply"])
+    @pytest.mark.parametrize("case", sorted(_SAVING))
     def test_failed_run_leaves_stdout_and_the_path_alone(self, capsys, monkeypatch, case,
                                                          existing):
         """A run that fails at its second batch, after the first one's rows
-        were written, prints nothing and leaves the ``--csv`` path as it was."""
+        were written, prints nothing and leaves the ``--csv`` or ``--trace``
+        path as it was, with no file added beside it."""
         run(capsys, "gates", "emit", "nor")
         if existing:
             Path("out.csv").write_bytes(b"earlier bytes\n")
+        listing = sorted(os.listdir())
         monkeypatch.setattr(seeds, "BATCH_BYTES", 1)
-        real, calls = anneal._anneal_batch, []
+        module, name = (fluxsim, "_integrate_batch") if case == "circuit" else (
+            anneal, "_anneal_batch")
+        real, calls = getattr(module, name), []
 
-        def fail_second(*args):
+        def fail_second(*args, **kwargs):
             calls.append(args)
             if len(calls) == 2:
                 raise ArithmeticError("injected at the second batch")
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(anneal, "_anneal_batch", fail_second)
+        monkeypatch.setattr(module, name, fail_second)
         code, out, err = run(capsys, *_SAVING[case], "out.csv", "--workers", "1")
         assert code == 4 and len(calls) == 2
         assert out == ""
         assert "injected at the second batch" in err
+        assert sorted(os.listdir()) == listing
         if existing:
             assert Path("out.csv").read_bytes() == b"earlier bytes\n"
-        else:
-            assert not Path("out.csv").exists()
+
+    def test_directory_that_cannot_take_the_log_is_refused_while_parsing(self, capsys,
+                                                                         monkeypatch):
+        """The log is written beside the path and moved onto it, so a
+        writable file in a read-only directory is refused, before the
+        model is read, and kept."""
+        run(capsys, "gates", "emit", "nor")
+        Path("ro").mkdir()
+        Path("ro/out.csv").write_bytes(b"earlier bytes\n")
+        os.chmod("ro", 0o555)
+        try:
+            if os.access("ro", os.W_OK):
+                pytest.skip("this user may write to a read-only directory")
+            monkeypatch.setattr(cli, "parse_model", None)
+            code, out, err = run(capsys, *_SAVING["anneal"], "ro/out.csv")
+            assert code == 2 and out == "" and err.startswith("data error: ")
+            assert os.listdir("ro") == ["out.csv"]
+            assert Path("ro/out.csv").read_bytes() == b"earlier bytes\n"
+        finally:
+            os.chmod("ro", 0o755)
+
+    @pytest.mark.parametrize("case", sorted(_SAVING))
+    def test_log_replaces_the_real_path_and_keeps_its_mode(self, capsys, case):
+        """A new file gets the mode ``open(path, "w")`` gives it, a
+        replaced one keeps its own, and a symlink stays a link to the
+        file that is written; each holds the bytes of a direct write."""
+        run(capsys, "gates", "emit", "nor")
+        umask = os.umask(0o027)
+        try:
+            assert run(capsys, *_SAVING[case], "direct.csv", "--workers", "1")[0] == 0
+        finally:
+            os.umask(umask)
+        assert os.stat("direct.csv").st_mode & 0o777 == 0o640
+        Path("target.csv").write_bytes(b"earlier bytes\n")
+        os.chmod("target.csv", 0o604)
+        os.symlink("target.csv", "link.csv")
+        assert run(capsys, *_SAVING[case], "link.csv", "--workers", "1")[0] == 0
+        assert os.readlink("link.csv") == "target.csv"
+        assert os.stat("target.csv").st_mode & 0o777 == 0o604
+        assert Path("target.csv").read_bytes() == Path("direct.csv").read_bytes()
+        assert sorted(os.listdir()) == ["direct.csv", "link.csv", "nor.model", "nor.ports",
+                                        "target.csv"]
 
 
 #: The four commands that fold each batch, each writing its per-shot log.
@@ -772,10 +817,14 @@ class TestDefaults:
         assert seen == [(fluxsim.RampSpec(), fluxsim.DT_DEFAULT, fluxsim.NoiseSpec().sigma)]
 
 
-_ANNEALING = {
-    "factor": ("factor", "15", "--shots", "40", "--sweeps", "300"),
-    "multiply": ("multiply", "3", "5", "--shots", "20", "--sweeps", "300"),
-    "anneal": ("anneal", "nor.model", "--brute-force-reference", "--shots", "40"),
+#: A run of each shot command that writes its log to ``shots.csv``.
+_LOGGED = {
+    "factor": ("factor", "15", "--shots", "40", "--sweeps", "300", "--csv", "shots.csv"),
+    "multiply": ("multiply", "3", "5", "--shots", "20", "--sweeps", "300", "--csv", "shots.csv"),
+    "anneal": ("anneal", "nor.model", "--brute-force-reference", "--shots", "40",
+               "--csv", "shots.csv"),
+    "circuit": ("circuit", "nor-inverse", "--clamp", "0", "--shots", "4", "--ramp-ns", "0.2",
+                "--hold-ns", "0.05", "--trace", "shots.csv"),
 }
 
 
@@ -797,7 +846,7 @@ def _refuse_pools(monkeypatch):
 
 
 class TestDefaultWorkers:
-    @pytest.mark.parametrize("case", sorted(_ANNEALING))
+    @pytest.mark.parametrize("case", sorted(_LOGGED))
     def test_fork_default_runs_a_pool_with_the_bytes_of_one_worker(self, capsys, monkeypatch,
                                                                   two_cpus, case):
         two_cpus("fork")
@@ -810,7 +859,7 @@ class TestDefaultWorkers:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         run(capsys, "gates", "emit", "nor")
-        argv = (*_ANNEALING[case], "--csv", "shots.csv")
+        argv = _LOGGED[case]
         code, one, _ = run(capsys, *argv, "--workers", "1")
         assert code == 0 and pools == []
         one_csv = Path("shots.csv").read_bytes()
@@ -819,19 +868,12 @@ class TestDefaultWorkers:
         assert default == one
         assert Path("shots.csv").read_bytes() == one_csv
 
-    @pytest.mark.parametrize("case", sorted(_ANNEALING))
+    @pytest.mark.parametrize("case", sorted(_LOGGED))
     def test_spawn_default_starts_no_pool(self, capsys, monkeypatch, two_cpus, case):
         two_cpus("spawn")
         _refuse_pools(monkeypatch)
         run(capsys, "gates", "emit", "nor")
-        assert run(capsys, *_ANNEALING[case])[0] == 0
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_circuit_default_starts_no_pool(self, capsys, monkeypatch, two_cpus, method):
-        two_cpus(method)
-        _refuse_pools(monkeypatch)
-        assert run(capsys, "circuit", "nor-inverse", "--clamp", "0", "--shots", "4",
-                   "--ramp-ns", "0.2", "--hold-ns", "0.05")[0] == 0
+        assert run(capsys, *_LOGGED[case])[0] == 0
 
 
 class TestCapacity:
@@ -991,16 +1033,19 @@ def _loaded_after(*commands):
 
 class TestColdStart:
     def test_numpy_only_commands_never_load_scipy_or_a_pool(self):
+        """The commands that run no shots load neither; the circuit, last,
+        may start a pool but never loads SciPy."""
         steps = _loaded_after(
-            ["circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
-             "--ramp-ns", "0.2", "--hold-ns", "0.05"],
             ["gates", "emit", "nor"],
             ["verify", "nor.model", "--ports", "nor.ports"],
             ["capacity"],
             ["gates", "emit", "mult-unit"],
             ["synth", "mult", "--bits-a", "2", "--bits-b", "2"],
+            ["circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
+             "--ramp-ns", "0.2", "--hold-ns", "0.05"],
         )
-        assert steps == [[]] * 7
+        assert steps[:6] == [[]] * 6
+        assert set(steps[6]) <= {"concurrent"}
 
     def test_annealing_never_loads_scipy_sparse_or_optimize(self):
         """The annealer loads SciPy's compiled CSR kernel from its extension
