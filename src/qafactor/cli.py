@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import stat
@@ -145,18 +146,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _stream(path: str) -> bool:
+    """Whether ``path`` names neither a regular file nor a directory but,
+    say, ``/dev/null``, a FIFO or ``/dev/fd/N``: :func:`_shot_log` writes
+    such a log directly, as nothing may be moved onto it."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return False
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+
+
 def _output_path(path: str) -> str:
-    """``--csv`` and ``--trace``: a path that opens for writing, in a
-    directory that can take the temporary file of :func:`_shot_log`, so a
-    run that could not save its output is refused (OSError, a data error)
-    before any shot.  A file already at the path is left as it is until the
-    run has ended."""
+    """``--csv`` and ``--trace``: a path that :func:`_shot_log` can write,
+    so a run that could not save its output is refused (OSError, a data
+    error) before any shot.  A stream must grant write access; it is not
+    opened here, as closing a FIFO would end its reader's input.  Otherwise
+    a file at the path's real target must open for writing and, in a sticky
+    directory such as ``/tmp``, be the user's or in the user's directory,
+    or it could not be replaced; and that directory must take a new file.
+    A file already at the path is left as it is until the run has ended."""
+    if _stream(path):
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return path
     target = os.path.realpath(path)
-    existed = os.path.exists(target)
-    open(target, "a", encoding="utf-8").close()
-    if not existed:
-        os.remove(target)
-    fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=os.path.dirname(target))
+    directory = os.path.dirname(target)
+    if os.path.exists(target):
+        open(target, "a", encoding="utf-8").close()
+        if (os.stat(directory).st_mode & stat.S_ISVTX and os.geteuid() not in
+                (0, os.stat(target).st_uid, os.stat(directory).st_uid)):
+            raise PermissionError(errno.EPERM, "another user's file in a sticky directory",
+                                  path)
+    try:
+        fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=directory)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     os.close(fd)
     os.remove(rows)
     return path
@@ -174,13 +199,22 @@ def _cap(text: str) -> int:
 @contextmanager
 def _shot_log(path: str | None):
     """``--csv`` and ``--trace``: the open log that rows go to (None without
-    a path), a temporary file beside the path's real target that replaces
-    the target only once the block ends without an error; otherwise it is
-    removed, so a failed run leaves the path as it was.  The file keeps the
-    mode of the one it replaces, and a new one gets the mode that
-    ``open(path, "w")`` would give it."""
+    a path).  A stream (:func:`_stream`) is written directly, so a failed
+    run may leave some rows in it.  Otherwise the rows go to a temporary
+    file beside the path's real target, which replaces the target only once
+    the block ends without an error and is removed if not, so a failed run
+    leaves the path as it was.  The replacement is a new file: hard links
+    to the old one keep the old bytes, and of the old file's metadata only
+    its mode carries over, not its owner, group, ACLs or extended
+    attributes.  A new file gets the mode that ``open(path, "w")`` would
+    give it."""
     if path is None:
         yield None
+        return
+    if _stream(path):
+        with open(path, "w", encoding="utf-8") as log:
+            yield log
+        print(f"wrote {path}")
         return
     target = os.path.realpath(path)
     try:

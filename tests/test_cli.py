@@ -7,8 +7,10 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -738,6 +740,71 @@ class TestOutputPaths:
         assert Path("target.csv").read_bytes() == Path("direct.csv").read_bytes()
         assert sorted(os.listdir()) == ["direct.csv", "link.csv", "nor.model", "nor.ports",
                                         "target.csv"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    @pytest.mark.parametrize("case", sorted(_SAVING))
+    def test_stream_is_written_in_place(self, capsys, monkeypatch, case, kind):
+        """A FIFO, or a pipe named ``/dev/fd/N``, gets the bytes of a file
+        written directly, with nothing moved onto it or left beside it."""
+        run(capsys, "gates", "emit", "nor")
+        assert run(capsys, *_SAVING[case], "direct.csv", "--workers", "1")[0] == 0
+        if kind == "fifo":
+            os.mkfifo("log")
+            path = source = "log"
+        elif os.path.isdir("/dev/fd"):
+            source, write_end = os.pipe()
+            path = f"/dev/fd/{write_end}"
+        else:
+            pytest.skip("no /dev/fd")
+        listing = sorted(os.listdir())
+        received = []
+
+        def drain():
+            with open(source, "rb") as stream:
+                received.append(stream.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+
+        def replace(*args, **kwargs):
+            raise AssertionError("a log was moved onto a stream")
+
+        monkeypatch.setattr(os, "replace", replace)
+        try:
+            code = run(capsys, *_SAVING[case], path, "--workers", "1")[0]
+        finally:
+            if kind == "pipe":
+                os.close(write_end)
+        reader.join(60)
+        assert code == 0
+        assert received == [Path("direct.csv").read_bytes()]
+        assert sorted(os.listdir()) == listing
+        if kind == "fifo":
+            assert stat.S_ISFIFO(os.stat("log").st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid"), reason="no user ids")
+    def test_another_users_file_in_a_sticky_directory_is_refused_while_parsing(
+            self, capsys, monkeypatch):
+        """In a sticky directory such as ``/tmp`` only the owner of a file or
+        of the directory may replace it, so another user's file is refused
+        before the model is read, and kept; the owner's own run writes it."""
+        run(capsys, "gates", "emit", "nor")
+        Path("shared").mkdir()
+        os.chmod("shared", 0o1777)
+        Path("shared/out.csv").write_bytes(b"earlier bytes\n")
+        os.chmod("shared/out.csv", 0o666)
+        owner = os.stat("shared/out.csv").st_uid
+        with monkeypatch.context() as other_user:
+            other_user.setattr(os, "geteuid", lambda: owner + 1)
+            other_user.setattr(cli, "parse_model", None)
+            code, out, err = run(capsys, *_SAVING["anneal"], "shared/out.csv")
+        assert code == 2 and out == "" and err.startswith("data error: ")
+        assert "sticky" in err
+        assert os.listdir("shared") == ["out.csv"]
+        assert Path("shared/out.csv").read_bytes() == b"earlier bytes\n"
+        assert run(capsys, *_SAVING["anneal"], "shared/out.csv", "--workers", "1")[0] == 0
+        assert os.listdir("shared") == ["out.csv"]
+        assert Path("shared/out.csv").read_bytes() != b"earlier bytes\n"
 
 
 #: The four commands that fold each batch, each writing its per-shot log.
