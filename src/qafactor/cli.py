@@ -29,8 +29,8 @@ from .formats import (
     write_trace_rows,
 )
 from .gates import NOR_TRUTH, and_gate, check_manifold, half_adder, nor_gate, verify_gate
-from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, brute_force_ground,
-                    clamp_fold, spins_to_bits, state_from_code)
+from .ising import (BRUTE_FORCE_CAP, MAX_BRUTE_FORCE_CAP, SizeCapError, bit_strings,
+                    brute_force_ground, clamp_fold, code_spins)
 from .multiplier import (
     BIAS,
     CHAIN_STRENGTH,
@@ -348,9 +348,8 @@ def cmd_verify(args) -> int:
     print(f"gap {report.gap!r}")
     if args.ports:
         # The first 32 ground states by bit string, spin 0 first: the
-        # codes are already in that order.
-        for code in report.codes[:32].tolist():
-            bits = "".join(map(str, spins_to_bits(state_from_code(model.n, code))))
+        # codes ascend in that order.
+        for bits in bit_strings(code_spins(model.n, report.codes[:32]).T).astype(str).tolist():
             decoded = " ".join(f"{name}={bits[idx]}" for name, idx in sorted(ports.items()))
             print(f"ground {bits} {decoded}")
     check = check_manifold(report, valid or None, declared_gap)

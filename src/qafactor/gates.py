@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ising import (GROUND_TOL, GroundReport, IsingModel, bits_to_spins, brute_force_ground,
-                    code_from_state)
+from .ising import GROUND_TOL, GroundReport, IsingModel, brute_force_ground, state_codes
 
 WIRE = "wire"
 NOT = "not"
@@ -200,7 +199,7 @@ def check_manifold(report: GroundReport, valid, gap: float | None) -> GateReport
     valid_match = gap_met = None
     offending = 0
     if valid is not None:
-        wanted = np.array([code_from_state(bits_to_spins(v)) for v in valid], dtype=np.int64)
+        wanted = state_codes(valid)
         offending = int(np.count_nonzero(~np.isin(report.codes, wanted))
                         + np.count_nonzero(~np.isin(wanted, report.codes)))
         valid_match = offending == 0

@@ -130,9 +130,14 @@ def spins_to_bits(state: Sequence[int]) -> tuple[int, ...]:
 
 
 def bit_strings(states: np.ndarray) -> np.ndarray:
-    """The rows of a (k, n) array of +-1 as bit strings, spin 0 first and
-    bit 1 for +1: one ASCII byte string per row, a (k,) ``S{n}`` array."""
-    return ((states > 0).astype(np.uint8) + ord("0")).view(f"S{states.shape[1]}")[:, 0]
+    """The rows of any (k, n) array of +-1 as bit strings, spin 0 first and
+    bit 1 for +1: one ASCII byte string per row, a (k,) ``S{n}`` array
+    (``S1`` of empty strings when n = 0, as NumPy has no ``S0``)."""
+    k, n = states.shape
+    text = np.zeros((k, max(n, 1)), dtype=np.uint8)
+    text[:, :n] = states > 0
+    text[:, :n] += ord("0")
+    return text.view(f"S{max(n, 1)}")[:, 0]
 
 
 def _check_clamps(n: int, clamps: Mapping[int, int]) -> dict[int, int]:
@@ -201,15 +206,24 @@ def merge_spins(n: int, clamps: Mapping[int, int], free_state: Sequence[int]) ->
     return tuple(full)
 
 
-def state_from_code(n: int, code: int) -> SpinState:
-    """Spin state for an enumeration code, spin 0 its most significant bit:
-    ascending codes list the states in bit-string order, spin 0 first."""
-    return tuple(1 if (code >> (n - 1 - k)) & 1 else -1 for k in range(n))
+def code_spins(n: int, codes: np.ndarray) -> np.ndarray:
+    """The (n, k) int8 +-1 spins of k enumeration codes.  Spin 0 is a code's
+    most significant bit, so ascending codes list the states in bit-string
+    order, spin 0 first."""
+    codes = np.asarray(codes, dtype=np.int64)
+    spins = np.empty((n, codes.size), dtype=np.int8)
+    for i, row in enumerate(spins):
+        row[:] = (codes >> (n - 1 - i)) & 1
+    spins *= 2
+    spins -= 1
+    return spins
 
 
-def code_from_state(state: Sequence[int]) -> int:
-    """Enumeration code of a spin state; the inverse of :func:`state_from_code`."""
-    return sum(b << k for k, b in enumerate(reversed(spins_to_bits(state))))
+def state_codes(rows) -> np.ndarray:
+    """The int64 enumeration codes of a (k, n) array of bits or of +-1 spins,
+    a row each: the inverse of :func:`code_spins`."""
+    bits = np.asarray(rows) > 0
+    return bits @ (np.int64(1) << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 #: log2 of the codes per chunk of :func:`code_energies`, sized to stay in cache.
@@ -218,27 +232,21 @@ _CHUNK_BITS = 16
 
 def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(codes, energies)``: H at every enumeration code 0..2**n-1 in
-    ascending order, 2**_CHUNK_BITS codes at a time to bound memory.  Spin 0
-    is a code's most significant bit."""
+    ascending order, 2**_CHUNK_BITS codes at a time to bound memory."""
     n = model.n
     chunk = 1 << min(_CHUNK_BITS, n)
-    spins = np.empty((n, chunk), dtype=np.int8)
     for start in range(0, 1 << n, chunk):
         codes = np.arange(start, start + chunk, dtype=np.int64)
-        for i, row in enumerate(spins):
-            row[:] = (codes >> (n - 1 - i)) & 1
-        spins *= 2
-        spins -= 1
-        yield codes, energies(model, spins)
+        yield codes, energies(model, code_spins(n, codes))
 
 
 @dataclass(frozen=True, eq=False)
 class GroundReport:
     """Exhaustive ground-state search result over ``n`` spins.
 
-    ``codes`` holds every ground state as its enumeration code (spin 0 the
-    most significant bit), an ascending int64 array in bit-string order,
-    8 bytes per state; ``states`` decodes them to spin tuples in that order.
+    ``codes`` holds every ground state as its enumeration code
+    (:func:`code_spins`), an ascending int64 array, 8 bytes per state;
+    ``states`` decodes them to spin tuples in that order.
     ``gap`` is the distance from e0 to the first level above the
     degeneracy tolerance, ``inf`` when every state is ground.
     """
@@ -254,7 +262,7 @@ class GroundReport:
 
     @property
     def states(self) -> tuple[SpinState, ...]:
-        return tuple(state_from_code(self.n, c) for c in self.codes.tolist())
+        return tuple(map(tuple, code_spins(self.n, self.codes).T.tolist()))
 
 
 def _floor(e: np.ndarray) -> tuple[float, int]:

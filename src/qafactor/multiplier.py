@@ -26,6 +26,7 @@ from .ising import (
     IsingModel,
     brute_force_ground,
     clamp_fold,
+    code_spins,
     energies,
     free_indices,
 )
@@ -223,7 +224,7 @@ def ground_factor_pairs(net: MultiplierNetwork, p: int) -> set[tuple[int, int]]:
     folded to p.  Exhaustive; only valid within the enumeration cap."""
     clamps = product_clamp_assignment(net, p)
     reduced, offset = clamp_fold(net.model, clamps)
-    states = np.array(brute_force_ground(reduced).states, dtype=np.int8)
-    m, n, _ = decode_reduced(net, clamps, states)
-    ground = energies(reduced, states.T) + offset <= net.expected_e0 + GROUND_TOL
+    spins = code_spins(reduced.n, brute_force_ground(reduced).codes)
+    m, n, _ = decode_reduced(net, clamps, spins.T)
+    ground = energies(reduced, spins) + offset <= net.expected_e0 + GROUND_TOL
     return set(zip(m[ground].tolist(), n[ground].tolist()))

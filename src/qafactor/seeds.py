@@ -97,8 +97,8 @@ def run_batches(batch, args: tuple, n_shots: int, master_seed: int, workers: int
     in shot order, ``seeds`` listing ``shot_seed(master_seed, k)`` per shot k.
 
     A pool (``batch`` must then pickle) holds at most one batch per process,
-    plus one, in flight, and cancels the queued ones when a batch raises or
-    the caller stops iterating.
+    the one being yielded included, and cancels the queued ones when a batch
+    raises or the caller stops iterating.
     """
     starts = shot_batches(n_shots, workers, shot_bytes)
     batches = ([shot_seed(master_seed, k) for k in range(lo, min(lo + starts.step, n_shots))]
@@ -114,7 +114,7 @@ def run_batches(batch, args: tuple, n_shots: int, master_seed: int, workers: int
         try:
             for seeds in batches:
                 pending.append(pool.submit(batch, *args, seeds))
-                if len(pending) > processes:
+                if len(pending) >= processes:
                     yield pending.pop(0).result()
             while pending:
                 yield pending.pop(0).result()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateTemplate, TruthTable, check_manifold
-from .ising import IsingModel, brute_force_ground
+from .ising import IsingModel, brute_force_ground, code_spins, state_codes
 
 GRID = 0.25
 _SNAP_EPS = 1e-6
@@ -49,24 +49,15 @@ class _Problem:
         return self.n + len(self.pairs)
 
 
-def _state_row(bits, pairs) -> list[float]:
-    s = [2 * b - 1 for b in bits]
-    return [float(x) for x in s] + [float(s[i] * s[j]) for i, j in pairs]
-
-
 def _build_problem(table: TruthTable, bound: float) -> _Problem:
+    """One LP row per state, in enumeration-code order."""
     n = table.n_vars
-    pairs = list(itertools.combinations(range(n), 2))
-    valid = set(table.valid)
-    a_valid, a_invalid = [], []
-    for bits in itertools.product((0, 1), repeat=n):
-        row = _state_row(bits, pairs)
-        (a_valid if bits in valid else a_invalid).append(row)
-    return _Problem(
-        n, pairs, np.array(a_valid, dtype=float),
-        np.array(a_invalid, dtype=float) if a_invalid else np.zeros((0, n + len(pairs))),
-        bound,
-    )
+    i, j = np.triu_indices(n, 1)
+    codes = np.arange(1 << n)
+    s = code_spins(n, codes)
+    rows = np.vstack([s, s[i] * s[j]]).T.astype(float)
+    valid = np.isin(codes, state_codes(table.valid))
+    return _Problem(n, list(zip(i.tolist(), j.tolist())), rows[valid], rows[~valid], bound)
 
 
 def _solve(prob: _Problem, objective: np.ndarray, fixed: dict[int, float],

@@ -639,7 +639,7 @@ class TestShotRanges:
         assert next(batches) == [seeds_of(1, 0, 4)] * 4
         assert next(batches) == [seeds_of(1, 4, 8)] * 4
 
-    def test_pool_holds_one_batch_per_process_plus_one(self, monkeypatch):
+    def test_pool_holds_one_batch_per_process(self, monkeypatch):
         """A failing batch, or a caller that stops, cancels the queued
         batches, and no more are submitted."""
         pools = []
@@ -654,7 +654,7 @@ class TestShotRanges:
         with pytest.raises(ArithmeticError, match="shot 0 failed"):
             list(run_batches(refuse_shot_zero, (5,), 12, 5, 2, shot_bytes))
         futures = pools[-1].futures
-        assert len(futures) == 3
+        assert len(futures) == 2
         assert futures[0].exception() is not None
         assert all(f.cancelled() for f in futures[1:])
 
@@ -662,7 +662,7 @@ class TestShotRanges:
         assert next(stopped) == seeds_of(5, 0, 2)
         stopped.close()
         futures = pools[-1].futures
-        assert len(futures) == 3
+        assert len(futures) == 2
         assert futures[0].done() and all(f.cancelled() for f in futures[1:])
 
 

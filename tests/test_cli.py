@@ -188,6 +188,19 @@ class TestVerify:
         assert ground == [f"ground {k:022b} a={k >> 21}" for k in range(32)]
         assert peak < 88 * 2**20
 
+    @pytest.mark.parametrize("sidecar,checks", [
+        ("gap 0\n", "gap_met true\n"),
+        ("valid\ngap 0\n", "valid_set_match true\ngap_met true\n"),
+    ], ids=["gap", "empty-valid-line"])
+    def test_zero_spin_model(self, capsys, sidecar, checks):
+        # One ground state, the empty one, listed as an empty bit string.
+        Path("empty.model").write_text("n 0\n")
+        Path("empty.ports").write_text(sidecar)
+        code, out, _ = run(capsys, "verify", "empty.model", "--ports", "empty.ports")
+        assert code == 0
+        assert out == ("spins 0\ne0 0.0\nground_states 1\ngap inf\nground  \n"
+                       + checks + "pass true\n")
+
     # One example per model, valid set and gap; each writes the two files
     # it reads into the shared working directory.  Models without terms
     # have more ground states than the 32 printed.

@@ -17,12 +17,12 @@ from qafactor.ising import (
     bits_to_spins,
     brute_force_ground,
     clamp_fold,
-    code_from_state,
+    code_spins,
     energy,
     free_indices,
     merge_spins,
     spins_to_bits,
-    state_from_code,
+    state_codes,
 )
 
 NOR = IsingModel(3, (0.5, 0.5, 1.0), {(0, 1): 0.5, (0, 2): 1.0, (1, 2): 1.0})
@@ -111,7 +111,9 @@ class TestEnergies:
             codes = np.concatenate([c for c, _ in got]).tolist()
             values = np.concatenate([e for _, e in got]).tolist()
             assert codes == list(range(1 << model.n))
-            assert values == [loop_energy(model, state_from_code(model.n, c)) for c in codes]
+            states = [[1 if c >> (model.n - 1 - i) & 1 else -1 for i in range(model.n)]
+                      for c in codes]
+            assert values == [loop_energy(model, state) for state in states]
 
     def test_row_count_checked(self):
         with pytest.raises(DimensionError):
@@ -310,11 +312,16 @@ class TestBruteForce:
         assert report.codes.tolist() == [0, 1, 2]
         assert report.gap == pytest.approx(1.6e-9)
 
-    def test_state_from_code_order(self):
-        assert state_from_code(3, 0) == (-1, -1, -1)
-        assert state_from_code(3, 1) == (-1, -1, 1)
-        assert state_from_code(3, 6) == (1, 1, -1)
-        assert [code_from_state(state_from_code(5, c)) for c in range(32)] == list(range(32))
+    def test_code_spins_state_codes_round_trip(self):
+        assert code_spins(3, np.array([0, 1, 6])).T.tolist() == [
+            [-1, -1, -1], [-1, -1, 1], [1, 1, -1]]
+        for n in range(6):
+            codes = np.arange(1 << n)
+            spins = code_spins(n, codes)
+            assert spins.dtype == np.int8 and spins.shape == (n, 1 << n)
+            assert [tuple(row) for row in spins.T.tolist()] == list(all_states(n))
+            assert state_codes(spins.T).tolist() == codes.tolist()
+            assert state_codes((spins.T + 1) // 2).tolist() == codes.tolist()
 
 
 class TestModelFormat:

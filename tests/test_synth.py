@@ -10,6 +10,7 @@ from qafactor.synth import (
     GRID,
     MULT_UNIT_PORTS,
     SynthesisError,
+    _build_problem,
     multiplier_unit_table,
     synthesize_penalty,
 )
@@ -127,6 +128,30 @@ class TestSynthesizePenalty:
         report = verify_gate(gate)
         assert report.passed
         assert report.achieved_gap >= 0.5 - 1e-9
+
+    def test_one_variable_table(self):
+        gate = synthesize_penalty(TruthTable(1, ((1,),)), gap=1.0, bound=2.0)
+        assert gate.model.h == (-2.0,) and gate.model.couplings == {}
+        assert verify_gate(gate).passed
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.sets(
+        st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=1 << n)))
+    @settings(max_examples=40, deadline=None)
+    def test_problem_rows_are_the_state_walk(self, valid):
+        # Oracle: every bit vector in itertools.product order, one row
+        # [s_i ..., s_i s_j ...] each, split by membership in the table.
+        n = len(next(iter(valid)))
+        pairs = list(itertools.combinations(range(n), 2))
+        rows = {True: [], False: []}
+        for bits in itertools.product((0, 1), repeat=n):
+            s = [2 * b - 1 for b in bits]
+            rows[bits in valid].append([float(x) for x in s]
+                                       + [float(s[i] * s[j]) for i, j in pairs])
+        prob = _build_problem(TruthTable(n, tuple(sorted(valid))), 2.0)
+        assert prob.pairs == pairs
+        assert prob.a_valid.tolist() == rows[True]
+        assert prob.a_invalid.tolist() == rows[False]
+        assert prob.a_invalid.shape == (len(rows[False]), n + len(pairs))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
