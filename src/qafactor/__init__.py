@@ -20,13 +20,10 @@ from .gates import (
 from .ising import (
     GroundReport,
     IsingModel,
-    bits_to_spins,
     brute_force_ground,
     clamp_fold,
     energies,
-    energy,
     merge_spins,
-    spins_to_bits,
 )
 from .multiplier import (
     FactorOutcome,

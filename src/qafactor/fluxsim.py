@@ -583,18 +583,3 @@ def run_ensemble(
     for bits, *_ in ensemble_batches(layout, noise, ramp, n_shots, master_seed, dt, workers):
         result.add(bits)
     return result
-
-
-def potential_minima(phi_t: float) -> tuple[float, ...]:
-    """Main-loop fluxes (Wb) at the local minima of a bare qubit's potential
-    at transverse flux ``phi_t``: one at Phi0/2, where the barrier is off,
-    two (+-0.43 Phi0) at 0, the full barrier.
-
-    Counts strict local minima over 3001 grid points spanning 1.5 flux
-    quanta on either side of zero applied flux.
-    """
-    ej = (PHI0 / (2.0 * math.pi)) * 2.0 * IC * math.cos(math.pi * phi_t / PHI0)
-    phi = np.linspace(-1.5 * PHI0, 1.5 * PHI0, 3001)
-    u = phi ** 2 / (2.0 * L_LOOP) + ej * np.cos(2.0 * math.pi * phi / PHI0)
-    interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
-    return tuple(float(x) for x in phi[1:-1][interior])

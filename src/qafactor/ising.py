@@ -103,32 +103,6 @@ def energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
     return e
 
 
-def energy(model: IsingModel, state: Sequence[int]) -> float:
-    """H(s) of one checked state: its column of :func:`energies`."""
-    bits = np.array(spins_to_bits(state), dtype=np.int8).reshape(-1, 1)
-    return float(energies(model, 2 * bits - 1)[0])
-
-
-def bits_to_spins(bits: Sequence[int]) -> SpinState:
-    """Map bits to spins, 1 -> +1 and 0 -> -1."""
-    out = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {b!r}")
-        out.append(1 if b else -1)
-    return tuple(out)
-
-
-def spins_to_bits(state: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`bits_to_spins`."""
-    out = []
-    for s in state:
-        if s not in (-1, 1):
-            raise ValueError(f"spin must be -1 or +1, got {s!r}")
-        out.append(1 if s == 1 else 0)
-    return tuple(out)
-
-
 def bit_strings(states: np.ndarray) -> np.ndarray:
     """The rows of any (k, n) array of +-1 as bit strings, spin 0 first and
     bit 1 for +1: one ASCII byte string per row, a (k,) ``S{n}`` array
@@ -155,11 +129,10 @@ def _check_clamps(n: int, clamps: Mapping[int, int]) -> dict[int, int]:
 def clamp_fold(model: IsingModel, clamps: Mapping[int, int]) -> tuple[IsingModel, float]:
     """Fold clamped spins out of the model algebraically.
 
-    Returns ``(reduced, offset)`` such that for every assignment of the
-    free spins, ``energy(reduced, free) + offset == energy(model, merged)``
-    where ``merged`` is the free assignment with the clamped bits spliced
-    back in (see :func:`merge_spins`).  Free spins keep their relative
-    order.
+    Returns ``(reduced, offset)`` such that for every assignment ``free``
+    of the free spins, H_reduced(free) + offset = H_model(merged), where
+    ``merged`` is ``free`` with the clamped bits spliced back in (see
+    :func:`merge_spins`).  Free spins keep their relative order.
     """
     clamps = _check_clamps(model.n, clamps)
     if not clamps:

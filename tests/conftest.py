@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qafactor.fluxsim import I_STAR, IC, KB, L_LOOP, MUTUAL_PER_UNIT_J, PHI0
-from qafactor.ising import IsingModel
+from qafactor.ising import IsingModel, energies
 
 #: Noise temperature, K: the nominal one of NoiseSpec's default sigma, the
 #: 3.2-kOhm shunt's Johnson current over 1 THz rounded to 0.13 uA, which is
@@ -28,6 +28,28 @@ def random_model(n: int, seed: int) -> IsingModel:
     couplings = {(i, j): rng.uniform(-1.0, 1.0)
                  for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
     return IsingModel(n, h, couplings)
+
+
+def state_energies(model: IsingModel, *states) -> list[float]:
+    """H of each +-1 state, one column each of the package's one kernel."""
+    spins = np.array(states, dtype=np.int8).reshape(len(states), model.n).T
+    return energies(model, spins).tolist()
+
+
+def potential_minima(barrier: float) -> np.ndarray:
+    """Main-loop fluxes, in units of Phi0, at the strict local minima of a
+    bare qubit's potential U = phi^2 / 2L + Ej cos(2 pi phi / Phi0), where
+    Ej = 2 Ic Phi0 / 2 pi times the barrier factor cos(pi phi_t / Phi0).
+
+    A scan of 3001 points, 0.001 Phi0 apart, over +-1.5 Phi0: the oracle
+    for the well curve the integrator reads out, which bisects for the same
+    minima.
+    """
+    ej = (PHI0 / (2.0 * math.pi)) * 2.0 * IC * barrier
+    x = np.linspace(-1.5, 1.5, 3001)
+    u = (x * PHI0) ** 2 / (2.0 * L_LOOP) + ej * np.cos(2.0 * math.pi * x)
+    interior = (u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])
+    return x[1:-1][interior]
 
 
 def j_unit_kt():

@@ -10,27 +10,26 @@ invalid outcomes at the published circuit constants (see the README note).
 import itertools
 import time
 
+import numpy as np
 import pytest
 
-from conftest import j_unit_kt, readout_wells
+from conftest import j_unit_kt, potential_minima, readout_wells
 from qafactor.anneal import RunSummary, Schedule, anneal_batches
 from qafactor.capacity import CapacityInput, capacity_estimate
 from qafactor.fluxsim import (
     NoiseSpec,
-    PHI0,
     RampSpec,
+    _BARRIER_GRID,
+    _WELL_CURVE,
     inverse_nor_layout,
     johnson_sigma,
     run_ensemble,
-    potential_minima,
 )
 from qafactor.gates import and_gate, half_adder, nor_gate
 from qafactor.ising import (
-    bits_to_spins,
     brute_force_ground,
     clamp_fold,
     merge_spins,
-    spins_to_bits,
 )
 from qafactor.multiplier import (
     build_multiplier,
@@ -93,14 +92,15 @@ def test_c01_gate_exactness():
     start = time.time()
     nor = brute_force_ground(nor_gate().model)
     expected_nor = {
-        bits_to_spins(b) for b in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0))
+        tuple(2 * b - 1 for b in bits)
+        for bits in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0))
     }
     nor_ok = (nor.e0 == -1.5 and set(nor.states) == expected_nor and nor.gap == 2.0)
 
     gate = and_gate()
     rep = brute_force_ground(gate.model)
     and_ok = (
-        {spins_to_bits(s) for s in rep.states} == set(gate.valid_set)
+        {tuple((s + 1) // 2 for s in state) for state in rep.states} == set(gate.valid_set)
         and rep.gap == 2.0
     )
     elapsed = time.time() - start
@@ -120,7 +120,7 @@ def test_c02_half_adder():
     seen = set()
     logic_ok = True
     for state in rep.states:
-        bits = spins_to_bits(state)
+        bits = tuple((s + 1) // 2 for s in state)
         a, b = bits[ports["a"]], bits[ports["b"]]
         logic_ok &= bits[ports["sum"]] == a ^ b and bits[ports["carry"]] == a & b
         seen.add((a, b))
@@ -139,7 +139,7 @@ def test_c03_multiplier_unit_synthesis():
     rep = brute_force_ground(gate.model)
     relation_ok = all(
         2 * bits[4] + bits[5] == bits[0] * bits[1] + bits[2] + bits[3]
-        for bits in (spins_to_bits(s) for s in rep.states)
+        for bits in (np.array(rep.states) + 1) // 2
     )
     elapsed = time.time() - start
     ok = rep.degeneracy == 16 and relation_ok and rep.gap >= 1.0 and elapsed < 10.0
@@ -280,15 +280,21 @@ def test_c07_circuit_inverse_nor(nor_ensembles):
 
 
 def test_c08_bistability_structure():
+    # The well curve's two ends, barrier off (phi_t = Phi0/2) and full
+    # (phi_t = 0): its wells must be the potential's minima, to the scan step.
     start = time.time()
-    suppressed = len(potential_minima(PHI0 / 2))
-    double = len(potential_minima(0.0))
+    off, full = potential_minima(_BARRIER_GRID[0]), potential_minima(_BARRIER_GRID[-1])
+    suppressed, double = len(off), len(full)
+    x_off, x_full = _WELL_CURVE[0], _WELL_CURVE[-1]
+    wells_ok = (suppressed == 1 and double == 2 and x_off == 0.0 and abs(off[0]) <= 0.001
+                and np.allclose(full, [-x_full, x_full], rtol=0.0, atol=0.001))
     elapsed = time.time() - start
-    ok = suppressed == 1 and double == 2 and elapsed < 1.0
+    ok = wells_ok and elapsed < 1.0
     _report(8, "bistability structure", ok,
             f"minima: {suppressed} at half quantum, {double} at zero")
     assert suppressed == 1
     assert double == 2
+    assert wells_ok, f"read-out wells {x_off}, +-{x_full} Phi0; minima {off}, {full}"
     assert elapsed < 1.0
 
 

@@ -24,7 +24,7 @@ from qafactor.capacity import CapacityInput
 from qafactor.cli import main
 from qafactor.formats import format_model, format_ports, parse_model, write_trace_rows
 from qafactor.gates import GateTemplate, nor_gate, verify_gate
-from qafactor.ising import MAX_BRUTE_FORCE_CAP, IsingModel, brute_force_ground, spins_to_bits
+from qafactor.ising import MAX_BRUTE_FORCE_CAP, IsingModel, brute_force_ground
 from qafactor.seeds import shot_seed
 
 
@@ -210,7 +210,8 @@ class TestVerify:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_ground_and_pass_lines_agree_with_references(self, capsys, model, data):
-        ground = sorted(spins_to_bits(s) for s in brute_force_ground(model).states)
+        ground = sorted(tuple((s + 1) // 2 for s in state)
+                        for state in brute_force_ground(model).states)
         every = list(itertools.product((0, 1), repeat=model.n))
         valid = data.draw(st.one_of(
             st.just(ground), st.lists(st.sampled_from(every), min_size=1, unique=True)))

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import j_unit_kt, readout_wells
+from conftest import j_unit_kt, potential_minima, readout_wells
 from qafactor import fluxsim, seeds
 from qafactor.fluxsim import (
     BIAS_WINDING,
@@ -28,13 +28,14 @@ from qafactor.fluxsim import (
     RampSpec,
     ShotError,
     ShotTrace,
+    _BARRIER_GRID,
+    _WELL_CURVE,
     _integrate_batch,
     _sample_index,
     ensemble_batches,
     inverse_nor_layout,
     johnson_sigma,
     layout_from_ising,
-    potential_minima,
     run_ensemble,
     simulate_shot,
     step_count,
@@ -320,15 +321,26 @@ class TestNoiseStatistics:
 
 
 class TestStaticPotential:
+    """The well curve the integrator reads out, at barrier factors across
+    the bistability onset (c = 0.158), against a scan of the potential:
+    one minimum where the curve is 0, else two at +-x Phi0, each within the
+    scan's 0.001-Phi0 step."""
+
+    @staticmethod
+    def assert_curve_finds_the_minima(barriers):
+        for c in barriers:
+            x = np.interp(c, _BARRIER_GRID, _WELL_CURVE)
+            wells = [0.0] if x == 0.0 else [-x, x]
+            minima = potential_minima(c)
+            assert len(minima) == len(wells), (c, x, minima)
+            assert np.allclose(minima, wells, rtol=0.0, atol=0.001), (c, x, minima)
+
     def test_suppressed_barrier_single_equilibrium(self):
-        assert len(potential_minima(PHI0 / 2)) == 1
+        self.assert_curve_finds_the_minima((0.0, 0.1))
 
     def test_full_barrier_double_well(self):
-        minima = potential_minima(0.0)
-        assert len(minima) == 2
-        lo, hi = sorted(minima)
-        assert lo == pytest.approx(-hi, abs=1e-18)
-        assert hi / PHI0 == pytest.approx(0.43, abs=0.01)
+        # The double well from just past the onset up to the full barrier.
+        self.assert_curve_finds_the_minima((0.2, 0.5, 0.75, 1.0))
 
 
 class TestNoiselessDynamics:

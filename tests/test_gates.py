@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from conftest import state_energies
 from qafactor.gates import (
     NOT,
     WIRE,
@@ -18,7 +20,7 @@ from qafactor.gates import (
     nor_gate,
     verify_gate,
 )
-from qafactor.ising import IsingModel, bits_to_spins, brute_force_ground, energy, spins_to_bits
+from qafactor.ising import IsingModel, brute_force_ground, code_spins, energies
 
 
 class TestNorGate:
@@ -29,10 +31,10 @@ class TestNorGate:
 
     def test_ground_energy_and_state(self):
         gate = nor_gate()
-        assert energy(gate.model, bits_to_spins((0, 0, 1))) == -1.5
+        assert state_energies(gate.model, (-1, -1, 1)) == [-1.5]  # bits 001
         report = brute_force_ground(gate.model)
         assert report.e0 == -1.5
-        assert bits_to_spins((0, 0, 1)) in report.states
+        assert (-1, -1, 1) in report.states
 
     def test_gap(self):
         assert brute_force_ground(nor_gate().model).gap == 2.0
@@ -53,9 +55,9 @@ class TestAndGate:
 
     def test_ground_states(self):
         gate = and_gate()
-        assert energy(gate.model, bits_to_spins((1, 1, 1))) == -1.5
-        assert energy(gate.model, bits_to_spins((0, 0, 0))) == -1.5
-        assert energy(gate.model, bits_to_spins((1, 1, 0))) == 0.5
+        # Bits 111, 000 and 110.
+        assert state_energies(gate.model, (1, 1, 1), (-1, -1, -1), (1, 1, -1)) == [
+            -1.5, -1.5, 0.5]
         report = verify_gate(gate)
         assert report.passed and report.achieved_gap == 2.0
 
@@ -123,7 +125,7 @@ class TestCompose:
     def test_not_of_nor_is_or(self):
         model = compose([nor_gate(), free_spin()], [(2, 3, NOT, 1.0)])
         for state in brute_force_ground(model).states:
-            a, b, _, far = spins_to_bits(state)
+            a, b, _, far = ((s + 1) // 2 for s in state)
             assert far == (a | b)
 
     def test_wire_and_not_coupling_values(self):
@@ -196,7 +198,7 @@ class TestHalfAdder:
         _, ports, report = adder
         seen = set()
         for state in report.states:
-            bits = spins_to_bits(state)
+            bits = tuple((s + 1) // 2 for s in state)
             a, b = bits[ports["a"]], bits[ports["b"]]
             assert bits[ports["sum"]] == a ^ b
             assert bits[ports["carry"]] == a & b
@@ -211,11 +213,12 @@ class TestHalfAdder:
     def test_coupling_violations_cost_at_least_two(self, adder):
         model, _, report = adder
         inter = [(0, 3), (1, 4), (2, 7), (5, 6)]
-        signs = {pair: model.couplings[pair] for pair in inter}
-        for code in range(1 << 9):
-            state = tuple(1 if (code >> k) & 1 else -1 for k in range(9))
-            if any(state[i] * state[j] * signs[(i, j)] > 0 for i, j in inter):
-                assert energy(model, state) >= report.e0 + 2.0 - 1e-12
+        spins = code_spins(9, np.arange(1 << 9))
+        violated = np.zeros(1 << 9, dtype=bool)
+        for i, j in inter:
+            violated |= spins[i] * spins[j] * model.couplings[(i, j)] > 0
+        assert violated.any()
+        assert np.all(energies(model, spins)[violated] >= report.e0 + 2.0 - 1e-12)
 
     def test_template_verifies(self):
         report = verify_gate(half_adder())

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_models, spin_states
+from conftest import small_models, spin_states, state_energies
 from qafactor import ising
 from qafactor.formats import MAX_MODEL_SPINS, ModelFormatError, format_model, parse_model
 from qafactor.ising import (
     DimensionError,
     IsingModel,
     SizeCapError,
-    bits_to_spins,
     brute_force_ground,
     clamp_fold,
     code_spins,
-    energy,
     free_indices,
     merge_spins,
-    spins_to_bits,
     state_codes,
 )
 
@@ -30,36 +27,6 @@ NOR = IsingModel(3, (0.5, 0.5, 1.0), {(0, 1): 0.5, (0, 2): 1.0, (1, 2): 1.0})
 
 def all_states(n):
     return itertools.product((-1, 1), repeat=n)
-
-
-class TestEnergy:
-    def test_nor_ground_value(self):
-        assert energy(NOR, (-1, -1, 1)) == -1.5
-
-    def test_empty_and_zero_models(self):
-        assert energy(IsingModel(0, (), {}), ()) == 0.0
-        zero = IsingModel(3, (0.0, 0.0, 0.0), {})
-        assert energy(zero, (1, -1, 1)) == 0.0
-
-    def test_nor_all_up(self):
-        # Term by term: 0.5 + 0.5 + 1 (biases) + 0.5 + 1 + 1 (couplings).
-        assert energy(NOR, (1, 1, 1)) == 4.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            energy(NOR, (1, 1))
-
-    def test_bad_spin_value(self):
-        with pytest.raises(ValueError):
-            energy(NOR, (1, 0, 1))
-
-    @given(small_models(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_global_flip_symmetry_without_biases(self, model, data):
-        unbiased = IsingModel(model.n, (0.0,) * model.n, model.couplings)
-        state = data.draw(spin_states(model.n))
-        flipped = tuple(-s for s in state)
-        assert energy(unbiased, state) == energy(unbiased, flipped)
 
 
 def loop_energy(model, state):
@@ -90,14 +57,31 @@ def rough_models(draw, max_n=7):
 
 
 class TestEnergies:
+    def test_nor_ground_value(self):
+        assert state_energies(NOR, (-1, -1, 1)) == [-1.5]
+
+    def test_nor_all_up(self):
+        # Term by term: 0.5 + 0.5 + 1 (biases) + 0.5 + 1 + 1 (couplings).
+        assert state_energies(NOR, (1, 1, 1)) == [4.5]
+
+    def test_empty_and_zero_models(self):
+        assert state_energies(IsingModel(0, (), {}), ()) == [0.0]
+        zero = IsingModel(3, (0.0, 0.0, 0.0), {})
+        assert state_energies(zero, (1, -1, 1)) == [0.0]
+
+    @given(small_models(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_global_flip_symmetry_without_biases(self, model, data):
+        unbiased = IsingModel(model.n, (0.0,) * model.n, model.couplings)
+        state = data.draw(spin_states(model.n))
+        e, flipped = state_energies(unbiased, state, tuple(-s for s in state))
+        assert e == flipped
+
     @given(rough_models(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_loop_on_every_column(self, model, data):
         columns = data.draw(st.lists(spin_states(model.n), max_size=6))
-        spins = np.array(columns, dtype=np.int8).reshape(len(columns), model.n).T
-        got = ising.energies(model, spins).tolist()
-        assert got == [loop_energy(model, c) for c in columns]
-        assert [energy(model, c) for c in columns] == got
+        assert state_energies(model, *columns) == [loop_energy(model, c) for c in columns]
 
     @given(rough_models())
     @settings(max_examples=60, deadline=None)
@@ -149,22 +133,6 @@ class TestModelConstruction:
             IsingModel(n, h, couplings)
 
 
-class TestBitsSpins:
-    def test_single_values(self):
-        assert bits_to_spins((1,)) == (1,)
-        assert bits_to_spins((0,)) == (-1,)
-
-    @given(st.lists(st.integers(0, 1), max_size=12))
-    def test_round_trip(self, bits):
-        assert spins_to_bits(bits_to_spins(bits)) == tuple(bits)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_spins((2,))
-        with pytest.raises(ValueError):
-            spins_to_bits((0,))
-
-
 class TestClampFold:
     def test_empty_clamp_is_identity(self):
         reduced, offset = clamp_fold(NOR, {})
@@ -204,11 +172,10 @@ class TestClampFold:
         )
         clamps = {i: data.draw(st.integers(0, 1)) for i in indices}
         reduced, offset = clamp_fold(model, clamps)
-        for free in all_states(reduced.n):
-            merged = merge_spins(model.n, clamps, free)
-            assert energy(reduced, free) + offset == pytest.approx(
-                energy(model, merged), abs=1e-9
-            )
+        free = list(all_states(reduced.n))
+        merged = [merge_spins(model.n, clamps, f) for f in free]
+        assert [e + offset for e in state_energies(reduced, *free)] == pytest.approx(
+            state_energies(model, *merged), abs=1e-9)
 
     def test_fold_equivalence_twelve_spins(self):
         rng_h = [((3 * k) % 7 - 3) * 0.25 for k in range(12)]
@@ -217,9 +184,10 @@ class TestClampFold:
         model = IsingModel(12, tuple(rng_h), couplings)
         clamps = {0: 1, 3: 0, 7: 1, 11: 0}
         reduced, offset = clamp_fold(model, clamps)
-        for free in all_states(reduced.n):
-            merged = merge_spins(model.n, clamps, free)
-            assert energy(reduced, free) + offset == energy(model, merged)
+        free = list(all_states(reduced.n))
+        merged = [merge_spins(model.n, clamps, f) for f in free]
+        assert ([e + offset for e in state_energies(reduced, *free)]
+                == state_energies(model, *merged))
 
     def test_merge_and_free_indices(self):
         clamps = {1: 0, 3: 1}
@@ -262,7 +230,7 @@ class TestBruteForce:
     @settings(max_examples=40, deadline=None)
     def test_e0_matches_scalar_scan(self, model):
         report = brute_force_ground(model)
-        energies = [energy(model, s) for s in all_states(model.n)]
+        energies = state_energies(model, *all_states(model.n))
         assert report.e0 == pytest.approx(min(energies), abs=1e-12)
         ground = [s for s, e in zip(all_states(model.n), energies)
                   if e <= report.e0 + 1e-9]

@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qafactor.gates import NOR_TRUTH, TruthTable, verify_gate
-from qafactor.ising import bits_to_spins, brute_force_ground, energy
+from qafactor.ising import brute_force_ground, energies
 from qafactor.synth import (
     GRID,
     MULT_UNIT_PORTS,
@@ -48,10 +49,8 @@ class TestSynthesizedUnit:
     def test_ground_manifold_is_cell_relation(self, mult_unit):
         report = brute_force_ground(mult_unit.model)
         assert report.degeneracy == 16
-        from qafactor.ising import spins_to_bits
-
         for state in report.states:
-            assert cell_relation_holds(spins_to_bits(state))
+            assert cell_relation_holds(tuple((s + 1) // 2 for s in state))
         assert report.gap >= 1.0 - 1e-9
 
     def test_verifies_with_declared_gap(self, mult_unit):
@@ -95,11 +94,8 @@ class TestSynthesizePenalty:
 
     def test_valid_states_share_energy(self):
         gate = synthesize_penalty(multiplier_unit_table(), gap=1.0, bound=2.0)
-        energies = {
-            round(energy(gate.model, bits_to_spins(row)), 9)
-            for row in multiplier_unit_table().valid
-        }
-        assert len(energies) == 1
+        valid = 2 * np.array(multiplier_unit_table().valid, dtype=np.int8).T - 1
+        assert len(set(np.round(energies(gate.model, valid), 9).tolist())) == 1
 
     def test_target_lowered_to_a_grid_model(self):
         """The LP reaches gap 8/3 here, which snaps to 2.5, and no 1/4-grid
