@@ -99,6 +99,12 @@ class TestEnergies:
                       for c in codes]
             assert values == [loop_energy(model, state) for state in states]
 
+    def test_length_mismatch(self):
+        # One state too short and one too long for the three-spin NOR model.
+        for length in (2, 4):
+            with pytest.raises(DimensionError):
+                ising.energies(NOR, np.ones((length, 1), dtype=np.int8))
+
     def test_row_count_checked(self):
         with pytest.raises(DimensionError):
             ising.energies(NOR, np.ones((2, 4), dtype=np.int8))
