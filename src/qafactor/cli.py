@@ -146,47 +146,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _stream(path: str) -> bool:
-    """Whether ``path`` names neither a regular file nor a directory but,
-    say, ``/dev/null``, a FIFO or ``/dev/fd/N``: :func:`_shot_log` writes
-    such a log directly, as nothing may be moved onto it."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        return False
-    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
-
-
-def _output_path(path: str) -> str:
-    """``--csv`` and ``--trace``: a path that :func:`_shot_log` can write,
-    so a run that could not save its output is refused (OSError, a data
-    error) before any shot.  A stream must grant write access; it is not
-    opened here, as closing a FIFO would end its reader's input.  Otherwise
-    a file at the path's real target must open for writing and, in a sticky
-    directory such as ``/tmp``, be the user's or in the user's directory,
-    or it could not be replaced; and that directory must take a new file.
-    A file already at the path is left as it is until the run has ended."""
-    if _stream(path):
-        if not os.access(path, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-        return path
-    target = os.path.realpath(path)
-    directory = os.path.dirname(target)
-    if os.path.exists(target):
-        open(target, "a", encoding="utf-8").close()
-        if (os.stat(directory).st_mode & stat.S_ISVTX and os.geteuid() not in
-                (0, os.stat(target).st_uid, os.stat(directory).st_uid)):
-            raise PermissionError(errno.EPERM, "another user's file in a sticky directory",
-                                  path)
-    try:
-        fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=directory)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    os.close(fd)
-    os.remove(rows)
-    return path
-
-
 def _cap(text: str) -> int:
     """``--cap``: the largest spin count to enumerate, 1..MAX_BRUTE_FORCE_CAP."""
     value = int(text)
@@ -199,31 +158,49 @@ def _cap(text: str) -> int:
 @contextmanager
 def _shot_log(path: str | None):
     """``--csv`` and ``--trace``: the open log that rows go to (None without
-    a path).  A stream (:func:`_stream`) is written directly, so a failed
-    run may leave some rows in it.  Otherwise the rows go to a temporary
-    file beside the path's real target, which replaces the target only once
-    the block ends without an error and is removed if not, so a failed run
-    leaves the path as it was.  The replacement is a new file: hard links
-    to the old one keep the old bytes, and of the old file's metadata only
-    its mode carries over, not its owner, group, ACLs or extended
-    attributes.  A new file gets the mode that ``open(path, "w")`` would
-    give it."""
+    a path).  Each shot command opens it first, so a run that could not save
+    its output is refused (OSError, a data error) before any input is read.
+    A path that is neither a regular file nor a directory but, say,
+    ``/dev/null``, a FIFO or ``/dev/fd/N`` is a stream, written directly as
+    nothing may be moved onto it: a failed run may leave some rows in it.
+    Otherwise the rows go to a temporary file beside the path's real
+    target, which replaces the target only once the block ends without an
+    error and is removed if not, so a failed run leaves the path as it was.
+    An existing target must open for writing and, in a sticky directory
+    such as ``/tmp``, be the user's or in the user's directory, or it could
+    not be replaced.  The replacement is a new file: hard links to the old
+    one keep the old bytes, and of its metadata only the mode carries over,
+    not owner, group, ACLs or extended attributes.  A new file gets the
+    mode that ``open(path, "w")`` would give it."""
     if path is None:
         yield None
         return
-    if _stream(path):
+    try:
+        existing = os.stat(path)
+    except FileNotFoundError:
+        existing = None
+    if existing and not (stat.S_ISREG(existing.st_mode) or stat.S_ISDIR(existing.st_mode)):
         with open(path, "w", encoding="utf-8") as log:
             yield log
         print(f"wrote {path}")
         return
     target = os.path.realpath(path)
-    try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
-    except FileNotFoundError:
+    directory = os.path.dirname(target)
+    if existing:
+        open(target, "a", encoding="utf-8").close()
+        if (os.stat(directory).st_mode & stat.S_ISVTX and os.geteuid() not in
+                (0, existing.st_uid, os.stat(directory).st_uid)):
+            raise PermissionError(errno.EPERM, "another user's file in a sticky directory",
+                                  path)
+        mode = stat.S_IMODE(existing.st_mode)
+    else:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=os.path.dirname(target))
+    try:
+        fd, rows = tempfile.mkstemp(prefix=".qafactor-", dir=directory)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as log:
             os.chmod(rows, mode)
@@ -249,14 +226,14 @@ def _fold_shots(model, schedule, summary, log, each=None, **run):
 
 
 def cmd_anneal(args) -> int:
-    schedule = _schedule_from(args)
-    model = parse_model(_read(args.model))
-    reference = args.reference_e0
-    if args.brute_force_reference:
-        # A run the flip cap refuses enumerates nothing first.
-        annealing.check_flip_cap(model.n, schedule, args.shots)
-        reference = brute_force_ground(model, cap=args.cap).e0
     with _shot_log(args.csv) as log:
+        schedule = _schedule_from(args)
+        model = parse_model(_read(args.model))
+        reference = args.reference_e0
+        if args.brute_force_reference:
+            # A run the flip cap refuses enumerates nothing first.
+            annealing.check_flip_cap(model.n, schedule, args.shots)
+            reference = brute_force_ground(model, cap=args.cap).e0
         summary = _run(args, _fold_shots, model, schedule,
                        annealing.RunSummary(reference_e0=reference), log)
     sys.stdout.write(summary.to_text())
@@ -264,28 +241,28 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    if args.p < 0:
-        raise UsageError("P must be >= 0")
-    schedule = _schedule_from(args)
-    bits = max(1, args.p.bit_length())
-    n1, n2 = args.bits_a or bits, args.bits_b or bits
-    if args.p >= (1 << (n1 + n2)):
-        raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
-    net = build_multiplier(n1, n2, chains=args.chains)
-    clamped, offset = clamp_product(net, args.p, method=args.method)
-    reference = net.expected_e0 - offset
-    clamps = product_clamp_assignment(net, args.p) if args.method == FOLD else {}
-    hist: dict[str, int] = {}
-    hits: dict[str, int] = {}
-
-    def tally(states, energy, labels):
-        m, n, p = decode_reduced(net, clamps, states)
-        for key, hit in zip(map("({},{})".format, m.tolist(), n.tolist()), labels.tolist()):
-            hist[key] = hist.get(key, 0) + 1
-            hits[key] = hits.get(key, 0) + hit
-        return m, n, p
-
     with _shot_log(args.csv) as log:
+        if args.p < 0:
+            raise UsageError("P must be >= 0")
+        schedule = _schedule_from(args)
+        bits = max(1, args.p.bit_length())
+        n1, n2 = args.bits_a or bits, args.bits_b or bits
+        if args.p >= (1 << (n1 + n2)):
+            raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
+        net = build_multiplier(n1, n2, chains=args.chains)
+        clamped, offset = clamp_product(net, args.p, method=args.method)
+        reference = net.expected_e0 - offset
+        clamps = product_clamp_assignment(net, args.p) if args.method == FOLD else {}
+        hist: dict[str, int] = {}
+        hits: dict[str, int] = {}
+
+        def tally(states, energy, labels):
+            m, n, p = decode_reduced(net, clamps, states)
+            for key, hit in zip(map("({},{})".format, m.tolist(), n.tolist()), labels.tolist()):
+                hist[key] = hist.get(key, 0) + 1
+                hits[key] = hits.get(key, 0) + hit
+            return m, n, p
+
         summary = _run(args, _fold_shots, clamped, schedule,
                        annealing.RunSummary(reference_e0=reference, histogram=None), log, tally)
         print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
@@ -300,28 +277,28 @@ def cmd_factor(args) -> int:
 
 
 def cmd_multiply(args) -> int:
-    if args.m < 0 or args.n < 0:
-        raise UsageError("factors must be >= 0")
-    schedule = _schedule_from(args)
-    n1 = args.bits_a or max(1, args.m.bit_length())
-    n2 = args.bits_b or max(1, args.n.bit_length())
-    if args.m >= (1 << n1):
-        raise UsageError(f"M={args.m} does not fit in {n1} bits")
-    if args.n >= (1 << n2):
-        raise UsageError(f"N={args.n} does not fit in {n2} bits")
-    net = build_multiplier(n1, n2, chains=args.chains)
-    clamps = factor_clamp_assignment(net, args.m, args.n)
-    clamped, offset = clamp_fold(net.model, clamps)
-    lowest = [float("inf"), None]  # the first lowest energy so far, and its shot's product
-
-    def keep_lowest(states, energy, labels):
-        m, n, p = decode_reduced(net, clamps, states)
-        k = int(energy.argmin())
-        if energy[k] < lowest[0]:
-            lowest[:] = energy[k], p[k]
-        return m, n, p
-
     with _shot_log(args.csv) as log:
+        if args.m < 0 or args.n < 0:
+            raise UsageError("factors must be >= 0")
+        schedule = _schedule_from(args)
+        n1 = args.bits_a or max(1, args.m.bit_length())
+        n2 = args.bits_b or max(1, args.n.bit_length())
+        if args.m >= (1 << n1):
+            raise UsageError(f"M={args.m} does not fit in {n1} bits")
+        if args.n >= (1 << n2):
+            raise UsageError(f"N={args.n} does not fit in {n2} bits")
+        net = build_multiplier(n1, n2, chains=args.chains)
+        clamps = factor_clamp_assignment(net, args.m, args.n)
+        clamped, offset = clamp_fold(net.model, clamps)
+        lowest = [float("inf"), None]  # the first lowest energy so far, and its shot's product
+
+        def keep_lowest(states, energy, labels):
+            m, n, p = decode_reduced(net, clamps, states)
+            k = int(energy.argmin())
+            if energy[k] < lowest[0]:
+                lowest[:] = energy[k], p[k]
+            return m, n, p
+
         summary = _run(args, _fold_shots, clamped, schedule,
                        annealing.RunSummary(reference_e0=net.expected_e0 - offset, histogram=None),
                        log, keep_lowest)
@@ -381,12 +358,12 @@ def _fold_ensemble(layout, noise, log, **run):
 
 
 def cmd_circuit_nor_inverse(args) -> int:
-    # Divided, not multiplied, into SI units: 0.2 / 1e9 is the float 2e-10,
-    # 0.2 * 1e-9 one ulp above it, so every default rebuilds the library's.
-    layout = fluxsim.inverse_nor_layout(
-        args.clamp, ramp=fluxsim.RampSpec(ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
-    noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
     with _shot_log(args.trace) as log:
+        # Divided, not multiplied, into SI units: 0.2 / 1e9 is the float 2e-10,
+        # 0.2 * 1e-9 one ulp above it, so every default rebuilds the library's.
+        layout = fluxsim.inverse_nor_layout(args.clamp, ramp=fluxsim.RampSpec(
+            ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
+        noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
         result = _run(args, _fold_ensemble, layout, noise, log, dt=args.dt_fs / 1e15,
                       decimate=args.decimate if log else 0)
         sys.stdout.write(result.to_text())
@@ -441,7 +418,7 @@ def build_parser() -> _Parser:
     anneal_parent.add_argument("--t-cold", type=float, default=annealing.Schedule.t_cold)
     anneal_parent.add_argument("--schedule", choices=[annealing.GEOMETRIC, annealing.LINEAR],
                                default=annealing.Schedule.kind)
-    anneal_parent.add_argument("--csv", metavar="PATH", type=_output_path, default=None)
+    anneal_parent.add_argument("--csv", metavar="PATH", default=None)
     # factor and multiply run one multiplier network, forwards or backwards.
     net_parent = _Parser(add_help=False)
     net_parent.add_argument("--bits-a", type=_positive_int, default=None)
@@ -504,7 +481,7 @@ def build_parser() -> _Parser:
                             " at most 500, the noise hold")
     p_nor.add_argument("--noise-sigma", type=float, default=fluxsim.NoiseSpec.sigma * 1e6,
                        help="per-junction noise std in uA")
-    p_nor.add_argument("--trace", metavar="PATH", type=_output_path, default=None)
+    p_nor.add_argument("--trace", metavar="PATH", default=None)
     p_nor.add_argument("--decimate", type=_positive_int, default=10)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 

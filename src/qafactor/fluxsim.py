@@ -311,7 +311,7 @@ def step_count(ramp: RampSpec, dt: float) -> int:
     the run takes at most ``MAX_STEPS`` steps.  The ratio is checked
     before rounding, so an overflow to ``inf`` is rejected too."""
     hold = 1.0 / NOISE_SAMPLE_RATE
-    if not (math.isfinite(dt) and 0.0 < dt <= hold + 1e-30):
+    if not (math.isfinite(dt) and 0.0 < dt <= hold):
         raise ValueError(
             f"integrator step must be in (0, {hold!r}] s, the noise hold interval; got {dt!r}"
         )

@@ -71,7 +71,6 @@ def _solve(prob: _Problem, objective: np.ndarray, fixed: dict[int, float],
 
     nc = prob.n_coeff
     with_gapvar = target_gap is None
-    nv = nc + 1 + (1 if with_gapvar else 0)
     big = prob.bound * nc + 1.0
 
     a_eq = np.hstack([prob.a_valid, -np.ones((prob.a_valid.shape[0], 1))])

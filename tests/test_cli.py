@@ -655,15 +655,21 @@ class TestOutputPaths:
     def test_unwritable_path_refused_before_any_shot(self, capsys, monkeypatch, case, workers):
         run(capsys, "gates", "emit", "nor")
 
-        def dispatch(*args, **kwargs):
-            raise AssertionError("a shot was dispatched")
+        def unreached(*args, **kwargs):
+            raise AssertionError("the input was read or a shot was dispatched")
 
-        monkeypatch.setattr(anneal, "run_batches", dispatch)
-        monkeypatch.setattr(fluxsim, "run_batches", dispatch)
-        code, out, err = run(capsys, *_SAVING[case], "missing/out.csv", "--workers", workers)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("data error: ") and "missing/out.csv" in err
+        for module, name in ((anneal, "run_batches"), (fluxsim, "run_batches"),
+                             (cli, "parse_model"), (cli, "build_multiplier"),
+                             (fluxsim, "inverse_nor_layout")):
+            monkeypatch.setattr(module, name, unreached)
+        # A second fault that the command refuses by itself does not win.
+        second = ("--dt-fs", "600") if case == "circuit" else ("--sweeps", "0")
+        for faults in ((), second):
+            code, out, err = run(capsys, *_SAVING[case], "missing/out.csv", *faults,
+                                 "--workers", workers)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("data error: ") and "missing/out.csv" in err
 
     @pytest.mark.parametrize("case,refused", [
         ("anneal", ("--sweeps", "0")),
@@ -713,8 +719,8 @@ class TestOutputPaths:
         if existing:
             assert Path("out.csv").read_bytes() == b"earlier bytes\n"
 
-    def test_directory_that_cannot_take_the_log_is_refused_while_parsing(self, capsys,
-                                                                         monkeypatch):
+    def test_directory_that_cannot_take_the_log_is_refused_before_the_model_is_read(
+            self, capsys, monkeypatch):
         """The log is written beside the path and moved onto it, so a
         writable file in a read-only directory is refused, before the
         model is read, and kept."""
@@ -797,7 +803,7 @@ class TestOutputPaths:
             assert stat.S_ISFIFO(os.stat("log").st_mode)
 
     @pytest.mark.skipif(not hasattr(os, "geteuid"), reason="no user ids")
-    def test_another_users_file_in_a_sticky_directory_is_refused_while_parsing(
+    def test_another_users_file_in_a_sticky_directory_is_refused_before_the_model_is_read(
             self, capsys, monkeypatch):
         """In a sticky directory such as ``/tmp`` only the owner of a file or
         of the directory may replace it, so another user's file is refused
