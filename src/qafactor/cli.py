@@ -40,6 +40,7 @@ from .multiplier import (
     decode_reduced,
     factor_clamp_assignment,
     product_clamp_assignment,
+    register_bits,
 )
 from .seeds import default_workers
 from .synth import mult_unit_gate
@@ -187,7 +188,7 @@ def _shot_log(path: str | None):
     target = os.path.realpath(path)
     directory = os.path.dirname(target)
     if existing:
-        open(target, "a", encoding="utf-8").close()
+        open(path, "a", encoding="utf-8").close()
         if (os.stat(directory).st_mode & stat.S_ISVTX and os.geteuid() not in
                 (0, existing.st_uid, os.stat(directory).st_uid)):
             raise PermissionError(errno.EPERM, "another user's file in a sticky directory",
@@ -242,13 +243,10 @@ def cmd_anneal(args) -> int:
 
 def cmd_factor(args) -> int:
     with _shot_log(args.csv) as log:
-        if args.p < 0:
-            raise UsageError("P must be >= 0")
-        schedule = _schedule_from(args)
         bits = max(1, args.p.bit_length())
         n1, n2 = args.bits_a or bits, args.bits_b or bits
-        if args.p >= (1 << (n1 + n2)):
-            raise UsageError(f"P={args.p} does not fit in {n1}+{n2} product bits")
+        register_bits(args.p, n1 + n2, "P")
+        schedule = _schedule_from(args)
         net = build_multiplier(n1, n2, chains=args.chains)
         clamped, offset = clamp_product(net, args.p, method=args.method)
         reference = net.expected_e0 - offset
@@ -278,15 +276,11 @@ def cmd_factor(args) -> int:
 
 def cmd_multiply(args) -> int:
     with _shot_log(args.csv) as log:
-        if args.m < 0 or args.n < 0:
-            raise UsageError("factors must be >= 0")
-        schedule = _schedule_from(args)
         n1 = args.bits_a or max(1, args.m.bit_length())
         n2 = args.bits_b or max(1, args.n.bit_length())
-        if args.m >= (1 << n1):
-            raise UsageError(f"M={args.m} does not fit in {n1} bits")
-        if args.n >= (1 << n2):
-            raise UsageError(f"N={args.n} does not fit in {n2} bits")
+        register_bits(args.m, n1, "M")
+        register_bits(args.n, n2, "N")
+        schedule = _schedule_from(args)
         net = build_multiplier(n1, n2, chains=args.chains)
         clamps = factor_clamp_assignment(net, args.m, args.n)
         clamped, offset = clamp_fold(net.model, clamps)
@@ -482,7 +476,7 @@ def build_parser() -> _Parser:
     p_nor.add_argument("--noise-sigma", type=float, default=fluxsim.NoiseSpec.sigma * 1e6,
                        help="per-junction noise std in uA")
     p_nor.add_argument("--trace", metavar="PATH", default=None)
-    p_nor.add_argument("--decimate", type=_positive_int, default=10)
+    p_nor.add_argument("--decimate", type=_positive_int, default=fluxsim.DECIMATE_DEFAULT)
     p_nor.set_defaults(func=cmd_circuit_nor_inverse)
 
     p_cap = sub.add_parser("capacity")

@@ -70,6 +70,7 @@ BIAS_WINDING = -1.0
 DT_DEFAULT = 2.5e-13
 RAMP_DEFAULT = 2.0e-9    # barrier ramp duration
 HOLD_DEFAULT = 0.2e-9    # settle time at full barrier before read-out
+DECIMATE_DEFAULT = 10    # a trace records every 10th step, 2.5 ps at DT_DEFAULT
 
 
 class ShotError(RuntimeError):
@@ -495,7 +496,7 @@ def simulate_shot(
     noise: NoiseSpec,
     ramp: RampSpec | None = None,
     dt: float = DT_DEFAULT,
-    decimate: int = 10,
+    decimate: int = DECIMATE_DEFAULT,
 ) -> ShotTrace:
     """Integrate one annealing shot seeded ``noise.seed``: the ensemble's
     kernel at batch one, recording the loop currents at every

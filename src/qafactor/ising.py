@@ -138,7 +138,7 @@ def clamp_fold(model: IsingModel, clamps: Mapping[int, int]) -> tuple[IsingModel
     if not clamps:
         return model, 0.0
     sigma = {i: (1 if b else -1) for i, b in clamps.items()}
-    keep = [i for i in range(model.n) if i not in clamps]
+    keep = free_indices(model.n, clamps)
     remap = {old: new for new, old in enumerate(keep)}
     offset = 0.0
     h2 = [model.h[i] for i in keep]
@@ -215,16 +215,14 @@ def code_energies(model: IsingModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class GroundReport:
-    """Exhaustive ground-state search result over ``n`` spins.
+    """Exhaustive ground-state search result.
 
-    ``codes`` holds every ground state as its enumeration code
-    (:func:`code_spins`), an ascending int64 array, 8 bytes per state;
-    ``states`` decodes them to spin tuples in that order.
-    ``gap`` is the distance from e0 to the first level above the
+    ``codes`` holds every ground state as its enumeration code, an
+    ascending int64 array, 8 bytes per state; :func:`code_spins` decodes
+    them.  ``gap`` is the distance from e0 to the first level above the
     degeneracy tolerance, ``inf`` when every state is ground.
     """
 
-    n: int
     e0: float
     codes: np.ndarray
     gap: float
@@ -232,10 +230,6 @@ class GroundReport:
     @property
     def degeneracy(self) -> int:
         return len(self.codes)
-
-    @property
-    def states(self) -> tuple[SpinState, ...]:
-        return tuple(map(tuple, code_spins(self.n, self.codes).T.tolist()))
 
 
 def _floor(e: np.ndarray) -> tuple[float, int]:
@@ -270,4 +264,4 @@ def brute_force_ground(model: IsingModel, cap: int = BRUTE_FORCE_CAP) -> GroundR
         filled += k
         e1 = min(e1, float(np.min(e, where=~mask, initial=math.inf)))
     gap = math.inf if math.isinf(e1) else e1 - e0
-    return GroundReport(model.n, e0, ground[:filled], gap)
+    return GroundReport(e0, ground[:filled], gap)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,21 +151,23 @@ def build_multiplier(
     )
 
 
-def _int_bits(value: int, width: int, what: str) -> dict[int, int]:
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"{what}={value} out of range for {width} bits")
-    return {k: (value >> k) & 1 for k in range(width)}
+def register_bits(value: int, width: int, name: str) -> Iterator[int]:
+    """The ``width`` bits of ``value``, LSB first, made as they are read: the
+    one range check of every register, ValueError at the call unless 0 <=
+    value < 2**width.  The call costs nothing per bit of ``width``."""
+    if value < 0 or value.bit_length() > width:
+        raise ValueError(f"{name}={value} does not fit in {width} bits")
+    return ((value >> k) & 1 for k in range(width))
 
 
 def factor_clamp_assignment(net: MultiplierNetwork, m: int, n: int) -> dict[int, int]:
-    clamps = {net.factor_a[k]: b for k, b in _int_bits(m, net.n1, "M").items()}
-    clamps.update({net.factor_b[k]: b for k, b in _int_bits(n, net.n2, "N").items()})
+    clamps = dict(zip(net.factor_a, register_bits(m, net.n1, "M")))
+    clamps.update(zip(net.factor_b, register_bits(n, net.n2, "N")))
     return clamps
 
 
 def product_clamp_assignment(net: MultiplierNetwork, p: int) -> dict[int, int]:
-    width = net.n1 + net.n2
-    return {net.product[k]: b for k, b in _int_bits(p, width, "P").items()}
+    return dict(zip(net.product, register_bits(p, net.n1 + net.n2, "P")))
 
 
 def clamp_product(net: MultiplierNetwork, p: int,

@@ -1,13 +1,27 @@
 import itertools
 import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qafactor.fluxsim import I_STAR, IC, KB, L_LOOP, MUTUAL_PER_UNIT_J, PHI0
-from qafactor.ising import IsingModel, energies
+from qafactor.ising import GroundReport, IsingModel, code_spins, energies
+
+# Hypothesis's pytest plugin imports this module, and with it libcst where
+# installed, when an example fails.  libcst's import warns DeprecationWarning,
+# which ``filterwarnings = ["error"]`` would turn into an INTERNALERROR that
+# ends the session unreported; importing it once here, warning ignored,
+# leaves a failing example reported as a failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 #: Noise temperature, K: the nominal one of NoiseSpec's default sigma, the
 #: 3.2-kOhm shunt's Johnson current over 1 THz rounded to 0.13 uA, which is
@@ -34,6 +48,23 @@ def state_energies(model: IsingModel, *states) -> list[float]:
     """H of each +-1 state, one column each of the package's one kernel."""
     spins = np.array(states, dtype=np.int8).reshape(len(states), model.n).T
     return energies(model, spins).tolist()
+
+
+def ground_states(n: int, report: GroundReport) -> tuple[tuple[int, ...], ...]:
+    """The ground states of an ``n``-spin report as +-1 tuples, decoded from
+    its codes by :func:`code_spins`, in ascending code order."""
+    return tuple(map(tuple, code_spins(n, report.codes).T.tolist()))
+
+
+def traced(call):
+    """``(result, current, peak)``: what ``call()`` returns, and the bytes
+    tracemalloc counts live at its end and at its peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 def potential_minima(barrier: float) -> np.ndarray:

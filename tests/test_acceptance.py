@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import j_unit_kt, potential_minima, readout_wells
+from conftest import ground_states, j_unit_kt, potential_minima, readout_wells
 from qafactor.anneal import RunSummary, Schedule, anneal_batches
 from qafactor.capacity import CapacityInput, capacity_estimate
 from qafactor.fluxsim import (
@@ -90,17 +90,20 @@ def nor_ensembles():
 
 def test_c01_gate_exactness():
     start = time.time()
-    nor = brute_force_ground(nor_gate().model)
+    nor_model = nor_gate().model
+    nor = brute_force_ground(nor_model)
     expected_nor = {
         tuple(2 * b - 1 for b in bits)
         for bits in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0))
     }
-    nor_ok = (nor.e0 == -1.5 and set(nor.states) == expected_nor and nor.gap == 2.0)
+    nor_ok = (nor.e0 == -1.5 and set(ground_states(nor_model.n, nor)) == expected_nor
+              and nor.gap == 2.0)
 
     gate = and_gate()
     rep = brute_force_ground(gate.model)
     and_ok = (
-        {tuple((s + 1) // 2 for s in state) for state in rep.states} == set(gate.valid_set)
+        {tuple((s + 1) // 2 for s in state) for state in ground_states(gate.n, rep)}
+        == set(gate.valid_set)
         and rep.gap == 2.0
     )
     elapsed = time.time() - start
@@ -119,7 +122,7 @@ def test_c02_half_adder():
     rep = brute_force_ground(model)
     seen = set()
     logic_ok = True
-    for state in rep.states:
+    for state in ground_states(model.n, rep):
         bits = tuple((s + 1) // 2 for s in state)
         a, b = bits[ports["a"]], bits[ports["b"]]
         logic_ok &= bits[ports["sum"]] == a ^ b and bits[ports["carry"]] == a & b
@@ -139,7 +142,7 @@ def test_c03_multiplier_unit_synthesis():
     rep = brute_force_ground(gate.model)
     relation_ok = all(
         2 * bits[4] + bits[5] == bits[0] * bits[1] + bits[2] + bits[3]
-        for bits in (np.array(rep.states) + 1) // 2
+        for bits in (np.array(ground_states(gate.n, rep)) + 1) // 2
     )
     elapsed = time.time() - start
     ok = rep.degeneracy == 16 and relation_ok and rep.gap >= 1.0 and elapsed < 10.0
@@ -157,7 +160,7 @@ def test_c04_forward_multiplication_exhaustive(net22):
         clamps = factor_clamp_assignment(net22, m, n)
         reduced, _ = clamp_fold(net22.model, clamps)
         rep = brute_force_ground(reduced)
-        out = decode(net22, merge_spins(net22.model.n, clamps, rep.states[0]))
+        out = decode(net22, merge_spins(net22.model.n, clamps, ground_states(reduced.n, rep)[0]))
         if rep.degeneracy != 1 or not out.is_ground or out.p != m * n:
             failures.append((m, n, rep.degeneracy, out.p))
     elapsed = time.time() - start

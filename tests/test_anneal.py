@@ -3,7 +3,6 @@ import importlib.machinery
 import io
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, state_energies
+from conftest import ground_states, random_model, state_energies, traced
 from qafactor import anneal, seeds
 from qafactor.anneal import (
     GEOMETRIC,
@@ -174,7 +173,7 @@ class TestAnnealShot:
             assert result.energy == -1.0
 
     def test_nor_always_reaches_valid_set(self):
-        valid = set(brute_force_ground(NOR).states)
+        valid = set(ground_states(NOR.n, brute_force_ground(NOR)))
         schedule = Schedule(GEOMETRIC, 3.0, 0.05, 2000)
         for k in range(100):
             result = anneal_shot(NOR, schedule, shot_seed(7, k), index=k)
@@ -416,12 +415,8 @@ class TestBatchedOracle:
         run_shots(model, schedule, 2, master_seed=1)
 
         def transient_peak(n_shots):
-            tracemalloc.start()
-            try:
-                kept = run_shots(model, schedule, n_shots, master_seed=1, keep_shots=True)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            kept, current, peak = traced(
+                lambda: run_shots(model, schedule, n_shots, master_seed=1, keep_shots=True))
             del kept
             return peak - current
 
@@ -437,12 +432,7 @@ class TestBatchedOracle:
         schedule = Schedule(sweeps=2)
         run_shots(NOR, schedule, 10, master_seed=1)
         shots = 25 * seeds.batch_size(anneal._shot_bytes(NOR.n))
-        tracemalloc.start()
-        try:
-            run_shots(NOR, schedule, shots, master_seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: run_shots(NOR, schedule, shots, master_seed=1))
         assert peak < seeds.BATCH_BYTES * 17 / 16
 
     def test_generator_bytes_cover_one_generator(self):
@@ -450,12 +440,7 @@ class TestBatchedOracle:
         allocates, whatever the NumPy version."""
         seed = shot_seed(1, 0)
         np.random.Generator(np.random.PCG64(seed))
-        tracemalloc.start()
-        try:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        rng, size, _ = traced(lambda: np.random.Generator(np.random.PCG64(seed)))
         del rng
         assert 0 < size <= seeds.GENERATOR_BYTES
 
@@ -463,13 +448,8 @@ class TestBatchedOracle:
         """No run holds a value per sweep: the schedule streams its
         temperatures, and the flip limits read at most one block ahead."""
         schedule = Schedule(GEOMETRIC, 3.0, 0.05, 200_000)
-        tracemalloc.start()
-        try:
-            schedule.temperatures()
-            # A list of 200,000 temperatures alone would take about 6 MiB.
-            assert tracemalloc.get_traced_memory()[1] < 16 << 10
-        finally:
-            tracemalloc.stop()
+        # A list of 200,000 temperatures alone would take about 6 MiB.
+        assert traced(schedule.temperatures)[2] < 16 << 10
 
         flip_limits, ahead = anneal._flip_limits, []
 

@@ -11,14 +11,13 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, small_models
+from conftest import ground_states, random_model, small_models, traced
 from qafactor import anneal, cli, fluxsim, multiplier, seeds
 from qafactor.capacity import CapacityInput
 from qafactor.cli import main
@@ -42,12 +41,9 @@ def run(capsys, *argv):
 
 def traced_peak(capsys, *argv):
     """The tracemalloc peak of a command that succeeds."""
-    tracemalloc.start()
-    try:
-        assert run(capsys, *argv)[0] == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced(lambda: run(capsys, *argv)[0])
+    assert code == 0
+    return peak
 
 
 class TestGatesEmit:
@@ -177,12 +173,8 @@ class TestVerify:
             fh.write("n 22\n")
         with open("free.ports", "w") as fh:
             fh.write("port a 0\n")
-        tracemalloc.start()
-        try:
-            code, out, _ = run(capsys, "verify", "free.model", "--ports", "free.ports")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, _), _, peak = traced(
+            lambda: run(capsys, "verify", "free.model", "--ports", "free.ports"))
         assert code == 0
         ground = [line for line in out.splitlines() if line.startswith("ground ")]
         assert ground == [f"ground {k:022b} a={k >> 21}" for k in range(32)]
@@ -211,7 +203,7 @@ class TestVerify:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_ground_and_pass_lines_agree_with_references(self, capsys, model, data):
         ground = sorted(tuple((s + 1) // 2 for s in state)
-                        for state in brute_force_ground(model).states)
+                        for state in ground_states(model.n, brute_force_ground(model)))
         every = list(itertools.product((0, 1), repeat=model.n))
         valid = data.draw(st.one_of(
             st.just(ground), st.lists(st.sampled_from(every), min_size=1, unique=True)))
@@ -671,6 +663,23 @@ class TestOutputPaths:
             assert out == ""
             assert err.startswith("data error: ") and "missing/out.csv" in err
 
+    @pytest.mark.parametrize("case", sorted(_SAVING))
+    def test_directory_is_refused_by_the_name_given(self, capsys, monkeypatch, case):
+        """A directory, or a symlink to one, is refused before the input is
+        read, naming the path as given rather than the link's target."""
+        run(capsys, "gates", "emit", "nor")
+        Path("adir").mkdir()
+        os.symlink("adir", "alink")
+        listing = sorted(os.listdir())
+        for module, name in ((cli, "parse_model"), (cli, "build_multiplier"),
+                             (fluxsim, "inverse_nor_layout")):
+            monkeypatch.setattr(module, name, None)
+        for path in ("adir", "alink"):
+            code, out, err = run(capsys, *_SAVING[case], path)
+            assert code == 2 and out == ""
+            assert err == f"data error: [Errno 21] Is a directory: '{path}'\n"
+        assert sorted(os.listdir()) == listing and os.listdir("adir") == []
+
     @pytest.mark.parametrize("case,refused", [
         ("anneal", ("--sweeps", "0")),
         ("factor", ("--sweeps", str(10**10))),
@@ -861,13 +870,9 @@ class TestBatchFolds:
         layout = fluxsim.inverse_nor_layout(0, ramp=fluxsim.RampSpec(0.2e-9, 0.05e-9))
         steps = fluxsim.step_count(layout.ramp, fluxsim.DT_DEFAULT)
         shots = 2 * seeds.batch_size(fluxsim._shot_bytes(layout.n, steps, 1))
-        tracemalloc.start()
-        try:
-            cli._fold_ensemble(layout, fluxsim.NoiseSpec(), None, n_shots=shots, master_seed=1,
-                               workers=1, decimate=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: cli._fold_ensemble(
+            layout, fluxsim.NoiseSpec(), None, n_shots=shots, master_seed=1, workers=1,
+            decimate=1))
         assert peak < seeds.BATCH_BYTES * 17 / 16
 
 
@@ -881,6 +886,8 @@ class TestDefaults:
             inspect.signature(multiplier.clamp_product).parameters["method"].default)
         args = parse(["circuit", "nor-inverse", "--clamp", "0"])
         assert args.noise_sigma / 1e6 == fluxsim.NoiseSpec().sigma
+        assert args.decimate == fluxsim.DECIMATE_DEFAULT == (
+            inspect.signature(fluxsim.simulate_shot).parameters["decimate"].default)
         args = parse(["synth", "mult", "--bits-a", "2", "--bits-b", "2"])
         assert args.chain_strength == multiplier.CHAIN_STRENGTH == (
             inspect.signature(multiplier.build_multiplier).parameters["chain_strength"].default)
@@ -1052,15 +1059,38 @@ class TestUsage:
         assert "t_cold" in err or "sweeps" in err
 
     @pytest.mark.parametrize("command,reason", [
-        (("factor", "-1"), "P must be >= 0"),
-        (("multiply", "-3", "5"), "factors must be >= 0"),
+        (("factor", "-1"), "P=-1 does not fit in 2 bits"),
+        (("multiply", "-3", "5"), "M=-3 does not fit in 2 bits"),
         (("multiply", "1", "9", "--bits-b", "2"), "N=9 does not fit in 2 bits"),
-    ], ids=["factor-negative", "multiply-negative", "multiply-bits-b"])
-    def test_numbers_out_of_range_rejected_before_any_output(self, capsys, command, reason):
+        (("factor", "100", "--bits-a", "1", "--bits-b", "1"), "P=100 does not fit in 2 bits"),
+        (("multiply", "9", "1", "--bits-a", "2"), "M=9 does not fit in 2 bits"),
+    ], ids=["factor-negative", "multiply-negative", "multiply-bits-b", "factor-product-bits",
+            "multiply-bits-a"])
+    def test_numbers_out_of_range_rejected_before_any_output(self, capsys, monkeypatch,
+                                                             command, reason):
+        """Each register is checked once its width is known, before the
+        schedule is read or the network is built."""
+        def unreached(*args, **kwargs):
+            raise AssertionError("the schedule was read or the network built")
+
+        monkeypatch.setattr(cli, "_schedule_from", unreached)
+        monkeypatch.setattr(cli, "build_multiplier", unreached)
         code, out, err = run(capsys, *command)
         assert code == 1
         assert out == ""
-        assert reason in err
+        assert err == f"usage error: {reason}\n"
+
+    @pytest.mark.parametrize("command", [
+        ("factor", "15", "--bits-a", "1000000", "--bits-b", "1"),
+        ("multiply", "3", "5", "--bits-a", "1000000"),
+    ], ids=["factor", "multiply"])
+    def test_wide_network_refused_within_a_small_peak(self, capsys, command):
+        """Checking a register allocates nothing per bit of its width, so a
+        million-bit network is refused by its size check, not by memory."""
+        (code, out, err), _, peak = traced(lambda: run(capsys, *command))
+        assert code == 1 and out == ""
+        assert "above the model-file limit" in err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("command", [
         ("anneal", "nor.model", "--sweeps", str(10**12)),

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import j_unit_kt, potential_minima, readout_wells
+from conftest import j_unit_kt, potential_minima, readout_wells, traced
 from qafactor import fluxsim, seeds
 from qafactor.fluxsim import (
     BIAS_WINDING,
@@ -534,12 +533,8 @@ class TestEnsemble:
         def transient_peak(ramp_s):
             ramp = RampSpec(ramp_s=ramp_s, hold_s=0.0)
             layout = inverse_nor_layout(0, ramp=ramp)
-            tracemalloc.start()
-            try:
-                kept = _integrate_batch(layout, NoiseSpec(), ramp, 5e-14, seeds)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            kept, current, peak = traced(
+                lambda: _integrate_batch(layout, NoiseSpec(), ramp, 5e-14, seeds))
             del kept
             return peak - current
 
@@ -573,14 +568,8 @@ class TestEnsemble:
         monkeypatch.setattr(seeds, "BATCH_BYTES", self.batch_bytes_for(layout, 4, decimate=50))
 
         def transient_peak(n_shots):
-            tracemalloc.start()
-            try:
-                for _ in ensemble_batches(layout, NoiseSpec(), n_shots=n_shots, master_seed=1,
-                                          decimate=50):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: sum(1 for _ in ensemble_batches(
+                layout, NoiseSpec(), n_shots=n_shots, master_seed=1, decimate=50)))[2]
 
         transient_peak(2)
         one_batch_scale = transient_peak(20)
@@ -600,12 +589,8 @@ class TestEnsemble:
             # growth; a record kept per shot still does.
             cached = [(k, k, k, k) for k in range(4000)]
             del cached
-            tracemalloc.start()
-            try:
-                run_ensemble(layout, NoiseSpec(), n_shots=n_shots, master_seed=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: run_ensemble(layout, NoiseSpec(), n_shots=n_shots,
+                                               master_seed=1))[2]
 
         peak(5)
         four_batches = peak(20)

@@ -1,13 +1,12 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_models, spin_states, state_energies
+from conftest import ground_states, small_models, spin_states, state_energies, traced
 from qafactor import ising
 from qafactor.formats import MAX_MODEL_SPINS, ModelFormatError, format_model, parse_model
 from qafactor.ising import (
@@ -151,7 +150,7 @@ class TestClampFold:
         assert reduced.couplings == {(0, 1): 0.5}
         assert offset == 1.0
         report = brute_force_ground(reduced)
-        assert report.states == ((-1, -1),)
+        assert ground_states(reduced.n, report) == ((-1, -1),)
         assert report.e0 + offset == -1.5
 
     def test_nor_output_clamped_low(self):
@@ -209,13 +208,13 @@ class TestBruteForce:
         assert report.e0 == -1.5
         assert report.gap == 2.0
         expected = {(-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, -1)}
-        assert set(report.states) == expected
+        assert set(ground_states(NOR.n, report)) == expected
         assert report.degeneracy == 4
 
     def test_single_spin_bias(self):
         report = brute_force_ground(IsingModel(1, (1.0,), {}))
         assert report.e0 == -1.0
-        assert report.states == ((-1,),)
+        assert ground_states(1, report) == ((-1,),)
         assert report.gap == 2.0
 
     def test_cap_enforced(self):
@@ -230,7 +229,7 @@ class TestBruteForce:
     def test_empty_model(self):
         report = brute_force_ground(IsingModel(0, (), {}))
         assert report.e0 == 0.0
-        assert report.states == ((),)
+        assert ground_states(0, report) == ((),)
 
     @given(small_models())
     @settings(max_examples=40, deadline=None)
@@ -240,7 +239,7 @@ class TestBruteForce:
         assert report.e0 == pytest.approx(min(energies), abs=1e-12)
         ground = [s for s, e in zip(all_states(model.n), energies)
                   if e <= report.e0 + 1e-9]
-        assert sorted(report.states) == sorted(ground)
+        assert sorted(ground_states(model.n, report)) == sorted(ground)
 
     @given(small_models())
     @settings(max_examples=20, deadline=None)
@@ -255,12 +254,7 @@ class TestBruteForce:
     def test_ground_states_kept_as_codes(self):
         # Every state of an empty 16-spin model is ground: 65,536 codes of
         # 8 bytes, where tuples of spins would take about 15 MiB.
-        tracemalloc.start()
-        try:
-            report = brute_force_ground(IsingModel(16, (0.0,) * 16, {}))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, _, peak = traced(lambda: brute_force_ground(IsingModel(16, (0.0,) * 16, {})))
         assert report.degeneracy == 1 << 16
         assert report.codes.tolist() == list(range(1 << 16))
         assert peak < 6 * 2**20
@@ -269,12 +263,7 @@ class TestBruteForce:
         # 16 chunks of 2**16 codes, every one ground: beyond the 8-MiB result,
         # the search holds a few chunks, not a second copy of the codes.
         monkeypatch.setattr(ising, "_CHUNK_BITS", 16)
-        tracemalloc.start()
-        try:
-            report = brute_force_ground(IsingModel(20, (0.0,) * 20, {}))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, _, peak = traced(lambda: brute_force_ground(IsingModel(20, (0.0,) * 20, {})))
         assert report.degeneracy == 1 << 20
         assert peak < report.codes.nbytes + 8 * (8 << 16)
 

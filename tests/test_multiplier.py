@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import state_energies
+from conftest import ground_states, state_energies
 from qafactor import multiplier
 from qafactor.ising import (
     DimensionError,
@@ -42,7 +42,7 @@ class TestBuild:
     def test_single_cell_input_sweep(self, net11):
         report = brute_force_ground(net11.model)
         assert report.degeneracy == 4
-        for state in report.states:
+        for state in ground_states(net11.model.n, report):
             out = decode(net11, state)
             assert out.is_ground
             assert out.p == out.m * out.n
@@ -105,10 +105,10 @@ class TestForward:
             reduced, _ = clamp_fold(net22.model, clamps)
             report = brute_force_ground(reduced)
             assert report.degeneracy == 1, (m, n)
-            states = np.array(report.states, dtype=np.int8)
+            states = np.array(ground_states(reduced.n, report), dtype=np.int8)
             assert [a.tolist() for a in decode_reduced(net22, clamps, states)] == [
                 [m], [n], [m * n]]
-            assert decode(net22, merge_spins(net22.model.n, clamps, report.states[0])).is_ground
+            assert decode(net22, merge_spins(net22.model.n, clamps, states[0])).is_ground
 
     def test_clamp_factors_reference_energy(self, net22):
         reduced, offset = clamp_fold(net22.model, factor_clamp_assignment(net22, 3, 2))
@@ -167,7 +167,7 @@ class TestInverse:
         report = brute_force_ground(biased)
         assert report.e0 == pytest.approx(net22.expected_e0 - offset, abs=1e-9)
         bias_pairs = set()
-        for state in report.states:
+        for state in ground_states(biased.n, report):
             out = decode(net22, state)
             assert out.p == 9
             bias_pairs.add((out.m, out.n))
@@ -207,7 +207,7 @@ class TestDecode:
     def test_positional_read_out(self, net22):
         clamps = factor_clamp_assignment(net22, 3, 2)
         reduced, _ = clamp_fold(net22.model, clamps)
-        state = brute_force_ground(reduced).states[0]
+        state = ground_states(reduced.n, brute_force_ground(reduced))[0]
         m, n, p = decode_reduced(net22, clamps, np.array([state], dtype=np.int8))
         assert (m.tolist(), n.tolist(), p.tolist()) == ([3], [2], [6])
 
@@ -217,7 +217,7 @@ class TestDecode:
 
     def test_non_ground_state_flagged(self, net11):
         report = brute_force_ground(net11.model)
-        ground = set(report.states)
+        ground = set(ground_states(net11.model.n, report))
         for code in range(1 << net11.model.n):
             state = tuple(1 if (code >> k) & 1 else -1 for k in range(net11.model.n))
             if state not in ground:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ground_states
 from qafactor.gates import NOR_TRUTH, TruthTable, verify_gate
 from qafactor.ising import brute_force_ground, energies
 from qafactor.synth import (
@@ -49,7 +50,7 @@ class TestSynthesizedUnit:
     def test_ground_manifold_is_cell_relation(self, mult_unit):
         report = brute_force_ground(mult_unit.model)
         assert report.degeneracy == 16
-        for state in report.states:
+        for state in ground_states(mult_unit.n, report):
             assert cell_relation_holds(tuple((s + 1) // 2 for s in state))
         assert report.gap >= 1.0 - 1e-9
 
