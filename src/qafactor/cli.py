@@ -48,10 +48,6 @@ from .synth import mult_unit_gate
 DEFAULT_SEED = 1
 
 
-class UsageError(ValueError):
-    pass
-
-
 class VerificationFailure(RuntimeError):
     pass
 
@@ -63,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _read(path: str) -> str:
@@ -127,14 +123,15 @@ def _schedule_from(args) -> annealing.Schedule:
                               t_cold=args.t_cold, sweeps=args.sweeps)
 
 
-def _run(args, solve, *problem, **options):
-    """``solve(*problem, **options)`` with the shot commands' ``--shots``,
-    ``--seed`` and ``--workers`` (default :func:`default_workers`), then the
-    master seed printed: a run its solver refuses leaves stdout empty."""
-    result = solve(*problem, n_shots=args.shots, master_seed=args.seed,
-                   workers=args.workers or default_workers(), **options)
+def _batches(args, solve, *problem, **options):
+    """The batches of ``solve(*problem, **options)``, a solver's batch
+    iterator, run with the shot commands' ``--shots``, ``--seed`` and
+    ``--workers`` (default :func:`default_workers`); the master seed is
+    printed after the last one, so a run its solver refuses or that fails
+    leaves stdout empty."""
+    yield from solve(*problem, n_shots=args.shots, master_seed=args.seed,
+                     workers=args.workers or default_workers(), **options)
     print(f"master_seed {args.seed}")
-    return result
 
 
 def _positive_int(text: str) -> int:
@@ -213,19 +210,6 @@ def _shot_log(path: str | None):
     print(f"wrote {path}")
 
 
-def _fold_shots(model, schedule, summary, log, each=None, **run):
-    """Anneal ``model`` and fold each batch as it arrives: into ``summary``,
-    then ``each(states, energies, labels)``, whose (M, N, P) arrays join the
-    batch's ``--csv`` rows in ``log``; the batch is then dropped."""
-    for states, energy in annealing.anneal_batches(model, schedule, **run):
-        first = summary.shots
-        labels = summary.add(states, energy)
-        decoded = each(states, energy, labels) if each else None
-        if log:
-            write_shot_rows(log, first, states, energy, labels, decoded)
-    return summary
-
-
 def cmd_anneal(args) -> int:
     with _shot_log(args.csv) as log:
         schedule = _schedule_from(args)
@@ -235,8 +219,11 @@ def cmd_anneal(args) -> int:
             # A run the flip cap refuses enumerates nothing first.
             annealing.check_flip_cap(model.n, schedule, args.shots)
             reference = brute_force_ground(model, cap=args.cap).e0
-        summary = _run(args, _fold_shots, model, schedule,
-                       annealing.RunSummary(reference_e0=reference), log)
+        summary = annealing.RunSummary(reference_e0=reference)
+        for states, energy in _batches(args, annealing.anneal_batches, model, schedule):
+            labels = summary.add(states, energy)
+            if log:
+                write_shot_rows(log, summary.shots - len(energy), states, energy, labels, None)
     sys.stdout.write(summary.to_text())
     return 0
 
@@ -251,18 +238,18 @@ def cmd_factor(args) -> int:
         clamped, offset = clamp_product(net, args.p, method=args.method)
         reference = net.expected_e0 - offset
         clamps = product_clamp_assignment(net, args.p) if args.method == FOLD else {}
+        summary = annealing.RunSummary(reference_e0=reference, histogram=None)
         hist: dict[str, int] = {}
         hits: dict[str, int] = {}
-
-        def tally(states, energy, labels):
+        for states, energy in _batches(args, annealing.anneal_batches, clamped, schedule):
+            labels = summary.add(states, energy)
             m, n, p = decode_reduced(net, clamps, states)
             for key, hit in zip(map("({},{})".format, m.tolist(), n.tolist()), labels.tolist()):
                 hist[key] = hist.get(key, 0) + 1
                 hits[key] = hits.get(key, 0) + hit
-            return m, n, p
-
-        summary = _run(args, _fold_shots, clamped, schedule,
-                       annealing.RunSummary(reference_e0=reference, histogram=None), log, tally)
+            if log:
+                write_shot_rows(log, summary.shots - len(energy), states, energy, labels,
+                                (m, n, p))
         print(f"network {n1}x{n2} qubits {net.model.n} clamped {clamped.n}")
         print(f"reference_e0 {reference!r}")
         print(f"shots {summary.shots}")
@@ -284,20 +271,19 @@ def cmd_multiply(args) -> int:
         net = build_multiplier(n1, n2, chains=args.chains)
         clamps = factor_clamp_assignment(net, args.m, args.n)
         clamped, offset = clamp_fold(net.model, clamps)
-        lowest = [float("inf"), None]  # the first lowest energy so far, and its shot's product
-
-        def keep_lowest(states, energy, labels):
+        summary = annealing.RunSummary(reference_e0=net.expected_e0 - offset, histogram=None)
+        product = None  # that of the first shot at the lowest energy so far
+        for states, energy in _batches(args, annealing.anneal_batches, clamped, schedule):
+            lowest = summary.best_energy
+            labels = summary.add(states, energy)
             m, n, p = decode_reduced(net, clamps, states)
-            k = int(energy.argmin())
-            if energy[k] < lowest[0]:
-                lowest[:] = energy[k], p[k]
-            return m, n, p
-
-        summary = _run(args, _fold_shots, clamped, schedule,
-                       annealing.RunSummary(reference_e0=net.expected_e0 - offset, histogram=None),
-                       log, keep_lowest)
+            if summary.best_energy < lowest:
+                product = p[energy.argmin()]
+            if log:
+                write_shot_rows(log, summary.shots - len(energy), states, energy, labels,
+                                (m, n, p))
         # The lowest-energy shot reached ground exactly when any shot did.
-        print(f"product {lowest[1]}")
+        print(f"product {product}")
         print(f"ground_reached {summary.ground_hits > 0}")
         print(f"ground_hit_rate {summary.ground_hit_rate!r}")
     return 0
@@ -338,19 +324,6 @@ def cmd_verify(args) -> int:
 # circuit nor-inverse
 # ---------------------------------------------------------------------------
 
-def _fold_ensemble(layout, noise, log, **run):
-    """Integrate ``layout`` and fold each batch as it arrives: its read-out
-    bits into the counts, its recorded currents into the ``--trace`` rows
-    in ``log``; the batch is then dropped."""
-    result = fluxsim.EnsembleResult()
-    for bits, _, t, iq in fluxsim.ensemble_batches(layout, noise, **run):
-        if log:
-            write_trace_rows(log, result.shots, t, iq, layout.ramp.total_s)
-        result.add(bits)
-        del t, iq  # so the next batch is integrated with no other recording alive
-    return result
-
-
 def cmd_circuit_nor_inverse(args) -> int:
     with _shot_log(args.trace) as log:
         # Divided, not multiplied, into SI units: 0.2 / 1e9 is the float 2e-10,
@@ -358,8 +331,13 @@ def cmd_circuit_nor_inverse(args) -> int:
         layout = fluxsim.inverse_nor_layout(args.clamp, ramp=fluxsim.RampSpec(
             ramp_s=args.ramp_ns / 1e9, hold_s=args.hold_ns / 1e9))
         noise = fluxsim.NoiseSpec(sigma=args.noise_sigma / 1e6)
-        result = _run(args, _fold_ensemble, layout, noise, log, dt=args.dt_fs / 1e15,
-                      decimate=args.decimate if log else 0)
+        result = fluxsim.EnsembleResult()
+        for bits, _, t, iq in _batches(args, fluxsim.ensemble_batches, layout, noise,
+                                       dt=args.dt_fs / 1e15, decimate=args.decimate if log else 0):
+            if log:
+                write_trace_rows(log, result.shots, t, iq, layout.ramp.total_s)
+            result.add(bits)
+            del t, iq  # so the next batch is integrated with no other recording alive
         sys.stdout.write(result.to_text())
         violations = sum(c for bits, c in result.counts.items()
                          if bits[:3] not in NOR_TRUTH.valid)

@@ -363,10 +363,6 @@ class TestMultiply:
         assert code == 0
         assert "product 1" in out
 
-    def test_range_error(self, capsys):
-        code, _, err = run(capsys, "multiply", "9", "1", "--bits-a", "2")
-        assert code == 1
-
     def test_csv_decodes_each_shot(self, capsys):
         code, out, _ = run(capsys, "multiply", "3", "5", "--shots", "10",
                            "--csv", "mul.csv")
@@ -418,10 +414,6 @@ class TestFactor:
                            "--shots", "10")
         assert code == 0
         assert "ground_hits" in out
-
-    def test_width_too_small(self, capsys):
-        code, _, _ = run(capsys, "factor", "100", "--bits-a", "1", "--bits-b", "1")
-        assert code == 1
 
 
 class TestCircuit:
@@ -862,18 +854,18 @@ class TestBatchFolds:
         peak(400)
         assert peak(4000) < 1.25 * peak(400) + (32 << 10)
 
-    def test_recorded_batch_fits_the_batch_budget(self):
-        """A batch's per-shot bytes count its recording, and the circuit fold
-        drops each batch before the next one is integrated: two batches that
-        record all 1,002 rows of a 0.25-ns run peak within the default
-        budget plus 1/16 of it."""
+    def test_recorded_batch_fits_the_batch_budget(self, capsys):
+        """A batch's per-shot bytes count its recording, and the circuit
+        command drops each batch before the next one is integrated: two
+        batches that record all 1,002 rows of a 0.25-ns run peak within the
+        default budget plus 1/16 of it."""
         layout = fluxsim.inverse_nor_layout(0, ramp=fluxsim.RampSpec(0.2e-9, 0.05e-9))
         steps = fluxsim.step_count(layout.ramp, fluxsim.DT_DEFAULT)
         shots = 2 * seeds.batch_size(fluxsim._shot_bytes(layout.n, steps, 1))
-        _, _, peak = traced(lambda: cli._fold_ensemble(
-            layout, fluxsim.NoiseSpec(), None, n_shots=shots, master_seed=1, workers=1,
-            decimate=1))
-        assert peak < seeds.BATCH_BYTES * 17 / 16
+        argv = ("circuit", "nor-inverse", "--clamp", "0", "--ramp-ns", "0.2", "--hold-ns",
+                "0.05", "--decimate", "1", "--workers", "1", "--trace", os.devnull)
+        traced_peak(capsys, *argv, "--shots", "2")  # what a first run caches is not the batch's
+        assert traced_peak(capsys, *argv, "--shots", str(shots)) < seeds.BATCH_BYTES * 17 / 16
 
 
 class TestDefaults:
