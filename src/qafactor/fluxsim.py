@@ -74,7 +74,8 @@ DECIMATE_DEFAULT = 10    # a trace records every 10th step, 2.5 ps at DT_DEFAULT
 
 
 class ShotError(RuntimeError):
-    """Integrator diverged; carries time and state diagnostics."""
+    """Integrator diverged; the message gives the time and max|phi| of the
+    lowest-indexed shot of the run that diverges."""
 
 
 #: The one qubit design every simulated qubit shares (SI units): junction
@@ -357,7 +358,9 @@ def _integrate_batch(
     out: at t = ``step_count(ramp, dt)`` dt, cos(pi phi_t / Phi0) is 1.
 
     Every shot carries its own noise generator, so results per shot are
-    independent of how shots are grouped into batches.  Returns the batch
+    independent of how shots are grouped into batches, and so is a
+    :class:`ShotError`: it reports the lowest-indexed shot that diverges,
+    with that shot's own t and max|phi|.  Returns the batch
     as arrays, a row per seed in seed order: the read-out ``bits`` (int8,
     (batch, n)), the read-out currents ``final_iq`` (batch, n), and ``t``
     and ``iq``.  With ``record_every`` > 0, the loop currents of every row
@@ -478,10 +481,14 @@ def _integrate_batch(
             update_force(drive[j], bias_iq[j])
             half_kick_at(xi)
             add(vel, kicked, out=vel)
-            if (k % 2000 == 1999 or k == n_steps - 1) and (
-                    not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > barrier_limit):
-                raise ShotError(f"integration diverged at t={k * dt:.3e}s: max|phi|="
-                                f"{float(np.max(np.abs(phi))):.3e}")
+            if k % 2000 == 1999 or k == n_steps - 1:
+                diverged = ~(np.abs(phi) <= barrier_limit).all(axis=0)  # nan and inf too
+                if diverged.any():
+                    r = int(diverged.argmax())
+                    if r > 0:  # a lower row may diverge later; its error wins
+                        _integrate_batch(layout, noise, ramp, dt, seeds[:r])
+                    raise ShotError(f"integration diverged at t={k * dt:.3e}s: max|phi|="
+                                    f"{float(np.max(np.abs(phi[:, r]))):.3e}")
         del drive, bias_iq, samples  # one block's tables alive at a time
 
     # The last force saw the full barrier and so the static bias: iq holds

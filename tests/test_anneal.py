@@ -201,12 +201,6 @@ class TestRunShots:
         b = run_shots(NOR, Schedule(), 50, master_seed=42, reference_e0=-1.5)
         assert a.to_text() == b.to_text()
 
-    def test_worker_count_independence(self):
-        kwargs = dict(n_shots=40, master_seed=9, reference_e0=-1.5)
-        serial = run_shots(NOR, Schedule(sweeps=200), **kwargs)
-        four = run_shots(NOR, Schedule(sweeps=200), workers=4, **kwargs)
-        assert serial.to_text() == four.to_text()
-
     def test_inverse_nor_histogram_support(self):
         reduced, _ = clamp_fold(NOR, {2: 0})
         summary = run_shots(reduced, Schedule(), 200, master_seed=5,

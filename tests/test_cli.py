@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -437,35 +438,22 @@ class TestCircuit:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(fluxsim, "_integrate_batch", counted)
-        for workers in ("1", "2"):
-            code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
-                               "--shots", "3", "--ramp-ns", "0.2", "--hold-ns", "0.05",
-                               "--dt-fs", "50", "--noise-sigma", "0.13",
-                               "--trace", "waves.csv", "--decimate", "200",
-                               "--workers", workers)
-            assert code == 0
-            assert "master_seed 1" in out
-            assert "nor_violations" in out
-            if workers == "1":
-                # One pass: the CSV comes from the ensemble's own batch.
-                assert len(calls) == 1
-                # A pool pickles the integrator by its import path, which
-                # the local wrapper lacks.
-                monkeypatch.setattr(fluxsim, "_integrate_batch", integrate)
-            text = Path("waves.csv").read_text()
-            lines = text.splitlines()
-            assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
-            assert len(lines) > 10
-            rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-            assert all(len(row) == 5 for row in rows)
-            assert text == expected.getvalue()
-
-    def test_noiseless_repeatable(self, capsys):
-        args = ("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
-                "--ramp-ns", "0.2", "--noise-sigma", "0")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        code, out, _ = run(capsys, "circuit", "nor-inverse", "--clamp", "0",
+                           "--shots", "3", "--ramp-ns", "0.2", "--hold-ns", "0.05",
+                           "--dt-fs", "50", "--noise-sigma", "0.13",
+                           "--trace", "waves.csv", "--decimate", "200", "--workers", "1")
+        assert code == 0
+        assert "master_seed 1" in out
+        assert "nor_violations" in out
+        # One pass: the CSV comes from the ensemble's own batch.
+        assert len(calls) == 1
+        text = Path("waves.csv").read_text()
+        lines = text.splitlines()
+        assert lines[0] == "t,Iq_1,Iq_2,Iq_3,Iq_4"
+        assert len(lines) > 10
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert all(len(row) == 5 for row in rows)
+        assert text == expected.getvalue()
 
     def test_clamp_required(self, capsys):
         code, _, _ = run(capsys, "circuit", "nor-inverse", "--shots", "1")
@@ -509,93 +497,143 @@ class TestCircuit:
                 " the noise hold") in help_text
 
 
-#: sha256 of every file each command writes.  A writer whose bytes change
-#: must change these on purpose.  The trace digest also pins NumPy's float64
-#: sin and cos, whose SIMD kernels may round differently on other CPUs.
-_WRITTEN = {
-    "gates-nor": (("gates", "emit", "nor"), {
+class Run(NamedTuple):
+    argv: tuple
+    printed: str | None = None  # sha256 of stdout
+    written: dict = {}  # sha256 of each file written, by name
+    code: int = 0
+    budget: int | None = None  # a seeds.BATCH_BYTES that cuts the shots into several batches
+
+
+#: The model files the rows read, written beside each run.
+_INPUTS = {"nor.model": format_model(nor_gate().model)}
+#: sha256 of empty output: the stdout of a refused or failed run.
+_NOTHING = hashlib.sha256(b"").hexdigest()
+#: 3 shots a batch of the folded 4x4 factor network, 24 of the NOR gate,
+#: 3 of a 0.011-ns circuit ramp (2 when every step is recorded).
+_SEVERAL = 1 << 15
+#: Two shots of the inverse NOR at clamp 1, traced over a 0.25-ns run.
+_WAVES = ("circuit", "nor-inverse", "--clamp", "1", "--shots", "2", "--ramp-ns", "0.2",
+          "--hold-ns", "0.05", "--trace", "t.csv")
+
+#: Runs of the gate and synth commands, and of each shot command at the
+#: flagship runs' batch width (200 shots, 100 per worker on two CPUs; 50
+#: for ``multiply``), at a few shots, in several batches, traced at each
+#: step size, noiseless, diverged and refused.  A writer whose bytes change
+#: must change its pins on purpose.  The trace digests also pin NumPy's
+#: float64 sin and cos, whose SIMD kernels may round differently on other CPUs.
+_RUNS = {
+    "gates-nor": Run(("gates", "emit", "nor"), written={
         "nor.model": "a58052830bec399bb29b36b402d5739188df142b4efe484d3b95f56977fb6a3b",
         "nor.ports": "8ee80561cad559abf0621762ce62fe3dec092f5c73f6a531b726b9bb66c376bf"}),
-    "gates-and": (("gates", "emit", "and"), {
+    "gates-and": Run(("gates", "emit", "and"), written={
         "and.model": "ecd81ce0dd0e5698cd5c4ff961c55371ae9aa71c178484acd8537a728064efa6",
         "and.ports": "5eb77740d10e62eaa85367356532d74c9a4fada6378e88420f7762a2a407f53c"}),
-    "gates-half-adder": (("gates", "emit", "half-adder"), {
+    "gates-half-adder": Run(("gates", "emit", "half-adder"), written={
         "half-adder.model": "9bea3313e1d68bcc73bc9453641f61b5a63813e31b169fd6ce17112fa582a704",
         "half-adder.ports": "d53707e8704ee7a36b80ac98e79deb432847af244d25dc6b47d266ed637250f7"}),
-    "gates-mult-unit": (("gates", "emit", "mult-unit"), {
+    "gates-mult-unit": Run(("gates", "emit", "mult-unit"), written={
         "mult-unit.model": "2ab2e29b482d3760c5cbfce3bf737382d3dddef6b3cd928ab8dbe7c1f6b5318b",
         "mult-unit.ports": "034b93caa23b77dfe516458b58afc57c6bb84160db67e7cd4492ee0b9af6eadf"}),
-    "synth-mult": (("synth", "mult", "--bits-a", "2", "--bits-b", "2"), {
+    "synth-mult": Run(("synth", "mult", "--bits-a", "2", "--bits-b", "2"), written={
         "mult2x2.model": "ef3f1da81c63998331cb203e843f8439d92ad35dfe6ec87507335ba1fa3d20d4",
         "mult2x2.roles": "6190bf4226f65bc4d567d6103b863d3d677c611e86bf71b3d6febedb7b94f69d"}),
-    "synth-mult-chained": (("synth", "mult", "--bits-a", "3", "--bits-b", "2", "--chains",
-                            "--chain-strength", "0.5"), {
+    "synth-mult-chained": Run(("synth", "mult", "--bits-a", "3", "--bits-b", "2", "--chains",
+                               "--chain-strength", "0.5"), written={
         "mult3x2.model": "68243fed2b9e158d5b3105eb3dd5ef20ebde81742f7e20061a91ebb288b914e8",
         "mult3x2.roles": "425ccc1cc92ee27bbe5723470e8f2708e07bd8c4d412dd94d3e38bc4e91ba13d"}),
-    "factor-csv": (("factor", "15", "--shots", "5", "--sweeps", "50", "--csv", "f.csv"), {
+    "factor-csv": Run(("factor", "15", "--shots", "5", "--sweeps", "50", "--csv", "f.csv"),
+                      written={
         "f.csv": "ae87f21fb1ba94a8a3618b5f682700e3db5fb058f5dd1a9756fd9516fe956e50"}),
-    "multiply-csv": (("multiply", "3", "5", "--shots", "5", "--csv", "m.csv"), {
-        "m.csv": "5ebfae6a8f144dd1b657337e52edf0922a0ded6a534d7e1fbcf3218be98a24a4"}),
-    "circuit-trace": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
-                       "--ramp-ns", "0.2", "--hold-ns", "0.05", "--dt-fs", "50",
-                       "--trace", "t.csv"), {
-        "t.csv": "ce94a621fc4079bb97e8f3c48137e4c8d046a1a489a2b9c9e482f7e0c88b1100"}),
-    "circuit-trace-default": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
-                               "--ramp-ns", "0.2", "--hold-ns", "0.05", "--trace", "t.csv"), {
-        "t.csv": "3357ee7b7c3fc8303705142ce8d803a3499558705623ac2a70a30a1ef10f1f6f"}),
-}
-
-
-class TestWrittenBytes:
-    @pytest.mark.parametrize("case", sorted(_WRITTEN))
-    def test_files_match_pinned_digests(self, capsys, case):
-        argv, digests = _WRITTEN[case]
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                   for name in digests}
-        assert written == digests
-
-
-#: sha256 of stdout and of the ``--csv`` file of full-size runs of every
-#: shot command at the default worker count.  Their batches are as wide as
-#: the flagship runs', 200 shots (100 per worker on two CPUs; 50 for
-#: ``multiply``, its default); the pins above run 5.
-_PRINTED = {
-    "factor-200": (("factor", "15", "--shots", "200", "--seed", "2024", "--csv", "f.csv"),
-                   "53434044c6ccb0741225af73fc29d09929c8d36cc69ff9ef30c0863421a8ee6d", {
+    "factor-200": Run(("factor", "15", "--shots", "200", "--seed", "2024", "--csv", "f.csv"),
+                      "53434044c6ccb0741225af73fc29d09929c8d36cc69ff9ef30c0863421a8ee6d", {
         "f.csv": "5c37ca58e2c46aeeff5467468b4b6dce02c9bcde030d6dccaacd2faee32ac3f4"}),
-    "factor-bias-200": (("factor", "15", "--method", "bias", "--shots", "200",
-                         "--csv", "f.csv"),
-                        "6e6d3373c283941c7f769f2720cea49145b2c7ca2892db148830e0b0cd4e7a41", {
+    "factor-bias-200": Run(("factor", "15", "--method", "bias", "--shots", "200",
+                            "--csv", "f.csv"),
+                           "6e6d3373c283941c7f769f2720cea49145b2c7ca2892db148830e0b0cd4e7a41", {
         "f.csv": "6437d0e232108e35fbe5f52f23bf9f90379135aa572e65a2584bd93cf4205ae0"}),
-    "multiply-3x5": (("multiply", "3", "5", "--csv", "m.csv"),
-                     "3e8fb61932a864ec82cf1eb9c42ac81fcae487f739dbf595253cf466c0f9dfbf", {
+    "factor-batches": Run(("factor", "15", "--shots", "59", "--sweeps", "2", "--csv", "f.csv"),
+                          budget=_SEVERAL),
+    "multiply-csv": Run(("multiply", "3", "5", "--shots", "5", "--csv", "m.csv"), written={
+        "m.csv": "5ebfae6a8f144dd1b657337e52edf0922a0ded6a534d7e1fbcf3218be98a24a4"}),
+    "multiply-3x5": Run(("multiply", "3", "5", "--csv", "m.csv"),
+                        "3e8fb61932a864ec82cf1eb9c42ac81fcae487f739dbf595253cf466c0f9dfbf", {
         "m.csv": "bfc7f45f60746d37f3e3cd9827d263615a293256e29923849ecf08b665bd25e6"}),
-    "anneal-nor": (("anneal", "nor.model", "--brute-force-reference", "--csv", "a.csv"),
-                   "afd8ce52a4cf4762c347de2cab65a187d183214680be9e4267f23711421889f7", {
+    "multiply-batches": Run(("multiply", "3", "5", "--shots", "59", "--sweeps", "2",
+                             "--csv", "m.csv"), budget=_SEVERAL),
+    "anneal-nor": Run(("anneal", "nor.model", "--brute-force-reference", "--csv", "a.csv"),
+                      "afd8ce52a4cf4762c347de2cab65a187d183214680be9e4267f23711421889f7", {
         "a.csv": "1dd6f7aa97bc44f46654af070a19a995d3e8d833da7cba97bccf4427706ccb2c"}),
-    "circuit-clamp0-200": (("circuit", "nor-inverse", "--clamp", "0", "--shots", "200",
-                            "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "c634dfb53b34e8334262b434a2305642c821b8b3c7cf33ddadcee17d42973bc8", {}),
-    "circuit-clamp1-200": (("circuit", "nor-inverse", "--clamp", "1", "--shots", "200",
-                            "--ramp-ns", "0.2", "--hold-ns", "0.05"),
-                           "1b41da03013478a3b2225436d937e6ac727a0ec10488ada679b6096215a75773", {}),
+    "anneal-batches": Run(("anneal", "nor.model", "--shots", "59", "--sweeps", "2",
+                           "--reference-e0", "-1.5", "--csv", "a.csv"), budget=_SEVERAL),
+    "anneal-flip-cap": Run(("anneal", "nor.model", "--sweeps", str(10**12), "--csv", "a.csv"),
+                           _NOTHING, code=1),
+    "circuit-clamp0-200": Run(("circuit", "nor-inverse", "--clamp", "0", "--shots", "200",
+                               "--ramp-ns", "0.2", "--hold-ns", "0.05"),
+                              "c634dfb53b34e8334262b434a2305642c821b8b3c7cf33ddadcee17d42973bc8"),
+    "circuit-clamp1-200": Run(("circuit", "nor-inverse", "--clamp", "1", "--shots", "200",
+                               "--ramp-ns", "0.2", "--hold-ns", "0.05"),
+                              "1b41da03013478a3b2225436d937e6ac727a0ec10488ada679b6096215a75773"),
+    "circuit-batches": Run(("circuit", "nor-inverse", "--clamp", "0", "--shots", "7",
+                            "--ramp-ns", "0.01", "--hold-ns", "0.001"), budget=_SEVERAL),
+    "circuit-trace-batches": Run(("circuit", "nor-inverse", "--clamp", "0", "--shots", "7",
+                                  "--ramp-ns", "0.01", "--hold-ns", "0.001", "--decimate", "1",
+                                  "--trace", "t.csv"), budget=_SEVERAL),
+    "circuit-trace": Run((*_WAVES, "--dt-fs", "50"), written={
+        "t.csv": "ce94a621fc4079bb97e8f3c48137e4c8d046a1a489a2b9c9e482f7e0c88b1100"}),
+    "circuit-trace-default": Run(_WAVES, written={
+        "t.csv": "3357ee7b7c3fc8303705142ce8d803a3499558705623ac2a70a30a1ef10f1f6f"}),
+    "circuit-trace-100fs": Run((*_WAVES, "--dt-fs", "100")),
+    "circuit-trace-500fs": Run((*_WAVES, "--dt-fs", "500")),
+    "circuit-noiseless": Run(("circuit", "nor-inverse", "--clamp", "1", "--shots", "2",
+                              "--ramp-ns", "0.2", "--noise-sigma", "0")),
+    "circuit-diverged": Run(("circuit", "nor-inverse", "--clamp", "0", "--shots", "2",
+                             "--ramp-ns", "0.2", "--hold-ns", "0.05", "--noise-sigma", "1e12",
+                             "--trace", "t.csv"), _NOTHING, code=4),
 }
+
+
+class TestBatchingInvariance:
+    @pytest.mark.parametrize("case", sorted(_RUNS))
+    def test_output_independent_of_batching(self, capsys, monkeypatch, tmp_path, case):
+        """A shot command gives the exit code, stdout, stderr and files of
+        its default run at every other worker count among 1 and 2 and, when
+        small (at most 60 shots at no more than 50 sweeps, or 7 circuit
+        shots), in one-shot batches on two workers.  A flip-cap refusal
+        runs far more than 50 sweeps, so it never gets one-shot batches:
+        the cap charges each batch by design, and its message prints the
+        batch count.  Gate and synth commands have no ``--workers`` and run
+        once."""
+        row = _RUNS[case]
+        args = cli.build_parser().parse_args(row.argv)
+        budget = row.budget or seeds.BATCH_BYTES
+        variants = [((), budget)]
+        if hasattr(args, "workers"):
+            default = seeds.default_workers()
+            variants += [(("--workers", str(w)), budget) for w in (1, 2) if w != default]
+            if (args.shots <= (7 if row.argv[0] == "circuit" else 60)
+                    and getattr(args, "sweeps", 0) <= 50):
+                variants.append((("--workers", "2"), 1))
+        results = []
+        for k, (flags, batch_bytes) in enumerate(variants):
+            monkeypatch.setattr(seeds, "BATCH_BYTES", batch_bytes)
+            (tmp_path / str(k)).mkdir()
+            monkeypatch.chdir(tmp_path / str(k))
+            for name, text in _INPUTS.items():
+                Path(name).write_text(text)
+            code, out, err = run(capsys, *row.argv, *flags)
+            results.append((code, out, err, {p.name: p.read_bytes() for p in Path().iterdir()}))
+        code, out, _, files = results[0]
+        assert code == row.code
+        if row.printed:
+            assert hashlib.sha256(out.encode()).hexdigest() == row.printed
+        assert {name: hashlib.sha256(files[name]).hexdigest() for name in row.written} == (
+            row.written)
+        for variant, result in zip(variants[1:], results[1:]):
+            assert result == results[0], variant
 
 
 class TestPrintedBytes:
-    @pytest.mark.parametrize("case", sorted(_PRINTED))
-    def test_stdout_and_files_match_pinned_digests(self, capsys, case):
-        argv, printed, digests = _PRINTED[case]
-        run(capsys, "gates", "emit", "nor")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == printed
-        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                   for name in digests}
-        assert written == digests
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_non_dyadic_anneal_matches_pinned_digests(self, capsys, workers):
         """Quarter-grid sums are exact in any order; these fields round, so
@@ -608,7 +646,6 @@ class TestPrintedBytes:
             "6cd42328e64527d4d2784ab4af2a78f44ca9907b2600680443973507431182fc")
         assert hashlib.sha256(Path("r.csv").read_bytes()).hexdigest() == (
             "e3efcbda98f077a50ab21094284f390841a32f3dce3ab57ea2fb176287fa862f")
-
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_many_colour_classes_anneal_matches_pinned_digests(self, capsys, workers):
@@ -854,11 +891,12 @@ class TestBatchFolds:
         peak(400)
         assert peak(4000) < 1.25 * peak(400) + (32 << 10)
 
-    def test_recorded_batch_fits_the_batch_budget(self, capsys):
+    def test_recorded_batch_fits_the_batch_budget(self, capsys, monkeypatch):
         """A batch's per-shot bytes count its recording, and the circuit
         command drops each batch before the next one is integrated: two
-        batches that record all 1,002 rows of a 0.25-ns run peak within the
-        default budget plus 1/16 of it."""
+        batches that record all 1,002 rows of a 0.25-ns run peak within a
+        4-MiB budget plus 1/16 of it."""
+        monkeypatch.setattr(seeds, "BATCH_BYTES", 4 << 20)
         layout = fluxsim.inverse_nor_layout(0, ramp=fluxsim.RampSpec(0.2e-9, 0.05e-9))
         steps = fluxsim.step_count(layout.ramp, fluxsim.DT_DEFAULT)
         shots = 2 * seeds.batch_size(fluxsim._shot_bytes(layout.n, steps, 1))

@@ -400,8 +400,24 @@ class TestSimulateShot:
             simulate_shot(single_qubit_layout(), NoiseSpec(), dt=1e-12)
 
     def test_divergence_raises_shot_error(self):
-        with pytest.raises(ShotError):
+        with pytest.raises(ShotError, match=r"^integration diverged at t=\d\.\d{3}e-\d\ds: "
+                                            r"max\|phi\|=\d\.\d{3}e[-+]\d\d$"):
             simulate_shot(single_qubit_layout(), NoiseSpec(sigma=0.5, seed=3))
+
+    def test_divergence_names_the_lowest_shot_that_diverges(self):
+        """Shot 4 diverges at an earlier check than shot 3, so a batch of
+        both must run on to learn that shot 3 diverges too: the pair's error
+        is shot 3's own, as when each shot is its own batch."""
+        layout = inverse_nor_layout(0, ramp=RampSpec(1e-9, 0.1e-9))
+
+        def error(*shots):
+            with pytest.raises(ShotError) as caught:
+                _integrate_batch(layout, NoiseSpec(sigma=3e-5), layout.ramp, DT_DEFAULT,
+                                 [shot_seed(1, k) for k in shots])
+            return str(caught.value)
+
+        assert error(3) != error(4)
+        assert error(3, 4) == error(3)
 
     def test_trace_csv_layout(self):
         tr = simulate_shot(single_qubit_layout(), NoiseSpec(seed=5), decimate=2000)
@@ -427,13 +443,6 @@ class TestEnsemble:
         a = run_ensemble(inverse_nor_layout(0), NoiseSpec(), n_shots=12, master_seed=6)
         b = run_ensemble(inverse_nor_layout(0), NoiseSpec(), n_shots=12, master_seed=6)
         assert a.to_text() == b.to_text()
-
-    def test_worker_count_independence(self):
-        serial = run_ensemble(inverse_nor_layout(0), NoiseSpec(), n_shots=12,
-                              master_seed=6)
-        split = run_ensemble(inverse_nor_layout(0), NoiseSpec(), n_shots=12,
-                             master_seed=6, workers=3)
-        assert serial.to_text() == split.to_text()
 
     @pytest.mark.parametrize("ramp,dt", [
         (RampSpec(0.2e-9, 0.05e-9), 600e-15),
